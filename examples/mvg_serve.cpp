@@ -87,7 +87,7 @@ int Usage(const char* argv0) {
       "usage:\n"
       "  %s train <train-ucr-file> --out MODEL [--model xgb|rf|svm|stack]"
       " [--grid none|small|paper] [--threads N] [--workers N]"
-      " [--paged [--page-rows N]] [--exact-bins]"
+      " [--paged [--page-rows N]]"
       " [--eval FILE [--out-preds FILE]]"
       " [--metrics-out FILE]\n"
       "  %s info <MODEL>\n"
@@ -226,9 +226,6 @@ int CmdTrain(int argc, char** argv) {
   MvgClassifier::Config config;
   config.model = ParseModel(FlagValue(argc, argv, 3, "--model", "xgb"));
   config.grid = ParseGrid(FlagValue(argc, argv, 3, "--grid", "small"));
-  // --exact-bins: legacy exact-sorted bin cuts instead of the streaming
-  // quantile sketch (parity/debugging escape hatch; runtime-only knob).
-  config.exact_bins = HasFlag(argc, argv, 3, "--exact-bins");
 
   const bool paged = HasFlag(argc, argv, 3, "--paged");
   const size_t page_rows =
@@ -312,8 +309,6 @@ int CmdInfo(const std::string& path) {
               ToString(clf.config().extractor.graph_mode));
   std::printf("feature mode:   %s\n",
               ToString(clf.config().extractor.feature_mode));
-  std::printf("recorded fit:   FE %.2fs, Clf %.2fs\n",
-              clf.feature_extraction_seconds(), clf.training_seconds());
   return 0;
 }
 

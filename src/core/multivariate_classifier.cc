@@ -68,8 +68,6 @@ void MvgMultivariateClassifier::Fit(const MultivariateDataset& train) {
   // choice is a single-family model here (stacking works identically).
   const size_t threads =
       config_.num_threads == 0 ? DefaultThreads() : config_.num_threads;
-  const SplitMode split =
-      config_.exact_splits ? SplitMode::kExact : SplitMode::kHistogram;
   GradientBoostingClassifier::Params gp;
   gp.learning_rate = 0.08;
   gp.num_rounds = 120;
@@ -78,13 +76,11 @@ void MvgMultivariateClassifier::Fit(const MultivariateDataset& train) {
   gp.colsample = 0.5;
   gp.min_child_weight = 0.5;
   gp.seed = config_.seed;
-  gp.split = split;
   gp.num_threads = threads;
   RandomForestClassifier::Params rp;
   rp.num_trees = 180;
   rp.max_depth = 20;
   rp.seed = config_.seed;
-  rp.split = split;
   rp.num_threads = threads;
   std::vector<ClassifierFactory> candidates = {
       [gp]() { return std::make_unique<GradientBoostingClassifier>(gp); },

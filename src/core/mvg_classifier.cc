@@ -21,7 +21,6 @@ namespace {
 
 /// Training-engine knobs shared by every tree-family grid entry.
 struct EngineOptions {
-  SplitMode split = SplitMode::kHistogram;
   size_t num_threads = 1;
   /// Distributed histogram-merge seam, forwarded into every tree-family
   /// candidate (SVM candidates replicate the fit deterministically
@@ -44,7 +43,6 @@ std::vector<ClassifierFactory> XgbGrid(GridPreset preset, uint64_t seed,
     p.colsample = 0.5;
     p.min_child_weight = 0.5;
     p.seed = seed;
-    p.split = engine.split;
     p.num_threads = engine.num_threads;
     p.reducer = engine.reducer;
     return p;
@@ -83,7 +81,6 @@ std::vector<ClassifierFactory> RfGrid(GridPreset preset, uint64_t seed,
     p.num_trees = trees;
     p.max_depth = depth;
     p.seed = seed;
-    p.split = engine.split;
     p.num_threads = engine.num_threads;
     p.reducer = engine.reducer;
     return p;
@@ -137,9 +134,7 @@ size_t MvgClassifier::ResolvedThreads() const {
 
 std::vector<ClassifierFactory> MvgClassifier::BuildCandidates(
     size_t num_threads) const {
-  const EngineOptions engine{
-      config_.exact_splits ? SplitMode::kExact : SplitMode::kHistogram,
-      num_threads, config_.reducer};
+  const EngineOptions engine{num_threads, config_.reducer};
   switch (config_.model) {
     case MvgModel::kXgboost:
       return XgbGrid(config_.grid, config_.seed, engine);
@@ -155,18 +150,15 @@ std::vector<ClassifierFactory> MvgClassifier::BuildCandidates(
 
 std::vector<std::vector<ClassifierFactory>> MvgClassifier::BuildFamilies(
     size_t num_threads) const {
-  const EngineOptions engine{
-      config_.exact_splits ? SplitMode::kExact : SplitMode::kHistogram,
-      num_threads, config_.reducer};
+  const EngineOptions engine{num_threads, config_.reducer};
   return {XgbGrid(config_.grid, config_.seed, engine),
           RfGrid(config_.grid, config_.seed, engine),
           SvmGrid(config_.grid, config_.seed)};
 }
 
 bool MvgClassifier::UseSketchBinned() const {
-  return !config_.exact_splits && !config_.exact_bins &&
-         (config_.model == MvgModel::kXgboost ||
-          config_.model == MvgModel::kRandomForest);
+  return config_.model == MvgModel::kXgboost ||
+         config_.model == MvgModel::kRandomForest;
 }
 
 void MvgClassifier::Fit(const Dataset& train) {
@@ -245,10 +237,6 @@ void MvgClassifier::TrainBinnedTail(FeatureTable* ft,
   model_ = BuildCandidates(threads)[best]();
   model_->FitBinned(*ft, y_os, all);
   train_seconds_ = train_timer.Seconds();
-  if (config_.reducer != nullptr) {
-    fe_seconds_ = 0.0;
-    train_seconds_ = 0.0;
-  }
 }
 
 void MvgClassifier::FitPaged(PagedUcrReader* reader) {
@@ -375,13 +363,10 @@ void MvgClassifier::FitOnExtracted(Matrix x, std::vector<int> y,
     x = std::move(x_os);
     y = std::move(y_os);
   }
-  // SVM kernels need comparable feature magnitudes (paper §4.3); scaling
-  // is harmless for the tree models, so the pipeline always fits the
-  // scaler and applies it for SVM and stacking.
+  // SVM kernels need comparable feature magnitudes (paper §4.3), and the
+  // stacked ensemble contains an SVM family, so this tail always scales.
   scaler_.Fit(x);
-  const bool scale = config_.model == MvgModel::kSvm ||
-                     config_.model == MvgModel::kStacking;
-  const Matrix& x_used = scale ? scaler_.TransformAll(x) : x;
+  const Matrix x_used = scaler_.TransformAll(x);
 
   if (config_.model == MvgModel::kStacking) {
     // The ensemble fans its candidate x fold cells across the pool and
@@ -396,11 +381,7 @@ void MvgClassifier::FitOnExtracted(Matrix x, std::vector<int> y,
     model_ = std::make_unique<StackingEnsemble>(BuildFamilies(threads), sp);
     model_->Fit(x_used, y);
   } else {
-    // Candidate x fold cells fan out across the thread budget, and each
-    // cell's internal tree-level parallelism rides the same pool as
-    // nested tasks (fitted models are thread-count invariant, so this is
-    // a pure scheduling change); the winning refit then gets the full
-    // budget for its internal tree-level parallelism.
+    // SVM: candidate x fold cells fan out across the thread budget.
     const std::vector<ClassifierFactory> candidates = BuildCandidates(threads);
     size_t best = 0;
     if (candidates.size() > 1 && config_.grid != GridPreset::kNone) {
@@ -412,14 +393,6 @@ void MvgClassifier::FitOnExtracted(Matrix x, std::vector<int> y,
     model_->Fit(x_used, y);
   }
   train_seconds_ = train_timer.Seconds();
-  if (config_.reducer != nullptr) {
-    // The recorded wall times are serialized into the model's pipeline
-    // section; zero them so every rank's model bytes — and reruns with
-    // different worker counts — are identical (dist_test and the CI
-    // cross-process smoke byte-compare them).
-    fe_seconds_ = 0.0;
-    train_seconds_ = 0.0;
-  }
 }
 
 int MvgClassifier::Predict(const Series& s) const {

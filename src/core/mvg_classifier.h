@@ -39,8 +39,10 @@ enum class GridPreset {
 /// feature extraction -> random oversampling of minority classes ->
 /// (min-max scaling for SVM) -> grid-searched generic classifier.
 ///
-/// Feature-extraction and training wall times are recorded separately,
-/// matching Table 3's "FE" and "Clf" runtime columns.
+/// Feature-extraction and training wall times of the last Fit are kept
+/// in memory, matching Table 3's "FE" and "Clf" runtime columns. They are
+/// not part of the saved model: a model file is a pure function of the
+/// training data and the config.
 class MvgClassifier : public SeriesClassifier {
  public:
   struct Config {
@@ -59,24 +61,12 @@ class MvgClassifier : public SeriesClassifier {
     /// bit-identical for every value (per-tree/per-cell seeds are
     /// pre-assigned), so this is a pure wall-clock knob.
     size_t num_threads = 1;
-    /// Escape hatch: train the tree families with exact pre-sorted split
-    /// enumeration instead of the default binned histograms (slower;
-    /// kept for parity testing and as a reference).
-    bool exact_splits = false;
-    /// Escape hatch: derive the histogram bin cuts from exact sorted
-    /// feature columns (each candidate fit re-sorts the materialised
-    /// matrix — the legacy path) instead of the default one-pass
-    /// mergeable quantile sketch shared by all candidates. Runtime knob
-    /// only — not serialized; ignored for SVM/stacking and when
-    /// exact_splits is set.
-    bool exact_bins = false;
     /// Distributed histogram-merge seam (runtime-only, never serialized;
     /// not owned). When set, this process is one rank of a training
     /// group: tree candidates accumulate histograms over their owned row
-    /// slice and allreduce them before split finding, training loops run
-    /// sequentially so collectives line up across ranks, and the
-    /// recorded wall times are zeroed so every rank writes byte-identical
-    /// model files for any worker count. Incompatible with exact_splits.
+    /// slice and allreduce them before split finding, and training loops
+    /// run sequentially so collectives line up across ranks. Every rank
+    /// writes byte-identical model files for any worker count.
     class HistogramReducer* reducer = nullptr;
   };
 
@@ -104,10 +94,8 @@ class MvgClassifier : public SeriesClassifier {
   /// versioned binary model format of serve/model_io.h (current = v3).
   /// Requires Fit(); implemented in serve/model_io.cc.
   void SaveBinary(std::ostream& os) const;
-  /// Legacy v2 writer — migration fixtures and v2-reader tests only.
-  void SaveBinaryV2(std::ostream& os) const;
-  /// Rebuilds a classifier from SaveBinary (v3) or SaveBinaryV2 (v2)
-  /// output, copying everything out of the stream. Predictions of the
+  /// Rebuilds a classifier from SaveBinary (v3) output or a legacy v2
+  /// file, copying everything out of the stream. Predictions of the
   /// loaded pipeline are bit-identical to the saved one. Throws
   /// SerializationError on corrupt, truncated or version-mismatched data.
   static MvgClassifier LoadBinary(std::istream& is);
@@ -117,7 +105,8 @@ class MvgClassifier : public SeriesClassifier {
   /// the lifetime contract and the full-verification variant.
   static MvgClassifier LoadBinaryView(const void* data, size_t size);
 
-  /// Wall-clock split of the last Fit() (Table 3's FE vs Clf columns).
+  /// Wall-clock split of the last Fit() (Table 3's FE vs Clf columns);
+  /// zero on a loaded model.
   double feature_extraction_seconds() const { return fe_seconds_; }
   double training_seconds() const { return train_seconds_; }
 
@@ -154,17 +143,17 @@ class MvgClassifier : public SeriesClassifier {
       size_t num_threads) const;
   size_t ResolvedThreads() const;
 
-  /// Everything Fit() does after feature extraction (oversample, scale,
-  /// grid search, final fit) — the shared tail of Fit and FitPaged.
+  /// Everything Fit() does after feature extraction for SVM and stacking
+  /// (oversample, scale, grid search, final fit) — the matrix tail of Fit
+  /// and FitPaged.
   /// `x` rows must already be padded to a uniform width; `fe_seconds` is
   /// the measured extraction time, `max_len` the longest training series.
   void FitOnExtracted(Matrix x, std::vector<int> y, size_t max_len,
                       double fe_seconds);
 
-  /// True when training runs on the streaming sketch-binned path: tree
-  /// families with histogram splits and sketch-derived cuts (the
-  /// default). SVM and stacking consume raw feature values, and the
-  /// exact_* escape hatches opt back into the legacy matrix path.
+  /// True when training runs on the streaming sketch-binned path: the
+  /// tree families. SVM and stacking consume raw feature values and train
+  /// on the matrix (FitOnExtracted).
   bool UseSketchBinned() const;
 
   /// Sketch-binned tail of the in-RAM Fit(): one sketch pass over the
@@ -186,9 +175,9 @@ class MvgClassifier : public SeriesClassifier {
   // Model-format internals (serve/model_io.cc) — public only so the
   // framing layer's free functions can reach the section bodies; not API.
 
-  /// Serializes the three model-file section payloads.
-  void BuildSections(uint32_t format_version, std::string* pipeline,
-                     std::string* scaler, std::string* model) const;
+  /// Serializes the three model-file section payloads (current format).
+  void BuildSections(std::string* pipeline, std::string* scaler,
+                     std::string* model) const;
   /// Rebuilds a classifier from section readers already configured with
   /// the source format version (and zero-copy flag, for the mmap path).
   static MvgClassifier FromSectionReaders(BinaryReader* pipeline,

@@ -51,7 +51,7 @@ class Classifier {
 
   /// Trains on the row subset `rows` of X — semantically identical to
   /// Fit() on the gathered submatrix. The tree families override this to
-  /// train directly on the row view, which is what lets cross-validation
+  /// bin the row view directly, which is what lets cross-validation
   /// (CrossVal*/GridSearch/stacking) share one feature matrix across folds
   /// without materialising per-fold copies. The default implementation
   /// gathers the rows and delegates to Fit(). `rows` must be non-empty.

@@ -428,7 +428,7 @@ struct DecisionTreeClassifier::HistBuilder {
     // Best split: sweep every feature's bins left to right, accumulating
     // the left class histogram; the right sibling is totals - left. A bin
     // with no rows adds no new boundary (same partition as the previous
-    // one), mirroring the exact sweep's equal-value skip.
+    // one), just as equal values add none to a pre-sorted sweep.
     double best_gain = 1e-12;
     int best_feature = -1;
     size_t best_bin = 0;
@@ -471,36 +471,20 @@ struct DecisionTreeClassifier::HistBuilder {
 // ---------------------------------------------------------------------------
 
 void DecisionTreeClassifier::Fit(const Matrix& x, const std::vector<int>& y) {
-  const std::vector<size_t> encoded = PrepareFit(x, y);
-  std::vector<size_t> src(x.size());
-  std::iota(src.begin(), src.end(), size_t{0});
-  FitView(x, src, encoded, encoder_.num_classes());
+  std::vector<size_t> rows(x.size());
+  std::iota(rows.begin(), rows.end(), size_t{0});
+  FitOnRows(x, y, rows);
 }
 
 void DecisionTreeClassifier::FitOnRows(const Matrix& x,
                                        const std::vector<int>& y,
                                        const std::vector<size_t>& rows) {
   const std::vector<size_t> encoded = PrepareFitOnRows(x, y, rows);
-  FitView(x, rows, encoded, encoder_.num_classes());
-}
-
-void DecisionTreeClassifier::FitView(const Matrix& x,
-                                     const std::vector<size_t>& src,
-                                     const std::vector<size_t>& y_compact,
-                                     size_t num_classes) {
-  std::vector<size_t> rows(src.size());
-  std::iota(rows.begin(), rows.end(), size_t{0});
-  if (params_.reducer != nullptr && params_.split != SplitMode::kHistogram) {
-    throw std::invalid_argument(
-        "DecisionTree: distributed training requires histogram split mode");
-  }
-  if (params_.split == SplitMode::kHistogram) {
-    FeatureTable ft;
-    ft.Build(x, src, params_.max_bins);
-    FitBinned(ft, y_compact, num_classes, rows);
-  } else {
-    FitExactOnView(x, src, y_compact, num_classes, rows);
-  }
+  FeatureTable ft;
+  ft.Build(x, rows, params_.max_bins);
+  std::vector<size_t> compact(rows.size());
+  std::iota(compact.begin(), compact.end(), size_t{0});
+  FitBinned(ft, encoded, encoder_.num_classes(), compact);
 }
 
 void DecisionTreeClassifier::FitBinned(const FeatureTable& ft,
@@ -513,117 +497,6 @@ void DecisionTreeClassifier::FitBinned(const FeatureTable& ft,
   HistBuilder builder(ft, y_compact, num_classes, params_, &nodes_,
                       &leaf_proba_, &rng);
   builder.Run(rows);
-}
-
-void DecisionTreeClassifier::FitExactOnView(const Matrix& x,
-                                            const std::vector<size_t>& src,
-                                            const std::vector<size_t>& y_compact,
-                                            size_t num_classes,
-                                            const std::vector<size_t>& rows) {
-  num_classes_internal_ = num_classes;
-  ResetStorage();
-  Rng rng(params_.seed);
-  std::vector<size_t> mutable_rows = rows;
-  BuildNode(x, src, y_compact, &mutable_rows, 0, &rng);
-}
-
-int32_t DecisionTreeClassifier::BuildNode(const Matrix& x,
-                                          const std::vector<size_t>& src,
-                                          const std::vector<size_t>& y,
-                                          std::vector<size_t>* rows,
-                                          size_t depth, Rng* rng) {
-  const size_t n = rows->size();
-  std::vector<double> hist(num_classes_internal_, 0.0);
-  for (size_t r : *rows) hist[y[r]] += 1.0;
-
-  auto make_leaf = [&]() {
-    Node leaf;
-    leaf.proba_begin = static_cast<int32_t>(leaf_proba_.size());
-    for (size_t c = 0; c < hist.size(); ++c) {
-      leaf_proba_.push_back(hist[c] / static_cast<double>(n));
-    }
-    nodes_.push_back(leaf);
-    return static_cast<int32_t>(nodes_.size() - 1);
-  };
-
-  const double parent_imp =
-      Impurity(hist, static_cast<double>(n), params_.use_entropy);
-  const bool pure = std::count_if(hist.begin(), hist.end(),
-                                  [](double c) { return c > 0.0; }) <= 1;
-  if (depth >= params_.max_depth || n < params_.min_samples_split || pure) {
-    return make_leaf();
-  }
-
-  const size_t d = x[src[(*rows)[0]]].size();
-  const std::vector<size_t> features =
-      SampleFeatures(d, params_.max_features, rng);
-
-  // Best split over candidate features: sort rows by value, sweep the
-  // class histogram across each boundary between distinct values.
-  double best_gain = 1e-12;
-  int best_feature = -1;
-  double best_threshold = 0.0;
-  std::vector<std::pair<double, size_t>> vals(n);  // (value, class)
-  std::vector<double> right_hist(num_classes_internal_);
-  for (size_t f : features) {
-    for (size_t i = 0; i < n; ++i) {
-      const size_t r = (*rows)[i];
-      vals[i] = {x[src[r]][f], y[r]};
-    }
-    std::sort(vals.begin(), vals.end());
-    std::vector<double> left_hist(num_classes_internal_, 0.0);
-    double nl = 0.0;
-    for (size_t i = 0; i + 1 < n; ++i) {
-      left_hist[vals[i].second] += 1.0;
-      nl += 1.0;
-      if (vals[i].first == vals[i + 1].first) continue;
-      const double nr = static_cast<double>(n) - nl;
-      if (nl < static_cast<double>(params_.min_samples_leaf) ||
-          nr < static_cast<double>(params_.min_samples_leaf)) {
-        continue;
-      }
-      for (size_t c = 0; c < right_hist.size(); ++c) {
-        right_hist[c] = hist[c] - left_hist[c];
-      }
-      const double gain =
-          parent_imp -
-          (nl / static_cast<double>(n)) *
-              Impurity(left_hist, nl, params_.use_entropy) -
-          (nr / static_cast<double>(n)) *
-              Impurity(right_hist, nr, params_.use_entropy);
-      if (gain > best_gain) {
-        best_gain = gain;
-        best_feature = static_cast<int>(f);
-        best_threshold = 0.5 * (vals[i].first + vals[i + 1].first);
-      }
-    }
-  }
-
-  if (best_feature < 0) return make_leaf();
-
-  std::vector<size_t> left_rows, right_rows;
-  for (size_t r : *rows) {
-    if (x[src[r]][static_cast<size_t>(best_feature)] <= best_threshold) {
-      left_rows.push_back(r);
-    } else {
-      right_rows.push_back(r);
-    }
-  }
-  if (left_rows.empty() || right_rows.empty()) return make_leaf();
-
-  // Reserve this node's slot before recursing.
-  Node internal;
-  internal.feature = best_feature;
-  internal.threshold = best_threshold;
-  nodes_.push_back(internal);
-  const int32_t id = static_cast<int32_t>(nodes_.size() - 1);
-  rows->clear();
-  rows->shrink_to_fit();
-  const int32_t left = BuildNode(x, src, y, &left_rows, depth + 1, rng);
-  const int32_t right = BuildNode(x, src, y, &right_rows, depth + 1, rng);
-  nodes_[id].left = left;
-  nodes_[id].right = right;
-  return id;
 }
 
 std::vector<double> DecisionTreeClassifier::PredictProba(
@@ -677,47 +550,12 @@ void DecisionTreeClassifier::SaveBinary(BinaryWriter* w) const {
   w->WriteSize(params_.max_features);
   w->WriteBool(params_.use_entropy);
   w->WriteU64(params_.seed);
-  w->WriteU8(static_cast<uint8_t>(params_.split));
+  w->WriteU8(0);  // reserved: the retired split-mode byte.
   w->WriteSize(params_.max_bins);
   SaveEncoder(w);
   w->WriteSize(num_classes_internal_);
   const Node* nodes = node_data();
   const size_t count = node_count();
-  const size_t k = num_classes_internal_;
-
-  if (w->format_version() == 2) {
-    // Legacy v2 body (node-by-node records with inline distributions and a
-    // stored depth) — kept so migration fixtures can be produced and the
-    // v2 reader exercised. Depth was dropped from in-memory storage, so
-    // recompute it with one forward pass (children always follow their
-    // parent).
-    std::vector<size_t> depths(count, 0);
-    std::vector<double> proba;
-    for (size_t i = 0; i < count; ++i) {
-      const Node& node = nodes[i];
-      if (node.feature >= 0) {
-        depths[static_cast<size_t>(node.left)] = depths[i] + 1;
-        depths[static_cast<size_t>(node.right)] = depths[i] + 1;
-      }
-    }
-    w->WriteSize(count);
-    for (size_t i = 0; i < count; ++i) {
-      const Node& node = nodes[i];
-      w->WriteI32(node.feature);
-      w->WriteDouble(node.threshold);
-      w->WriteI32(node.left);
-      w->WriteI32(node.right);
-      if (node.feature < 0) {
-        const double* p = proba_data() + node.proba_begin;
-        proba.assign(p, p + k);
-      } else {
-        proba.clear();
-      }
-      w->WriteDoubleVec(proba);
-      w->WriteSize(depths[i]);
-    }
-    return;
-  }
 
   // v3 body: two flat, 8-byte-aligned arrays — the 24-byte POD nodes and
   // the concatenated leaf distributions — in exactly the little-endian
@@ -781,11 +619,7 @@ void DecisionTreeClassifier::LoadBinary(BinaryReader* r) {
   params_.max_features = r->ReadSize();
   params_.use_entropy = r->ReadBool();
   params_.seed = r->ReadU64();
-  const uint8_t split = r->ReadU8();
-  if (split > static_cast<uint8_t>(SplitMode::kExact)) {
-    throw SerializationError("DecisionTree: out-of-range split mode");
-  }
-  params_.split = static_cast<SplitMode>(split);
+  SkipRetiredFlag(r, "DecisionTree split mode");
   params_.max_bins = r->ReadSize();
   LoadEncoder(r);
   num_classes_internal_ = r->ReadSize();

@@ -18,14 +18,13 @@ class HistogramReducer;
 /// random feature subsampling (`max_features`) so it doubles as the
 /// Random Forest base learner.
 ///
-/// Split finding runs, by default, on quantile-binned histograms
-/// (SplitMode::kHistogram): features are quantized once into <= 256 bins
-/// by a FeatureTable, each node scans per-bin class histograms instead of
-/// re-sorting raw values, rows are partitioned in place inside one shared
-/// index buffer, and a child's histogram is derived from its parent's by
-/// subtraction (only the smaller sibling is ever scanned). The exact
-/// pre-sorted sweep is kept behind SplitMode::kExact as the reference
-/// implementation for the histogram-vs-exact parity tests.
+/// Split finding runs on quantile-binned histograms: features are
+/// quantized once into <= 256 bins by a FeatureTable, each node scans
+/// per-bin class histograms instead of re-sorting raw values, rows are
+/// partitioned in place inside one shared index buffer, and a child's
+/// histogram is derived from its parent's by subtraction (only the smaller
+/// sibling is ever scanned). Fit/FitOnRows bin the matrix rows and train
+/// through FitBinned, so every entry point runs the same engine.
 class DecisionTreeClassifier : public Classifier {
  public:
   struct Params {
@@ -36,15 +35,13 @@ class DecisionTreeClassifier : public Classifier {
     size_t max_features = 0;
     bool use_entropy = false;  ///< Gini by default.
     uint64_t seed = 42;        ///< For feature subsampling.
-    /// Split engine; kHistogram is the default, kExact the fallback.
-    SplitMode split = SplitMode::kHistogram;
-    /// Histogram resolution (clamped to [2, 256]); ignored in exact mode.
+    /// Histogram resolution (clamped to [2, 256]).
     size_t max_bins = FeatureTable::kMaxBins;
     /// Distributed histogram-merge seam (runtime-only, never serialized).
     /// When set, this rank scans only its owned slice of the rows and
     /// node histograms/totals are allreduced in exact int64 arithmetic
     /// before split finding, so the tree is bit-identical for any worker
-    /// count. Requires kHistogram split mode. Not owned.
+    /// count. Not owned.
     HistogramReducer* reducer = nullptr;
   };
 
@@ -60,22 +57,16 @@ class DecisionTreeClassifier : public Classifier {
   void SaveBinary(BinaryWriter* w) const override;
   void LoadBinary(BinaryReader* r) override;
 
-  /// Histogram-engine entry point on a prebuilt (shared, read-only)
-  /// FeatureTable: `rows` are compact FeatureTable indices (duplicates
-  /// allowed — bootstrap), `y_compact` is indexed by compact row. This is
-  /// what RandomForest uses so the binning cost is paid once per forest,
-  /// not once per tree. Ignores params().split. The using-declaration
-  /// keeps the base-class FitBinned(ft, labels, rows) overload visible
-  /// alongside this four-argument form.
+  /// Training entry point on a prebuilt (shared, read-only) FeatureTable:
+  /// `rows` are compact FeatureTable indices (duplicates allowed —
+  /// bootstrap), `y_compact` is indexed by compact row. This is what
+  /// RandomForest uses so the binning cost is paid once per forest, not
+  /// once per tree. The using-declaration keeps the base-class
+  /// FitBinned(ft, labels, rows) overload visible alongside this
+  /// four-argument form.
   using Classifier::FitBinned;
   void FitBinned(const FeatureTable& ft, const std::vector<size_t>& y_compact,
                  size_t num_classes, const std::vector<size_t>& rows);
-
-  /// Exact-mode twin of FitBinned: feature values are read through the
-  /// `src` row view (value of compact row i is x[src[i]][f]).
-  void FitExactOnView(const Matrix& x, const std::vector<size_t>& src,
-                      const std::vector<size_t>& y_compact, size_t num_classes,
-                      const std::vector<size_t>& rows);
 
   /// Flat POD node — 24 bytes, fixed layout. This struct doubles as the
   /// v3 on-disk record (each field serialized in declaration order is, on
@@ -117,14 +108,6 @@ class DecisionTreeClassifier : public Classifier {
 
  private:
   struct HistBuilder;  // histogram split engine; defined in the .cc.
-
-  /// Dispatches on params_.split; `src` maps compact rows to Matrix rows.
-  void FitView(const Matrix& x, const std::vector<size_t>& src,
-               const std::vector<size_t>& y_compact, size_t num_classes);
-
-  int32_t BuildNode(const Matrix& x, const std::vector<size_t>& src,
-                    const std::vector<size_t>& y, std::vector<size_t>* rows,
-                    size_t depth, class Rng* rng);
 
   /// Validates a decoded node array (forward-pointing children, leaves
   /// carrying a full distribution); throws SerializationError.

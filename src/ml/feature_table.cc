@@ -5,6 +5,7 @@
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 namespace mvg {
 
@@ -19,13 +20,62 @@ void FeatureTable::Build(const Matrix& x, const std::vector<size_t>& rows,
   if (rows.empty()) {
     throw std::invalid_argument("FeatureTable: no rows");
   }
-  // The in-RAM path is just the streaming builder fed all rows at once, so
-  // paged construction (pages of rows through AddRows) is bit-identical by
-  // construction.
-  FeatureTableBuilder builder(max_bins);
-  for (size_t r : rows) builder.AddRow(x[r]);
-  builder.Finish(this);
+  const size_t d = x[rows[0]].size();
+  for (size_t r : rows) {
+    if (x[r].size() != d) {
+      throw std::invalid_argument("FeatureTable: row width " +
+                                  std::to_string(x[r].size()) + " != " +
+                                  std::to_string(d));
+    }
+  }
+  max_bins = std::min(std::max<size_t>(max_bins, 2), kMaxBins);
+  num_rows_ = rows.size();
+  num_features_ = d;
   src_rows_ = rows;
+  // Columns padded to whole cache lines (padding bytes zero) so vector
+  // kernels get split-free, over-read-safe column access.
+  row_stride_ = AlignedStride(num_rows_, sizeof(uint8_t));
+  bins_.ResetZero(num_features_ * row_stride_);
+  cuts_.clear();
+  cut_offset_.assign(num_features_ + 1, 0);
+
+  std::vector<double> column(num_rows_), sorted(num_rows_);
+  for (size_t f = 0; f < num_features_; ++f) {
+    for (size_t i = 0; i < num_rows_; ++i) column[i] = x[rows[i]][f];
+    sorted = column;
+    std::sort(sorted.begin(), sorted.end());
+
+    // Cut points: strictly increasing midpoints between consecutive
+    // distinct values — all of them when the feature has few distinct
+    // values (the histogram sweep is then exact), else at evenly spaced
+    // ranks (a quantile sketch in the XGBoost style).
+    const size_t cuts_begin = cuts_.size();
+    size_t distinct = 1;
+    for (size_t i = 1; i < num_rows_; ++i) {
+      if (sorted[i] != sorted[i - 1]) ++distinct;
+    }
+    if (distinct <= max_bins) {
+      for (size_t i = 1; i < num_rows_; ++i) {
+        if (sorted[i] != sorted[i - 1]) {
+          cuts_.push_back(0.5 * (sorted[i - 1] + sorted[i]));
+        }
+      }
+    } else {
+      for (size_t b = 1; b < max_bins; ++b) {
+        const size_t pos = b * num_rows_ / max_bins;
+        if (pos == 0 || sorted[pos] == sorted[pos - 1]) continue;
+        const double cut = 0.5 * (sorted[pos - 1] + sorted[pos]);
+        if (cuts_.size() > cuts_begin && cut <= cuts_.back()) continue;
+        cuts_.push_back(cut);
+      }
+    }
+    cut_offset_[f + 1] = cuts_.size();
+
+    // Bin id: index of the first cut >= value, so `bin <= b` is exactly
+    // `value <= threshold(f, b)` — the routing Predict applies later.
+    uint8_t* col = bins_.data() + f * row_stride_;
+    for (size_t i = 0; i < num_rows_; ++i) col[i] = BinValue(f, column[i]);
+  }
 }
 
 void FeatureTable::InitFromCuts(std::vector<double> cuts,
@@ -76,90 +126,6 @@ void FeatureTable::RepresentativeRowInto(size_t i,
                                  std::numeric_limits<double>::infinity());
     }
   }
-}
-
-void FeatureTableBuilder::AddRow(const std::vector<double>& row) {
-  if (num_rows_ == 0) {
-    num_features_ = row.size();
-    columns_.assign(num_features_, {});
-  } else if (row.size() != num_features_) {
-    throw std::invalid_argument(
-        "FeatureTableBuilder: row width " + std::to_string(row.size()) +
-        " != " + std::to_string(num_features_));
-  }
-  for (size_t f = 0; f < num_features_; ++f) columns_[f].push_back(row[f]);
-  ++num_rows_;
-}
-
-void FeatureTableBuilder::AddRows(const Matrix& page) {
-  for (const auto& row : page) AddRow(row);
-}
-
-void FeatureTableBuilder::Finish(FeatureTable* out) {
-  if (num_rows_ == 0) {
-    throw std::invalid_argument("FeatureTableBuilder: no rows");
-  }
-  const size_t max_bins =
-      std::min(std::max<size_t>(max_bins_, 2), FeatureTable::kMaxBins);
-  out->num_rows_ = num_rows_;
-  out->num_features_ = num_features_;
-  out->src_rows_.resize(num_rows_);
-  std::iota(out->src_rows_.begin(), out->src_rows_.end(), size_t{0});
-  // Columns padded to whole cache lines (padding bytes zero) so vector
-  // kernels get split-free, over-read-safe column access.
-  out->row_stride_ = AlignedStride(num_rows_, sizeof(uint8_t));
-  out->bins_.ResetZero(num_features_ * out->row_stride_);
-  out->cuts_.clear();
-  out->cut_offset_.assign(num_features_ + 1, 0);
-
-  std::vector<double> sorted(num_rows_);
-  for (size_t f = 0; f < num_features_; ++f) {
-    const std::vector<double>& column = columns_[f];
-    sorted = column;
-    std::sort(sorted.begin(), sorted.end());
-
-    // Cut points: strictly increasing midpoints between consecutive
-    // distinct values — all of them when the feature has few distinct
-    // values (the histogram sweep is then exact), else at evenly spaced
-    // ranks (a quantile sketch in the XGBoost style).
-    const size_t cuts_begin = out->cuts_.size();
-    size_t distinct = 1;
-    for (size_t i = 1; i < num_rows_; ++i) {
-      if (sorted[i] != sorted[i - 1]) ++distinct;
-    }
-    if (distinct <= max_bins) {
-      for (size_t i = 1; i < num_rows_; ++i) {
-        if (sorted[i] != sorted[i - 1]) {
-          out->cuts_.push_back(0.5 * (sorted[i - 1] + sorted[i]));
-        }
-      }
-    } else {
-      for (size_t b = 1; b < max_bins; ++b) {
-        const size_t pos = b * num_rows_ / max_bins;
-        if (pos == 0 || sorted[pos] == sorted[pos - 1]) continue;
-        const double cut = 0.5 * (sorted[pos - 1] + sorted[pos]);
-        if (out->cuts_.size() > cuts_begin && cut <= out->cuts_.back()) {
-          continue;
-        }
-        out->cuts_.push_back(cut);
-      }
-    }
-    out->cut_offset_[f + 1] = out->cuts_.size();
-
-    // Bin id: index of the first cut >= value, so `bin <= b` is exactly
-    // `value <= threshold(f, b)` — the routing Predict applies later.
-    const double* cuts_f = out->cuts_.data() + cuts_begin;
-    const size_t num_cuts = out->cuts_.size() - cuts_begin;
-    uint8_t* col = out->bins_.data() + f * out->row_stride_;
-    for (size_t i = 0; i < num_rows_; ++i) {
-      col[i] = static_cast<uint8_t>(
-          std::lower_bound(cuts_f, cuts_f + num_cuts, column[i]) - cuts_f);
-    }
-  }
-
-  num_rows_ = 0;
-  num_features_ = 0;
-  columns_.clear();
 }
 
 }  // namespace mvg

@@ -12,27 +12,15 @@
 
 namespace mvg {
 
-/// How tree learners search for splits.
-enum class SplitMode : uint8_t {
-  /// Quantile-binned histograms (XGBoost-style): features are quantized
-  /// once into <= 256 bins, split finding scans bin histograms, and a
-  /// child's histogram is derived from its parent's by subtraction. The
-  /// default engine.
-  kHistogram = 0,
-  /// Exact pre-sorted split enumeration over raw feature values (the
-  /// original implementation, kept as a fallback and as the reference for
-  /// the histogram-vs-exact parity tests).
-  kExact = 1,
-};
-
 /// Column-major, quantile-binned view of a (subset of a) row-major Matrix.
 ///
 /// Build() transposes the selected rows once and quantizes every feature
 /// into at most `max_bins` bins: when a feature has <= max_bins distinct
 /// values the bins are exact (one per value, cut points at midpoints of
-/// consecutive distinct values, so histogram split finding enumerates the
-/// same thresholds as the exact pre-sorted sweep); otherwise cut points are
-/// taken at evenly spaced ranks of the sorted values (a quantile sketch).
+/// consecutive distinct values, so histogram split finding enumerates
+/// every distinct-value boundary an exact pre-sorted sweep would);
+/// otherwise cut points are taken at evenly spaced ranks of the sorted
+/// values (a quantile sketch).
 ///
 /// Rows are addressed by *compact* index 0..num_rows()-1 in the order they
 /// were passed to Build(); source_row() maps back to the original Matrix
@@ -47,7 +35,8 @@ class FeatureTable {
 
   /// Builds the binned view of x restricted to `rows` (original row
   /// indices; must be non-empty, duplicates allowed). `max_bins` is
-  /// clamped to [2, 256].
+  /// clamped to [2, 256]. Throws std::invalid_argument on an empty row
+  /// set or rows of differing widths.
   void Build(const Matrix& x, const std::vector<size_t>& rows,
              size_t max_bins = kMaxBins);
 
@@ -130,8 +119,6 @@ class FeatureTable {
   const std::vector<size_t>& source_rows() const { return src_rows_; }
 
  private:
-  friend class FeatureTableBuilder;
-
   size_t num_rows_ = 0;
   size_t num_features_ = 0;
   size_t row_stride_ = 0;           ///< padded column stride, in bytes.
@@ -139,40 +126,6 @@ class FeatureTable {
   std::vector<double> cuts_;        ///< strictly increasing cut points, flat.
   std::vector<size_t> cut_offset_;  ///< per-feature offset into cuts_ (d+1).
   std::vector<size_t> src_rows_;    ///< compact index -> original row.
-};
-
-/// Streaming construction of a FeatureTable: rows arrive one page (or one
-/// row) at a time — the out-of-core training shape, where the raw data
-/// never sits in memory whole — and Finish() quantizes in a single pass
-/// over the accumulated columns. The result is bit-identical to
-/// FeatureTable::Build on the same rows in the same order regardless of
-/// how the stream was chunked (Build itself is implemented on this
-/// builder, so the two paths cannot drift).
-class FeatureTableBuilder {
- public:
-  explicit FeatureTableBuilder(size_t max_bins = FeatureTable::kMaxBins)
-      : max_bins_(max_bins) {}
-
-  /// Appends one sample. All rows must share one width; throws
-  /// std::invalid_argument on a mismatch.
-  void AddRow(const std::vector<double>& row);
-
-  /// Appends a page of samples in order.
-  void AddRows(const Matrix& page);
-
-  size_t num_rows() const { return num_rows_; }
-
-  /// Quantizes the accumulated rows into `*out` (compact row i = i-th row
-  /// added; source_row defaults to the compact index). Throws
-  /// std::invalid_argument when no rows were added. The builder is left
-  /// empty and reusable.
-  void Finish(FeatureTable* out);
-
- private:
-  size_t max_bins_;
-  size_t num_rows_ = 0;
-  size_t num_features_ = 0;
-  std::vector<std::vector<double>> columns_;  ///< column-major accumulation.
 };
 
 /// Free-list pool of flat per-node histograms for the tree builders. One

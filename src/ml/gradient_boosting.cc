@@ -60,10 +60,10 @@ struct GradientBoostingClassifier::HistBuilder {
   const std::vector<size_t>& cols;
   Tree* tree;
   std::vector<double>* gains;
-  /// When non-null, records per node (aligned with tree->push_back order)
-  /// the split's bin id — 0 for leaves — so the binned logit update can
-  /// descend without double features.
-  std::vector<uint16_t>* node_bins = nullptr;
+  /// Per node (aligned with tree->push_back order) the split's bin id — 0
+  /// for leaves — so the binned logit update can descend without double
+  /// features.
+  std::vector<uint16_t>* node_bins;
 
   std::vector<size_t> rows;
   std::vector<size_t> scratch;
@@ -86,9 +86,10 @@ struct GradientBoostingClassifier::HistBuilder {
 
   HistBuilder(const FeatureTable& ft_in, const std::vector<double>& gh_in,
               const Params& params_in, const std::vector<size_t>& cols_in,
-              Tree* tree_in, std::vector<double>* gains_in)
+              Tree* tree_in, std::vector<double>* gains_in,
+              std::vector<uint16_t>* node_bins_in)
       : ft(ft_in), gh(gh_in), params(params_in), cols(cols_in), tree(tree_in),
-        gains(gains_in), hpool(ft_in, cols_in, 2) {
+        gains(gains_in), node_bins(node_bins_in), hpool(ft_in, cols_in, 2) {
     red = params.reducer;
     if (red != nullptr) {
       own_begin = OwnedRowsBegin(ft.num_rows(), red->rank(), red->world_size());
@@ -200,7 +201,7 @@ struct GradientBoostingClassifier::HistBuilder {
       leaf.weight = -g_sum / (h_sum + params.lambda);
       if (buf != kNoBuf) hpool.Release(buf);
       tree->push_back(leaf);
-      if (node_bins != nullptr) node_bins->push_back(0);
+      node_bins->push_back(0);
       return static_cast<int32_t>(tree->size() - 1);
     };
 
@@ -238,8 +239,8 @@ struct GradientBoostingClassifier::HistBuilder {
         // rounding noise, so hr <= 0 means the node's rows are exhausted
         // and every later boundary is empty too.
         if (hr <= 0.0) break;
-        // A bin with no rows adds no new boundary — the analogue of the
-        // exact sweep's equal-value skip.
+        // A bin with no rows adds no new boundary (same partition as the
+        // previous one).
         if (bin_h == 0.0) continue;
         if (hl < params.min_child_weight || hr < params.min_child_weight) {
           continue;
@@ -269,9 +270,7 @@ struct GradientBoostingClassifier::HistBuilder {
     internal.feature = best_feature;
     internal.threshold = best_threshold;
     tree->push_back(internal);
-    if (node_bins != nullptr) {
-      node_bins->push_back(static_cast<uint16_t>(best_bin));
-    }
+    node_bins->push_back(static_cast<uint16_t>(best_bin));
     const int32_t id = static_cast<int32_t>(tree->size() - 1);
 
     // Scan only the smaller child and derive its sibling by subtraction
@@ -294,17 +293,20 @@ struct GradientBoostingClassifier::HistBuilder {
 
 void GradientBoostingClassifier::Fit(const Matrix& x,
                                      const std::vector<int>& y) {
-  const std::vector<size_t> encoded = PrepareFit(x, y);
-  std::vector<size_t> src(x.size());
-  std::iota(src.begin(), src.end(), size_t{0});
-  FitView(x, src, encoded);
+  std::vector<size_t> rows(x.size());
+  std::iota(rows.begin(), rows.end(), size_t{0});
+  FitOnRows(x, y, rows);
 }
 
 void GradientBoostingClassifier::FitOnRows(const Matrix& x,
                                            const std::vector<int>& y,
                                            const std::vector<size_t>& rows) {
   const std::vector<size_t> encoded = PrepareFitOnRows(x, y, rows);
-  FitView(x, rows, encoded);
+  FeatureTable ft;
+  ft.Build(x, rows, params_.max_bins);
+  std::vector<size_t> compact(rows.size());
+  std::iota(compact.begin(), compact.end(), size_t{0});
+  FitTable(ft, compact, encoded);
 }
 
 void GradientBoostingClassifier::FitBinned(const FeatureTable& ft,
@@ -312,16 +314,12 @@ void GradientBoostingClassifier::FitBinned(const FeatureTable& ft,
                                            const std::vector<size_t>& rows) {
   const std::vector<size_t> encoded =
       PrepareFitBinned(ft.num_rows(), y, rows);
-  FitViewBinned(ft, rows, encoded);
+  FitTable(ft, rows, encoded);
 }
 
-void GradientBoostingClassifier::FitViewBinned(
+void GradientBoostingClassifier::FitTable(
     const FeatureTable& ft, const std::vector<size_t>& rows_global,
     const std::vector<size_t>& encoded) {
-  if (params_.split != SplitMode::kHistogram) {
-    throw std::invalid_argument(
-        "GradientBoosting: FitBinned requires histogram split mode");
-  }
   const size_t n = rows_global.size();
   const size_t d = ft.num_features();
   const size_t k = encoder_.num_classes();
@@ -332,9 +330,14 @@ void GradientBoostingClassifier::FitViewBinned(
   const bool binary = k == 2;
   const size_t num_outputs = binary ? 1 : k;
   trees_per_round_ = num_outputs;
+  // Distributed fits run the per-output tree loop sequentially: every
+  // tree issues allreduce rounds, and all ranks must reach them in the
+  // same order. The per-sample loss/logit loops stay parallel — they are
+  // collective-free.
   const size_t tree_threads =
       params_.reducer != nullptr ? 1 : params_.num_threads;
 
+  // Base score: log-odds (binary) / zero logits (softmax).
   base_score_.assign(num_outputs, 0.0);
   if (binary) {
     double pos = 0.0;
@@ -356,6 +359,9 @@ void GradientBoostingClassifier::FitViewBinned(
   std::vector<std::vector<double>> out_gains(num_outputs,
                                              std::vector<double>(d));
 
+  // Per-sample loops are cheap per item; the pool's grain-size path keeps
+  // them inline below this many rows and never claims smaller chunks, so
+  // dispatch overhead stays amortised. Invariance does not depend on it.
   constexpr size_t kRowGrain = 512;
 
   Rng rng(params_.seed);
@@ -373,6 +379,8 @@ void GradientBoostingClassifier::FitViewBinned(
     } else {
       rows = rows_global;
     }
+    // Column subsample per tree — pre-drawn in output order so the
+    // parallel tree workers never touch the shared RNG.
     std::vector<std::vector<size_t>> cols(num_outputs);
     for (size_t out = 0; out < num_outputs; ++out) {
       if (params_.colsample < 1.0) {
@@ -386,7 +394,11 @@ void GradientBoostingClassifier::FitViewBinned(
       }
     }
 
-    // Fused softmax-gradient pass, writing to the table-indexed buffers.
+    // Fused softmax-gradient pass: one row-parallel sweep computes the
+    // probabilities AND every output's (grad, hess) pair straight into the
+    // table-indexed interleaved buffers. Each (row, output) cell is a pure
+    // function of that row's logits, so the thread partitioning is
+    // invisible in the results.
     ParallelFor(
         n, params_.num_threads,
         [&](size_t i) {
@@ -415,8 +427,7 @@ void GradientBoostingClassifier::FitViewBinned(
       std::fill(out_gains[out].begin(), out_gains[out].end(), 0.0);
       Tree tree;
       HistBuilder builder(ft, ghs[out], params_, cols[out], &tree,
-                          &out_gains[out]);
-      builder.node_bins = &round_bins[out];
+                          &out_gains[out], &round_bins[out]);
       builder.Run(rows);
       round_trees[out] = std::move(tree);
     });
@@ -435,268 +446,9 @@ void GradientBoostingClassifier::FitViewBinned(
   }
 }
 
-void GradientBoostingClassifier::FitView(const Matrix& x,
-                                         const std::vector<size_t>& src,
-                                         const std::vector<size_t>& encoded) {
-  const size_t n = src.size();
-  const size_t d = x[src[0]].size();
-  const size_t k = encoder_.num_classes();
-  num_features_ = d;
-  feature_gain_.assign(d, 0.0);
-  ResetStorage();
-
-  const bool binary = k == 2;
-  const size_t num_outputs = binary ? 1 : k;
-  trees_per_round_ = num_outputs;
-  const bool hist = params_.split == SplitMode::kHistogram;
-  if (params_.reducer != nullptr && !hist) {
-    throw std::invalid_argument(
-        "GradientBoosting: distributed training requires histogram split "
-        "mode");
-  }
-  // Distributed fits run the per-output tree loop sequentially: every
-  // tree issues allreduce rounds, and all ranks must reach them in the
-  // same order. The per-sample loss/logit loops stay parallel — they
-  // are collective-free.
-  const size_t tree_threads =
-      params_.reducer != nullptr ? 1 : params_.num_threads;
-
-  // Base score: log-odds (binary) / log-prior (softmax).
-  base_score_.assign(num_outputs, 0.0);
-  if (binary) {
-    double pos = 0.0;
-    for (size_t c : encoded) pos += static_cast<double>(c);
-    const double p = std::clamp(pos / static_cast<double>(n), 1e-6, 1.0 - 1e-6);
-    base_score_[0] = std::log(p / (1.0 - p));
-  }
-
-  // Quantize once per fit; shared read-only by every tree of every round.
-  FeatureTable ft;
-  if (hist) ft.Build(x, src, params_.max_bins);
-
-  // Current logit / probability per sample per output, and per-output
-  // row-interleaved gradient/hessian buffers (ghs[out][2i] = grad,
-  // ghs[out][2i+1] = hess — the layout the histogram scans consume) — all
-  // hoisted out of the round loop.
-  Matrix logits(n, base_score_);
-  Matrix probs(n, std::vector<double>(num_outputs));
-  std::vector<std::vector<double>> ghs(num_outputs,
-                                       std::vector<double>(2 * n));
-  std::vector<std::vector<double>> out_gains(num_outputs,
-                                             std::vector<double>(d));
-
-  // Per-sample loops are cheap per item; the pool's grain-size path keeps
-  // them inline below this many rows and never claims smaller chunks, so
-  // dispatch overhead stays amortised. Invariance does not depend on it.
-  constexpr size_t kRowGrain = 512;
-
-  Rng rng(params_.seed);
-  for (size_t round = 0; round < params_.num_rounds; ++round) {
-    obs::ObsSpan round_span(obs::PipelineMetrics::Get().gbt_round_seconds);
-    // Row subsample (shared across the round's trees).
-    std::vector<size_t> rows;
-    if (params_.subsample < 1.0) {
-      const size_t take = std::max<size_t>(
-          2, static_cast<size_t>(params_.subsample * static_cast<double>(n)));
-      rows = rng.Sample(n, take);
-    } else {
-      rows.resize(n);
-      std::iota(rows.begin(), rows.end(), size_t{0});
-    }
-    // Column subsample per tree — pre-drawn in output order so the
-    // parallel tree workers never touch the shared RNG.
-    std::vector<std::vector<size_t>> cols(num_outputs);
-    for (size_t out = 0; out < num_outputs; ++out) {
-      if (params_.colsample < 1.0) {
-        const size_t take = std::max<size_t>(
-            1,
-            static_cast<size_t>(params_.colsample * static_cast<double>(d)));
-        cols[out] = rng.Sample(d, take);
-      } else {
-        cols[out].resize(d);
-        std::iota(cols[out].begin(), cols[out].end(), size_t{0});
-      }
-    }
-
-    // Fused softmax-gradient pass: one row-parallel sweep computes the
-    // probabilities AND every output's (grad, hess) pair straight into the
-    // interleaved buffers. Each (row, output) cell is a pure function of
-    // that row's logits, so the fusion (and the thread partitioning) is
-    // invisible in the results; the serial path used to recompute the
-    // softmax for every output and fill the gradients tree by tree.
-    ParallelFor(
-        n, params_.num_threads,
-        [&](size_t i) {
-          const double* lg = logits[i].data();
-          double* pr = probs[i].data();
-          if (binary) {
-            pr[0] = Sigmoid(lg[0]);
-          } else {
-            SoftmaxInto(lg, num_outputs, pr);
-          }
-          for (size_t out = 0; out < num_outputs; ++out) {
-            const double p = pr[binary ? 0 : out];
-            const double target =
-                (binary ? encoded[i] == 1 : encoded[i] == out) ? 1.0 : 0.0;
-            double* cell = ghs[out].data() + 2 * i;
-            cell[0] = p - target;
-            cell[1] = std::max(1e-12, p * (1.0 - p));
-          }
-        },
-        kRowGrain);
-
-    // One tree per output, fitted concurrently; gains are accumulated
-    // per output and merged in output order below.
-    std::vector<Tree> round_trees(num_outputs);
-    ParallelFor(num_outputs, tree_threads, [&](size_t out) {
-      std::fill(out_gains[out].begin(), out_gains[out].end(), 0.0);
-      if (hist) {
-        Tree tree;
-        HistBuilder builder(ft, ghs[out], params_, cols[out], &tree,
-                            &out_gains[out]);
-        builder.Run(rows);
-        round_trees[out] = std::move(tree);
-      } else {
-        round_trees[out] =
-            BuildTreeExact(x, src, ghs[out], rows, cols[out],
-                           &out_gains[out]);
-      }
-    });
-    for (size_t out = 0; out < num_outputs; ++out) {
-      for (size_t f = 0; f < d; ++f) feature_gain_[f] += out_gains[out][f];
-    }
-
-    // Update logits with shrinkage (the interleaved-traversal kernel).
-    for (size_t out = 0; out < num_outputs; ++out) {
-      UpdateLogitsWithTree(round_trees[out].data(), x, src,
-                           params_.learning_rate, out, &logits,
-                           params_.num_threads);
-    }
-    for (const Tree& tree : round_trees) AppendTree(tree);
-    ++num_rounds_;
-  }
-}
-
 void GradientBoostingClassifier::AppendTree(const Tree& tree) {
   nodes_.insert(nodes_.end(), tree.begin(), tree.end());
   tree_offsets_.push_back(nodes_.size());
-}
-
-GradientBoostingClassifier::Tree GradientBoostingClassifier::BuildTreeExact(
-    const Matrix& x, const std::vector<size_t>& src,
-    const std::vector<double>& gh, const std::vector<size_t>& rows,
-    const std::vector<size_t>& cols, std::vector<double>* gains) {
-  Tree tree;
-  std::vector<size_t> mutable_rows = rows;
-  BuildTreeNode(x, src, gh, &mutable_rows, cols, 0, &tree, gains);
-  return tree;
-}
-
-int32_t GradientBoostingClassifier::BuildTreeNode(
-    const Matrix& x, const std::vector<size_t>& src,
-    const std::vector<double>& gh, std::vector<size_t>* rows,
-    const std::vector<size_t>& cols, size_t depth, Tree* tree,
-    std::vector<double>* gains) {
-  double g_sum = 0.0, h_sum = 0.0;
-  for (size_t r : *rows) {
-    g_sum += gh[2 * r];
-    h_sum += gh[2 * r + 1];
-  }
-
-  auto make_leaf = [&]() {
-    TreeNode leaf;
-    leaf.weight = -g_sum / (h_sum + params_.lambda);
-    tree->push_back(leaf);
-    return static_cast<int32_t>(tree->size() - 1);
-  };
-
-  if (depth >= params_.max_depth || rows->size() < 2) return make_leaf();
-
-  const double parent_score = g_sum * g_sum / (h_sum + params_.lambda);
-  double best_gain = params_.gamma + 1e-12;
-  int best_feature = -1;
-  double best_threshold = 0.0;
-
-  std::vector<std::pair<double, size_t>> vals(rows->size());
-  for (size_t f : cols) {
-    for (size_t i = 0; i < rows->size(); ++i) {
-      vals[i] = {x[src[(*rows)[i]]][f], (*rows)[i]};
-    }
-    std::sort(vals.begin(), vals.end());
-    double gl = 0.0, hl = 0.0;
-    for (size_t i = 0; i + 1 < vals.size(); ++i) {
-      gl += gh[2 * vals[i].second];
-      hl += gh[2 * vals[i].second + 1];
-      if (vals[i].first == vals[i + 1].first) continue;
-      const double gr = g_sum - gl, hr = h_sum - hl;
-      if (hl < params_.min_child_weight || hr < params_.min_child_weight) {
-        continue;
-      }
-      const double gain = 0.5 * (gl * gl / (hl + params_.lambda) +
-                                 gr * gr / (hr + params_.lambda) -
-                                 parent_score);
-      if (gain > best_gain) {
-        best_gain = gain;
-        best_feature = static_cast<int>(f);
-        best_threshold = 0.5 * (vals[i].first + vals[i + 1].first);
-      }
-    }
-  }
-
-  if (best_feature < 0) return make_leaf();
-  (*gains)[static_cast<size_t>(best_feature)] += best_gain;
-
-  std::vector<size_t> left_rows, right_rows;
-  for (size_t r : *rows) {
-    (x[src[r]][static_cast<size_t>(best_feature)] <= best_threshold
-         ? left_rows
-         : right_rows)
-        .push_back(r);
-  }
-  if (left_rows.empty() || right_rows.empty()) return make_leaf();
-
-  TreeNode internal;
-  internal.feature = best_feature;
-  internal.threshold = best_threshold;
-  tree->push_back(internal);
-  const int32_t id = static_cast<int32_t>(tree->size() - 1);
-  rows->clear();
-  rows->shrink_to_fit();
-  const int32_t left = BuildTreeNode(x, src, gh, &left_rows, cols,
-                                     depth + 1, tree, gains);
-  const int32_t right = BuildTreeNode(x, src, gh, &right_rows, cols,
-                                      depth + 1, tree, gains);
-  (*tree)[id].left = left;
-  (*tree)[id].right = right;
-  return id;
-}
-
-double GradientBoostingClassifier::PredictTree(const Tree& tree,
-                                               const std::vector<double>& x) {
-  return PredictTreeAt(tree.data(), x);
-}
-
-void GradientBoostingClassifier::UpdateLogitsWithTree(
-    const TreeNode* nodes, const Matrix& x, const std::vector<size_t>& src,
-    double lr, size_t out, Matrix* logits, size_t num_threads) {
-  // Plain per-row descent. A four-row lockstep variant was benchmarked and
-  // lost above ~4k rows (the descent is bound by the row-data loads, which
-  // out-of-order execution already overlaps across loop iterations), so the
-  // simple shape — which is also trivially bit-identical to any reordering —
-  // is the one that ships.
-  ParallelFor(
-      src.size(), num_threads,
-      [&](size_t i) {
-        const std::vector<double>& xr = x[src[i]];
-        int32_t cur = 0;
-        while (nodes[cur].feature >= 0) {
-          const TreeNode& nd = nodes[cur];
-          cur = xr[static_cast<size_t>(nd.feature)] <= nd.threshold ? nd.left
-                                                                    : nd.right;
-        }
-        (*logits)[i][out] += lr * nodes[cur].weight;
-      },
-      /*grain=*/512);
 }
 
 void GradientBoostingClassifier::UpdateLogitsWithTreeBinned(
@@ -705,8 +457,11 @@ void GradientBoostingClassifier::UpdateLogitsWithTreeBinned(
     Matrix* logits, size_t num_threads) {
   // The bin comparison routes every row exactly as the threshold would
   // (bin(f, r) <= b  <=>  value <= threshold(f, b) by the FeatureTable
-  // binning contract), so this update and UpdateLogitsWithTree on the
-  // materialised features agree bit for bit.
+  // binning contract), so this update agrees bit for bit with a descent
+  // over the materialised features. Plain per-row descent: a four-row
+  // lockstep variant was benchmarked and lost above ~4k rows (the descent
+  // is bound by the row-data loads, which out-of-order execution already
+  // overlaps across loop iterations).
   ParallelFor(
       rows_global.size(), num_threads,
       [&](size_t i) {
@@ -782,37 +537,12 @@ void GradientBoostingClassifier::SaveBinary(BinaryWriter* w) const {
   w->WriteDouble(params_.subsample);
   w->WriteDouble(params_.colsample);
   w->WriteU64(params_.seed);
-  w->WriteU8(static_cast<uint8_t>(params_.split));
+  w->WriteU8(0);  // reserved: the retired split-mode byte.
   w->WriteSize(params_.max_bins);
   SaveEncoder(w);
   w->WriteSize(num_features_);
   w->WriteDoubleVec(base_score_);
   w->WriteDoubleVec(feature_gain_);
-
-  if (w->format_version() == 2) {
-    // Legacy v2 body: nested round/tree/node records in the old field
-    // order — kept so migration fixtures can be produced and the v2
-    // reader exercised.
-    w->WriteSize(num_rounds_);
-    for (size_t rd = 0; rd < num_rounds_; ++rd) {
-      w->WriteSize(trees_per_round_);
-      for (size_t t = 0; t < trees_per_round_; ++t) {
-        const size_t idx = rd * trees_per_round_ + t;
-        const TreeNode* tree = node_data() + tree_offsets_[idx];
-        const size_t count =
-            static_cast<size_t>(tree_offsets_[idx + 1] - tree_offsets_[idx]);
-        w->WriteSize(count);
-        for (size_t i = 0; i < count; ++i) {
-          w->WriteI32(tree[i].feature);
-          w->WriteDouble(tree[i].threshold);
-          w->WriteDouble(tree[i].weight);
-          w->WriteI32(tree[i].left);
-          w->WriteI32(tree[i].right);
-        }
-      }
-    }
-    return;
-  }
 
   // v3 body: tree index (per-tree node counts) followed by one flat,
   // 8-byte-aligned POD node array in exactly the little-endian layout of
@@ -886,11 +616,7 @@ void GradientBoostingClassifier::LoadBinary(BinaryReader* r) {
   params_.subsample = r->ReadDouble();
   params_.colsample = r->ReadDouble();
   params_.seed = r->ReadU64();
-  const uint8_t split = r->ReadU8();
-  if (split > static_cast<uint8_t>(SplitMode::kExact)) {
-    throw SerializationError("GradientBoosting: out-of-range split mode");
-  }
-  params_.split = static_cast<SplitMode>(split);
+  SkipRetiredFlag(r, "GradientBoosting split mode");
   params_.max_bins = r->ReadSize();
   LoadEncoder(r);
   num_features_ = r->ReadSize();

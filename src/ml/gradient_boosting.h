@@ -24,14 +24,13 @@ class HistogramReducer;
 /// and per-tree column subsampling (the paper fixes both at 0.5 to prevent
 /// overfitting); and gain-based feature importances (used for Fig. 10).
 ///
-/// Split finding runs on quantile-binned gradient/hessian histograms by
-/// default (SplitMode::kHistogram): the FeatureTable is built once per
-/// Fit, each node scans only its smaller child and derives the sibling by
-/// subtraction, and rows are partitioned in place. The exact pre-sorted
-/// enumeration is kept behind SplitMode::kExact. Within a boosting round
-/// the per-class trees are fitted in parallel (`num_threads`); per-tree
-/// column draws are pre-assigned so results are identical for every
-/// thread count.
+/// Split finding runs on quantile-binned gradient/hessian histograms: the
+/// FeatureTable is built once per Fit (Fit/FitOnRows bin the matrix rows
+/// and run the FitBinned body), each node scans only its smaller child and
+/// derives the sibling by subtraction, and rows are partitioned in place.
+/// Within a boosting round the per-class trees are fitted in parallel
+/// (`num_threads`); per-tree column draws are pre-assigned so results are
+/// identical for every thread count.
 class GradientBoostingClassifier : public Classifier {
  public:
   struct Params {
@@ -44,8 +43,6 @@ class GradientBoostingClassifier : public Classifier {
     double subsample = 1.0;       ///< Row sampling per round.
     double colsample = 1.0;       ///< Column sampling per tree.
     uint64_t seed = 42;
-    /// Split engine (histogram default, exact fallback).
-    SplitMode split = SplitMode::kHistogram;
     size_t max_bins = FeatureTable::kMaxBins;
     /// Worker threads (per-class trees within a round, per-sample loss
     /// loops); results are identical for every value. Runtime knob only —
@@ -55,9 +52,9 @@ class GradientBoostingClassifier : public Classifier {
     /// When set, gradients/hessians are quantized per row to int64 fixed
     /// point, each rank accumulates its owned row slice, and histograms
     /// and node totals are allreduced before split finding — the fitted
-    /// model is bit-identical for any worker count. Requires kHistogram
-    /// split mode; forces the per-class tree loop sequential so the
-    /// collectives issue in the same order on every rank. Not owned.
+    /// model is bit-identical for any worker count. Forces the per-class
+    /// tree loop sequential so the collectives issue in the same order on
+    /// every rank. Not owned.
     HistogramReducer* reducer = nullptr;
   };
 
@@ -72,8 +69,7 @@ class GradientBoostingClassifier : public Classifier {
   /// the streaming-pipeline entry point. The fitted trees store the cut
   /// thresholds, so prediction on raw features is unchanged; training-time
   /// logit updates descend on bin ids, which routes rows identically
-  /// (bin <= b is exactly value <= threshold(f, b)). Requires
-  /// SplitMode::kHistogram.
+  /// (bin <= b is exactly value <= threshold(f, b)).
   void FitBinned(const FeatureTable& ft, const std::vector<int>& y,
                  const std::vector<size_t>& rows) override;
   std::vector<double> PredictProba(const std::vector<double>& x) const override;
@@ -106,36 +102,23 @@ class GradientBoostingClassifier : public Classifier {
 
   const Params& params() const { return params_; }
 
-  /// The per-round boosting update: logits[i][out] += lr * tree(x[src[i]])
-  /// for every compact row i, each row an independent descent (so the
-  /// result is bit-identical for every thread count). Public so the perf
-  /// suite can exercise the kernel in isolation.
-  static void UpdateLogitsWithTree(const TreeNode* nodes, const Matrix& x,
-                                   const std::vector<size_t>& src, double lr,
-                                   size_t out, Matrix* logits,
-                                   size_t num_threads);
-
  private:
   using Tree = std::vector<TreeNode>;
 
   struct HistBuilder;  // histogram split engine; defined in the .cc.
 
-  /// Shared Fit implementation on a compact row view: compact row i reads
-  /// x[src[i]], `encoded` is indexed by compact row.
-  void FitView(const Matrix& x, const std::vector<size_t>& src,
-               const std::vector<size_t>& encoded);
+  /// The boosting loop every entry point runs: `rows_global` are table
+  /// row ids, `encoded` is compact (rows_global-order). Gradient/hessian
+  /// buffers are table-indexed so the histogram engine and the
+  /// distributed row ownership arithmetic operate on table ids unchanged.
+  void FitTable(const FeatureTable& ft, const std::vector<size_t>& rows_global,
+                const std::vector<size_t>& encoded);
 
-  /// FitView on a pre-binned table: `rows_global` are table row ids,
-  /// `encoded` is compact (rows_global-order). Gradient/hessian buffers
-  /// are table-indexed so the histogram engine and the distributed row
-  /// ownership arithmetic operate on table ids unchanged.
-  void FitViewBinned(const FeatureTable& ft,
-                     const std::vector<size_t>& rows_global,
-                     const std::vector<size_t>& encoded);
-
-  /// Binned analogue of UpdateLogitsWithTree: descends on bin ids
-  /// (ft.bin(f, r) <= node_bins[node], exactly the partition the builder
-  /// applied) so no double features are needed during training.
+  /// The per-round boosting update: logits[i][out] += lr * tree(row i),
+  /// descending on bin ids (ft.bin(f, r) <= node_bins[node], exactly the
+  /// partition the builder applied) so no double features are needed
+  /// during training. Each row is an independent descent, so the result
+  /// is bit-identical for every thread count.
   static void UpdateLogitsWithTreeBinned(const TreeNode* nodes,
                                          const uint16_t* node_bins,
                                          const FeatureTable& ft,
@@ -143,23 +126,6 @@ class GradientBoostingClassifier : public Classifier {
                                          double lr, size_t out, Matrix* logits,
                                          size_t num_threads);
 
-  /// Builds one exact-mode regression tree on the row-interleaved
-  /// gradient/hessian array `gh` (gh[2r] = grad, gh[2r+1] = hess — the
-  /// cache layout the histogram engine scans) restricted to `rows`
-  /// (compact); split gains are accumulated into `gains`.
-  Tree BuildTreeExact(const Matrix& x, const std::vector<size_t>& src,
-                      const std::vector<double>& gh,
-                      const std::vector<size_t>& rows,
-                      const std::vector<size_t>& cols,
-                      std::vector<double>* gains);
-
-  int32_t BuildTreeNode(const Matrix& x, const std::vector<size_t>& src,
-                        const std::vector<double>& gh,
-                        std::vector<size_t>* rows,
-                        const std::vector<size_t>& cols, size_t depth,
-                        Tree* tree, std::vector<double>* gains);
-
-  static double PredictTree(const Tree& tree, const std::vector<double>& x);
   /// Walks one tree inside the flat node storage.
   static double PredictTreeAt(const TreeNode* nodes,
                               const std::vector<double>& x);

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <numeric>
-#include <stdexcept>
 
 #include "ml/histogram_reducer.h"
 #include "util/binary_io.h"
@@ -12,28 +11,31 @@
 namespace mvg {
 
 void RandomForestClassifier::Fit(const Matrix& x, const std::vector<int>& y) {
-  const std::vector<size_t> encoded = PrepareFit(x, y);
-  std::vector<size_t> src(x.size());
-  std::iota(src.begin(), src.end(), size_t{0});
-  FitView(x, src, encoded, encoder_.num_classes());
+  std::vector<size_t> rows(x.size());
+  std::iota(rows.begin(), rows.end(), size_t{0});
+  FitOnRows(x, y, rows);
 }
 
 void RandomForestClassifier::FitOnRows(const Matrix& x,
                                        const std::vector<int>& y,
                                        const std::vector<size_t>& rows) {
   const std::vector<size_t> encoded = PrepareFitOnRows(x, y, rows);
-  FitView(x, rows, encoded, encoder_.num_classes());
+  FeatureTable ft;
+  ft.Build(x, rows, params_.max_bins);
+  std::vector<size_t> compact(rows.size());
+  std::iota(compact.begin(), compact.end(), size_t{0});
+  FitTable(ft, compact, encoded);
 }
 
 void RandomForestClassifier::FitBinned(const FeatureTable& ft,
                                        const std::vector<int>& y,
                                        const std::vector<size_t>& rows) {
-  if (params_.split != SplitMode::kHistogram) {
-    throw std::invalid_argument(
-        "RandomForest: FitBinned requires histogram split mode");
-  }
-  const std::vector<size_t> encoded =
-      PrepareFitBinned(ft.num_rows(), y, rows);
+  FitTable(ft, rows, PrepareFitBinned(ft.num_rows(), y, rows));
+}
+
+void RandomForestClassifier::FitTable(const FeatureTable& ft,
+                                      const std::vector<size_t>& rows,
+                                      const std::vector<size_t>& encoded) {
   const size_t n = rows.size();
   const size_t d = ft.num_features();
   const size_t mtry =
@@ -48,10 +50,12 @@ void RandomForestClassifier::FitBinned(const FeatureTable& ft,
   std::vector<size_t> y_table(ft.num_rows(), 0);
   for (size_t i = 0; i < n; ++i) y_table[rows[i]] = encoded[i];
 
-  // Same pre-assignment discipline as FitView: seeds and bootstrap draws
-  // come off the master RNG in tree order (draws in compact indexing,
-  // mapped to table ids), so the forest is bit-identical for every thread
-  // count and identical to an in-RAM fit presenting the same row subset.
+  // Pre-assign every tree's seed and bootstrap rows from the master RNG in
+  // tree order (draws in compact indexing, mapped to table ids), so the
+  // fitted forest does not depend on how many executor workers later
+  // share (or steal chunks of) the tree loop, nor on the pool size when
+  // this fit runs nested inside a grid/stacking cell, and it matches any
+  // caller presenting the same row subset.
   Rng rng(params_.seed);
   std::vector<uint64_t> tree_seeds(params_.num_trees);
   std::vector<std::vector<size_t>> tree_rows(params_.num_trees);
@@ -66,64 +70,6 @@ void RandomForestClassifier::FitBinned(const FeatureTable& ft,
     }
   }
 
-  const size_t tree_threads =
-      params_.reducer != nullptr ? 1 : params_.num_threads;
-  trees_.assign(params_.num_trees, DecisionTreeClassifier());
-  ParallelFor(params_.num_trees, tree_threads, [&](size_t t) {
-    DecisionTreeClassifier::Params tp;
-    tp.max_depth = params_.max_depth;
-    tp.min_samples_leaf = params_.min_samples_leaf;
-    tp.max_features = mtry;
-    tp.seed = tree_seeds[t];
-    tp.split = params_.split;
-    tp.max_bins = params_.max_bins;
-    tp.reducer = params_.reducer;
-    trees_[t] = DecisionTreeClassifier(tp);
-    trees_[t].FitBinned(ft, y_table, encoder_.num_classes(), tree_rows[t]);
-  });
-}
-
-void RandomForestClassifier::FitView(const Matrix& x,
-                                     const std::vector<size_t>& src,
-                                     const std::vector<size_t>& y_compact,
-                                     size_t num_classes) {
-  const size_t n = src.size();
-  const size_t d = x[src[0]].size();
-  const size_t mtry =
-      params_.max_features > 0
-          ? params_.max_features
-          : std::max<size_t>(1, static_cast<size_t>(std::sqrt(
-                                    static_cast<double>(d))));
-
-  // Pre-assign every tree's seed and bootstrap rows from the master RNG in
-  // tree order, so the fitted forest does not depend on how many executor
-  // workers later share (or steal chunks of) the tree loop, nor on the
-  // pool size when this fit runs nested inside a grid/stacking cell.
-  Rng rng(params_.seed);
-  std::vector<uint64_t> tree_seeds(params_.num_trees);
-  std::vector<std::vector<size_t>> tree_rows(params_.num_trees);
-  for (size_t t = 0; t < params_.num_trees; ++t) {
-    tree_seeds[t] = rng.engine()();
-    std::vector<size_t>& rows = tree_rows[t];
-    rows.resize(n);
-    if (params_.bootstrap) {
-      for (size_t i = 0; i < n; ++i) rows[i] = rng.Index(n);
-    } else {
-      std::iota(rows.begin(), rows.end(), size_t{0});
-    }
-  }
-
-  // Bin once, share across all trees (read-only).
-  FeatureTable ft;
-  if (params_.split == SplitMode::kHistogram) {
-    ft.Build(x, src, params_.max_bins);
-  }
-
-  if (params_.reducer != nullptr && params_.split != SplitMode::kHistogram) {
-    throw std::invalid_argument(
-        "RandomForest: distributed training requires histogram split mode");
-  }
-
   // Distributed fits run the tree loop sequentially: every tree issues
   // allreduce rounds, and all ranks must reach them in the same order.
   const size_t tree_threads =
@@ -135,15 +81,10 @@ void RandomForestClassifier::FitView(const Matrix& x,
     tp.min_samples_leaf = params_.min_samples_leaf;
     tp.max_features = mtry;
     tp.seed = tree_seeds[t];
-    tp.split = params_.split;
     tp.max_bins = params_.max_bins;
     tp.reducer = params_.reducer;
     trees_[t] = DecisionTreeClassifier(tp);
-    if (params_.split == SplitMode::kHistogram) {
-      trees_[t].FitBinned(ft, y_compact, num_classes, tree_rows[t]);
-    } else {
-      trees_[t].FitExactOnView(x, src, y_compact, num_classes, tree_rows[t]);
-    }
+    trees_[t].FitBinned(ft, y_table, encoder_.num_classes(), tree_rows[t]);
   });
 }
 
@@ -175,7 +116,7 @@ void RandomForestClassifier::SaveBinary(BinaryWriter* w) const {
   w->WriteSize(params_.max_features);
   w->WriteBool(params_.bootstrap);
   w->WriteU64(params_.seed);
-  w->WriteU8(static_cast<uint8_t>(params_.split));
+  w->WriteU8(0);  // reserved: the retired split-mode byte.
   w->WriteSize(params_.max_bins);
   SaveEncoder(w);
   w->WriteSize(trees_.size());
@@ -189,11 +130,7 @@ void RandomForestClassifier::LoadBinary(BinaryReader* r) {
   params_.max_features = r->ReadSize();
   params_.bootstrap = r->ReadBool();
   params_.seed = r->ReadU64();
-  const uint8_t split = r->ReadU8();
-  if (split > static_cast<uint8_t>(SplitMode::kExact)) {
-    throw SerializationError("RandomForest: out-of-range split mode");
-  }
-  params_.split = static_cast<SplitMode>(split);
+  SkipRetiredFlag(r, "RandomForest split mode");
   params_.max_bins = r->ReadSize();
   LoadEncoder(r);
   const size_t count = r->ReadSize();

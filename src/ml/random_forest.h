@@ -15,8 +15,8 @@ namespace mvg {
 /// probabilities averaged over trees (one of the paper's three generic
 /// classifier families, §3.2/§4.3).
 ///
-/// Training runs on the histogram engine by default: the FeatureTable is
-/// built once per forest and shared read-only by every tree, and trees are
+/// Training runs on the histogram engine: the FeatureTable is built once
+/// per forest and shared read-only by every tree, and trees are
 /// fitted in parallel across `num_threads` workers. Per-tree seeds and
 /// bootstrap draws are pre-assigned from the master RNG before any worker
 /// starts, so the fitted forest is bit-identical for every thread count.
@@ -30,8 +30,6 @@ class RandomForestClassifier : public Classifier {
     size_t max_features = 0;
     bool bootstrap = true;
     uint64_t seed = 42;
-    /// Split engine for the trees (histogram default, exact fallback).
-    SplitMode split = SplitMode::kHistogram;
     size_t max_bins = FeatureTable::kMaxBins;
     /// Worker threads for tree fitting; results are identical for every
     /// value. Runtime knob only — not serialized.
@@ -39,8 +37,7 @@ class RandomForestClassifier : public Classifier {
     /// Distributed histogram-merge seam (runtime-only, never serialized),
     /// forwarded to every tree. Forces the tree loop sequential so the
     /// allreduce rounds issue in the same order on every rank; the forest
-    /// is bit-identical for any worker count. Requires kHistogram split
-    /// mode. Not owned.
+    /// is bit-identical for any worker count. Not owned.
     HistogramReducer* reducer = nullptr;
   };
 
@@ -54,7 +51,7 @@ class RandomForestClassifier : public Classifier {
   /// streaming path; no double feature matrix). Bootstrap draws are made
   /// in compact indexing and mapped to table ids, so the draw sequence —
   /// and the fitted forest — matches for any caller that presents the
-  /// same subset. Requires SplitMode::kHistogram.
+  /// same subset.
   void FitBinned(const FeatureTable& ft, const std::vector<int>& y,
                  const std::vector<size_t>& rows) override;
   std::vector<double> PredictProba(const std::vector<double>& x) const override;
@@ -67,10 +64,10 @@ class RandomForestClassifier : public Classifier {
   size_t num_trees_fitted() const { return trees_.size(); }
 
  private:
-  /// Shared implementation: trains on the compact row view `src`
-  /// (compact index i reads x[src[i]]), labels in compact indexing.
-  void FitView(const Matrix& x, const std::vector<size_t>& src,
-               const std::vector<size_t>& y_compact, size_t num_classes);
+  /// The forest body every entry point runs: `rows` are table row ids,
+  /// `encoded` their labels in compact (rows-order) indexing.
+  void FitTable(const FeatureTable& ft, const std::vector<size_t>& rows,
+                const std::vector<size_t>& encoded);
 
   Params params_;
   std::vector<DecisionTreeClassifier> trees_;

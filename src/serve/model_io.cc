@@ -199,19 +199,9 @@ SectionMap ReadSectionTableV3(const uint8_t* buf, size_t size,
 }
 
 // ---------------------------------------------------------------------------
-// v2 framing (legacy read + fixture write): 16-byte header followed by
-// sequential `u32 tag | u64 size | u32 crc | payload` sections.
+// v2 framing (legacy read only): 16-byte header followed by sequential
+// `u32 tag | u64 size | u32 crc | payload` sections.
 // ---------------------------------------------------------------------------
-
-void WriteSectionV2(std::ostream& os, uint32_t tag,
-                    const std::string& payload) {
-  BinaryWriter header;
-  header.WriteU32(tag);
-  header.WriteU64(payload.size());
-  header.WriteU32(Crc32(payload));
-  os.write(header.data().data(), static_cast<std::streamsize>(header.size()));
-  os.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-}
 
 /// Validates the sequential v2 section framing of `buf` (magic/version
 /// already checked) and returns views into it.
@@ -321,15 +311,13 @@ OpenedModel OpenModelBuffer(const void* data, size_t size, bool zero_copy,
 // format — framing plus every section body — lives in the serve layer;
 // being member functions they still have access to the private fitted
 // state they persist.
-void MvgClassifier::BuildSections(uint32_t format_version,
-                                  std::string* pipeline, std::string* scaler,
+void MvgClassifier::BuildSections(std::string* pipeline, std::string* scaler,
                                   std::string* model) const {
   if (!model_) {
     throw std::runtime_error("MvgClassifier::SaveBinary: model not fitted");
   }
 
   BinaryWriter pipeline_w;
-  pipeline_w.set_format_version(format_version);
   SaveMvgConfig(config_.extractor, &pipeline_w);
   pipeline_w.WriteU8(static_cast<uint8_t>(config_.model));
   pipeline_w.WriteU8(static_cast<uint8_t>(config_.grid));
@@ -338,52 +326,34 @@ void MvgClassifier::BuildSections(uint32_t format_version,
   pipeline_w.WriteSize(config_.stacking_top_k);
   pipeline_w.WriteU64(config_.seed);
   // num_threads is a runtime knob (results are thread-count invariant)
-  // and deliberately not persisted; exact_splits changes what a refit
-  // would learn, so it is part of the model's identity.
-  pipeline_w.WriteBool(config_.exact_splits);
+  // and deliberately not persisted.
+  pipeline_w.WriteU8(0);  // reserved: the retired exact_splits flag.
   pipeline_w.WriteSize(feature_width_);
   pipeline_w.WriteSize(train_length_);
-  pipeline_w.WriteDouble(fe_seconds_);
-  pipeline_w.WriteDouble(train_seconds_);
+  // Reserved: the recorded FE/Clf wall times. Always zero, so a model
+  // file is a pure function of (data, config) and two fits compare with
+  // plain `cmp`.
+  pipeline_w.WriteDouble(0.0);
+  pipeline_w.WriteDouble(0.0);
   *pipeline = pipeline_w.data();
 
   BinaryWriter scaler_w;
-  scaler_w.set_format_version(format_version);
   scaler_.SaveBinary(&scaler_w);
   *scaler = scaler_w.data();
 
   BinaryWriter model_w;
-  model_w.set_format_version(format_version);
   SaveClassifierBinary(*model_, &model_w);
   *model = model_w.data();
 }
 
 void MvgClassifier::SaveBinary(std::ostream& os) const {
   std::string pipeline, scaler, model;
-  BuildSections(kFormatCurrent, &pipeline, &scaler, &model);
+  BuildSections(&pipeline, &scaler, &model);
   WriteFramedV3(os, {{kSectionPipeline, &pipeline},
                      {kSectionScaler, &scaler},
                      {kSectionModel, &model}});
   if (!os) {
     throw std::runtime_error("MvgClassifier::SaveBinary: stream write failed");
-  }
-}
-
-void MvgClassifier::SaveBinaryV2(std::ostream& os) const {
-  std::string pipeline, scaler, model;
-  BuildSections(2, &pipeline, &scaler, &model);
-
-  BinaryWriter header;
-  header.WriteBytes(kModelMagic, sizeof(kModelMagic));
-  header.WriteU32(2);  // legacy format version
-  header.WriteU32(3);  // section count
-  os.write(header.data().data(), static_cast<std::streamsize>(header.size()));
-  WriteSectionV2(os, kSectionPipeline, pipeline);
-  WriteSectionV2(os, kSectionScaler, scaler);
-  WriteSectionV2(os, kSectionModel, model);
-  if (!os) {
-    throw std::runtime_error(
-        "MvgClassifier::SaveBinaryV2: stream write failed");
   }
 }
 
@@ -399,13 +369,13 @@ MvgClassifier MvgClassifier::FromSectionReaders(BinaryReader* pipeline,
   config.cv_folds = pipeline->ReadSize();
   config.stacking_top_k = pipeline->ReadSize();
   config.seed = pipeline->ReadU64();
-  config.exact_splits = pipeline->ReadBool();
+  SkipRetiredFlag(pipeline, "model file: exact_splits");
 
   MvgClassifier clf(config);
   clf.feature_width_ = pipeline->ReadSize();
   clf.train_length_ = pipeline->ReadSize();
-  clf.fe_seconds_ = pipeline->ReadDouble();
-  clf.train_seconds_ = pipeline->ReadDouble();
+  pipeline->ReadDouble();  // reserved wall times (nonzero in old files).
+  pipeline->ReadDouble();
 
   clf.scaler_.LoadBinary(scaler);
   clf.model_ = LoadClassifierBinary(model);
@@ -458,23 +428,6 @@ void SaveModel(const MvgClassifier& model, const std::string& path) {
   os.flush();
   if (!os) {
     throw std::runtime_error("SaveModel: write failed: " + path);
-  }
-}
-
-void SaveModelV2(const MvgClassifier& model, std::ostream& os) {
-  model.SaveBinaryV2(os);
-}
-
-void SaveModelV2(const MvgClassifier& model, const std::string& path) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os) {
-    throw std::runtime_error("SaveModelV2: cannot open " + path +
-                             " for writing");
-  }
-  model.SaveBinaryV2(os);
-  os.flush();
-  if (!os) {
-    throw std::runtime_error("SaveModelV2: write failed: " + path);
   }
 }
 

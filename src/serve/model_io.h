@@ -33,8 +33,9 @@ namespace mvg {
 /// A fitted MvgClassifier serializes as three sections:
 ///
 ///   tag 1  pipeline   MvgClassifier::Config + extractor MvgConfig +
-///                     fitted metadata (feature width, train length,
-///                     recorded FE/Clf wall times)
+///                     fitted metadata (feature width, train length) +
+///                     two reserved fields written as zeros (the retired
+///                     exact-splits flag and FE/Clf wall times)
 ///   tag 2  scaler     the fitted MinMaxScaler
 ///   tag 3  model      type-tagged classifier body (SaveClassifierBinary)
 ///
@@ -70,7 +71,9 @@ enum ModelSection : uint32_t {
   kSectionModel = 3,
 };
 
-/// Saves a fitted MvgClassifier in the current (v3) format. Throws
+/// Saves a fitted MvgClassifier in the current (v3) format. The bytes are
+/// a pure function of the fitted state (no timestamps or wall times), so
+/// two fits of the same data and config compare equal with `cmp`. Throws
 /// std::runtime_error when the model is unfitted; stream failures —
 /// including ones only surfaced by the final flush — throw
 /// runtime_error (with the path in the message for the path overload),
@@ -78,13 +81,8 @@ enum ModelSection : uint32_t {
 void SaveModel(const MvgClassifier& model, std::ostream& os);
 void SaveModel(const MvgClassifier& model, const std::string& path);
 
-/// Writes the legacy v2 layout. Kept so migration fixtures can be
-/// produced (and the v2 read path stays exercised) without archiving
-/// binary files; not for new code.
-void SaveModelV2(const MvgClassifier& model, std::ostream& os);
-void SaveModelV2(const MvgClassifier& model, const std::string& path);
-
-/// Loads a model saved by SaveModel (v3) or SaveModelV2 (v2).
+/// Loads a model saved by SaveModel (v3) or by an older build's v2
+/// writer (checked-in fixtures under tests/fixtures pin that path).
 /// Predictions are bit-identical to the in-memory model that was saved.
 /// This path copies every payload out of the stream (self-contained
 /// model, no lifetime ties). Throws SerializationError on corrupt input,

@@ -1,6 +1,7 @@
 #include "util/binary_io.h"
 
 #include <cstring>
+#include <string>
 
 namespace mvg {
 
@@ -180,6 +181,14 @@ std::vector<std::vector<double>> BinaryReader::ReadDoubleMat() {
   std::vector<std::vector<double>> m(rows);
   for (size_t i = 0; i < rows; ++i) m[i] = ReadDoubleVec();
   return m;
+}
+
+void SkipRetiredFlag(BinaryReader* r, const char* what) {
+  const uint8_t v = r->ReadU8();
+  if (v > 1) {
+    throw SerializationError(std::string(what) + ": out-of-range value " +
+                             std::to_string(v) + " in a retired flag byte");
+  }
 }
 
 uint32_t Crc32(const void* data, size_t size) {

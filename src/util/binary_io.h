@@ -18,9 +18,9 @@ class SerializationError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Sentinel for BinaryWriter/BinaryReader `format_version`: "the current
-/// model format" — components that branch on version treat anything other
-/// than an explicitly pinned legacy version as current.
+/// Sentinel for BinaryReader `format_version`: "the current model format"
+/// — components that branch on version treat anything other than an
+/// explicitly pinned legacy version as current.
 inline constexpr uint32_t kFormatCurrent = 0;
 
 /// True on little-endian hosts, where the endian-stable serialized layout
@@ -58,20 +58,12 @@ class BinaryWriter {
   /// absolute alignment of the mmap'd bytes.
   void AlignTo(size_t alignment);
 
-  /// Which on-disk model format version this writer is producing
-  /// (kFormatCurrent unless a legacy writer pins an older one). Components
-  /// with version-dependent bodies branch on this, so the version context
-  /// propagates through nested SaveBinary calls for free.
-  uint32_t format_version() const { return format_version_; }
-  void set_format_version(uint32_t v) { format_version_ = v; }
-
   const std::string& data() const { return buf_; }
   size_t size() const { return buf_.size(); }
   void Clear() { buf_.clear(); }
 
  private:
   std::string buf_;
-  uint32_t format_version_ = kFormatCurrent;
 };
 
 /// Reads the layout produced by BinaryWriter. Non-owning: the buffer must
@@ -112,8 +104,9 @@ class BinaryReader {
   /// if the padding would run past the end of the buffer.
   void AlignTo(size_t alignment);
 
-  /// Version context, mirroring BinaryWriter: which on-disk format the
-  /// framing layer determined this buffer to be.
+  /// Version context: which on-disk format the framing layer determined
+  /// this buffer to be. Components with version-dependent bodies branch
+  /// on this, so it propagates through nested LoadBinary calls for free.
   uint32_t format_version() const { return format_version_; }
   void set_format_version(uint32_t v) { format_version_ = v; }
 
@@ -140,6 +133,12 @@ class BinaryReader {
   uint32_t format_version_ = kFormatCurrent;
   bool zero_copy_ = false;
 };
+
+/// Reads a retired one-byte flag (the tree families' split-mode byte, the
+/// pipeline's exact-splits bool). Writers always emit 0; files from before
+/// the retirement may hold 0 or 1, so both load. Any other value is
+/// corruption and throws SerializationError naming `what`.
+void SkipRetiredFlag(BinaryReader* r, const char* what);
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of a byte range — the
 /// per-section checksum of the model file format.

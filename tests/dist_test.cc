@@ -323,25 +323,6 @@ TEST(DistTraining, DistributedPredictionsStayCorrect) {
   EXPECT_GE(correct, x.size() - 2);
 }
 
-TEST(DistTraining, ExactSplitModeRejected) {
-  Matrix x;
-  std::vector<int> y;
-  MakeBlobs(10, 2, 5, &x, &y);
-  LocalReducerGroup group(1);
-
-  GradientBoostingClassifier::Params gp;
-  gp.split = SplitMode::kExact;
-  gp.reducer = group.reducer(0);
-  GradientBoostingClassifier gbt(gp);
-  EXPECT_THROW(gbt.Fit(x, y), std::invalid_argument);
-
-  RandomForestClassifier::Params rp;
-  rp.split = SplitMode::kExact;
-  rp.reducer = group.reducer(0);
-  RandomForestClassifier rf(rp);
-  EXPECT_THROW(rf.Fit(x, y), std::invalid_argument);
-}
-
 TEST(DistTraining, FullPipelineBitIdenticalForAnyWorkerCount) {
   const Dataset train = MakeNoiseDataset("dist_train", {0, 1}, 5, 48, 7);
 

@@ -1,13 +1,14 @@
 // Out-of-core dataset I/O: strict UCR parsing (satellite I/O correctness
 // sweep), full-precision write -> read bit-equality, PagedUcrReader edge
-// cases, FeatureTableBuilder streaming invariance, and the headline
-// contract — FitPaged produces a model bit-identical to in-RAM Fit.
+// cases, FeatureTable::Build input validation, and the headline contract
+// — FitPaged produces a model byte-identical to in-RAM Fit.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,7 @@
 
 #include "core/mvg_classifier.h"
 #include "ml/feature_table.h"
+#include "serve/model_io.h"
 #include "tests/test_util.h"
 #include "ts/paged_ucr_reader.h"
 #include "ts/ucr_io.h"
@@ -231,52 +233,13 @@ TEST(PagedUcrReaderTest, ResetRestartsFromTheTop) {
 }
 
 // ---------------------------------------------------------------------------
-// FeatureTableBuilder: streaming accumulation == one-shot Build
+// FeatureTable::Build input validation
 // ---------------------------------------------------------------------------
 
-TEST(FeatureTableBuilderTest, BlockedFeedMatchesOneShotBuild) {
-  Rng rng(11);
-  Matrix x;
-  for (size_t i = 0; i < 100; ++i) {
-    std::vector<double> row(5);
-    for (double& v : row) v = rng.Uniform() * 10.0 - 5.0;
-    x.push_back(row);
-  }
-  std::vector<size_t> rows(x.size());
-  for (size_t i = 0; i < rows.size(); ++i) rows[i] = i;
-
-  FeatureTable whole;
-  whole.Build(x, rows, 16);
-
-  for (size_t block : {size_t{1}, size_t{7}, size_t{50}, size_t{100}}) {
-    FeatureTableBuilder builder(16);
-    for (size_t start = 0; start < x.size(); start += block) {
-      for (size_t i = start; i < std::min(start + block, x.size()); ++i) {
-        builder.AddRow(x[i]);
-      }
-    }
-    FeatureTable blocked;
-    builder.Finish(&blocked);
-    ASSERT_EQ(blocked.num_features(), whole.num_features());
-    ASSERT_EQ(blocked.num_rows(), whole.num_rows());
-    for (size_t f = 0; f < whole.num_features(); ++f) {
-      ASSERT_EQ(blocked.num_bins(f), whole.num_bins(f)) << "feature " << f;
-      for (size_t b = 0; b + 1 < whole.num_bins(f); ++b) {
-        EXPECT_EQ(blocked.threshold(f, b), whole.threshold(f, b))
-            << "feature " << f << " cut " << b;
-      }
-      for (size_t i = 0; i < whole.num_rows(); ++i) {
-        ASSERT_EQ(blocked.bin(f, i), whole.bin(f, i))
-            << "feature " << f << " row " << i;
-      }
-    }
-  }
-}
-
-TEST(FeatureTableBuilderTest, WidthMismatchThrows) {
-  FeatureTableBuilder builder(8);
-  builder.AddRow({1.0, 2.0});
-  EXPECT_THROW(builder.AddRow({1.0, 2.0, 3.0}), std::invalid_argument);
+TEST(FeatureTableTest, WidthMismatchThrows) {
+  const Matrix x = {{1.0, 2.0}, {1.0, 2.0, 3.0}};
+  FeatureTable ft;
+  EXPECT_THROW(ft.Build(x), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -303,16 +266,11 @@ TEST(FitPagedTest, ModelBitIdenticalToInRamFit) {
     EXPECT_EQ(paged.feature_width(), in_ram.feature_width());
     EXPECT_EQ(paged.train_length(), in_ram.train_length());
 
-    // Bit-identity of the persisted state, modulo the recorded wall
-    // times (the trailing two doubles of the pipeline section).
-    std::string pa, sa, ma, pb, sb, mb;
-    in_ram.BuildSections(0, &pa, &sa, &ma);
-    paged.BuildSections(0, &pb, &sb, &mb);
-    ASSERT_GE(pa.size(), 16u);
-    EXPECT_EQ(pa.substr(0, pa.size() - 16), pb.substr(0, pb.size() - 16))
-        << "page_rows " << page_rows;
-    EXPECT_EQ(sa, sb) << "page_rows " << page_rows;
-    EXPECT_EQ(ma, mb) << "page_rows " << page_rows;
+    // Byte-identity of the persisted model, whole file.
+    std::ostringstream a, b;
+    SaveModel(in_ram, a);
+    SaveModel(paged, b);
+    EXPECT_EQ(a.str(), b.str()) << "page_rows " << page_rows;
   }
 }
 

@@ -227,6 +227,53 @@ TEST(ClassifierRegistryTest, LoadedStackingIsPredictOnly) {
   EXPECT_THROW(loaded->Fit(d.x, d.y), std::runtime_error);
 }
 
+/// Fits `clf`, saves its body, rewrites the byte at `offset` (the retired
+/// split-mode field) to `value` and loads it into `fresh`.
+void LoadWithPatchedByte(Classifier* clf, Classifier* fresh, size_t offset,
+                         uint8_t value) {
+  const FamilyData d = MakeFamilyData();
+  clf->Fit(d.x, d.y);
+  BinaryWriter w;
+  clf->SaveBinary(&w);
+  std::string body = w.data();
+  ASSERT_EQ(body[offset], 0) << "writers emit the retired byte as 0";
+  body[offset] = static_cast<char>(value);
+  BinaryReader r(body);
+  fresh->LoadBinary(&r);
+}
+
+// Files from before the split mode was retired carry 0 or 1 in its byte;
+// both must load and predict as written, anything else is corruption.
+// Offsets: DT/RF bodies start with four u64 sizes, a bool and the u64
+// seed; the GBT body with eight f64/u64 hyper-parameters and the seed.
+TEST(ClassifierRegistryTest, RetiredSplitByteAcceptsZeroOrOneOnly) {
+  const FamilyData d = MakeFamilyData();
+  const auto check = [&d](auto make, size_t offset) {
+    auto clf = make();
+    auto legacy = make();
+    LoadWithPatchedByte(clf.get(), legacy.get(), offset, 1);
+    for (const auto& probe : d.probes) {
+      EXPECT_EQ(legacy->PredictProba(probe), clf->PredictProba(probe))
+          << clf->Name();
+    }
+    auto corrupt = make();
+    EXPECT_THROW(LoadWithPatchedByte(clf.get(), corrupt.get(), offset, 2),
+                 SerializationError)
+        << clf->Name();
+  };
+  check([] { return std::make_unique<DecisionTreeClassifier>(); }, 41);
+  check([] {
+    RandomForestClassifier::Params p;
+    p.num_trees = 5;
+    return std::make_unique<RandomForestClassifier>(p);
+  }, 41);
+  check([] {
+    GradientBoostingClassifier::Params p;
+    p.num_rounds = 5;
+    return std::make_unique<GradientBoostingClassifier>(p);
+  }, 72);
+}
+
 TEST(ClassifierRegistryTest, UnknownTagRejected) {
   BinaryWriter w;
   w.WriteU32(999);
@@ -320,6 +367,15 @@ TEST_P(ModelFileTest, SaveLoadPredictIsBitIdentical) {
 TEST_P(ModelFileTest, SecondSaveIsByteIdentical) {
   const MvgClassifier clf = Train(GetParam());
   EXPECT_EQ(Serialize(clf), Serialize(clf));
+}
+
+// Canonical bytes: the file is a pure function of (data, config) — no
+// wall times or other run-dependent state — so two independent fits
+// compare equal byte for byte.
+TEST_P(ModelFileTest, RefitIsByteIdentical) {
+  const MvgClassifier a = Train(GetParam());
+  const MvgClassifier b = Train(GetParam());
+  EXPECT_EQ(Serialize(a), Serialize(b));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFamilies, ModelFileTest,
@@ -532,45 +588,105 @@ TEST_F(V3FramingTest, TrailingGarbageRejected) {
   ExpectRejected(blob);
 }
 
+/// Legacy v2 model files checked in under tests/fixtures, written by the
+/// v2 writer of an older build (see tests/fixtures/README.md), with the
+/// predictions that build made on the probe series below.
+const char* const kV2Fixtures[] = {"v2_xgboost", "v2_random_forest",
+                                   "v2_svm"};
+
+std::string ReadFixture(const std::string& name) {
+  std::ifstream is(std::string(MVG_TEST_FIXTURE_DIR) + "/" + name,
+                   std::ios::binary);
+  EXPECT_TRUE(is.is_open()) << name;
+  return std::string(std::istreambuf_iterator<char>(is),
+                     std::istreambuf_iterator<char>());
+}
+
+Series FixtureProbe(uint64_t i) {
+  return testutil::MakeFamilySeries(testutil::AllSeriesFamilies()[i % 4], 48,
+                                    2000 + i);
+}
+
+/// Checks `clf` against a fixture's `.expected` file: one line per probe,
+/// the predicted label, then (tree families) the model's class
+/// probabilities on the unscaled features as hex floats — bit-exact.
+void ExpectFixturePredictions(const MvgClassifier& clf,
+                              const std::string& name) {
+  std::istringstream lines(ReadFixture(name + ".expected"));
+  std::string line;
+  uint64_t i = 0;
+  for (; std::getline(lines, line); ++i) {
+    std::istringstream fields(line);
+    int label = 0;
+    fields >> label;
+    const Series s = FixtureProbe(i);
+    EXPECT_EQ(clf.Predict(s), label) << name << " probe " << i;
+    std::vector<double> want;
+    for (std::string tok; fields >> tok;) {
+      want.push_back(std::strtod(tok.c_str(), nullptr));
+    }
+    if (want.empty()) continue;
+    std::vector<double> x = clf.extractor().Extract(s);
+    x.resize(clf.feature_width(), 0.0);
+    EXPECT_EQ(clf.model().PredictProba(x), want) << name << " probe " << i;
+  }
+  EXPECT_EQ(i, 16u) << name;
+}
+
 TEST_F(V3FramingTest, V2FileStillLoadsAndResavesAsV3) {
-  MvgClassifier::Config config;
-  config.model = MvgModel::kSvm;
-  config.grid = GridPreset::kNone;
-  MvgClassifier clf(config);
-  const Dataset train = MakeNoiseDataset("migrate_train", {0, 1}, 6, 48, 4);
-  clf.Fit(train);
+  for (const char* name : kV2Fixtures) {
+    const std::string v2 = ReadFixture(std::string(name) + ".mvg");
+    {
+      std::istringstream is(v2, std::ios::binary);
+      EXPECT_EQ(PeekModelVersion(is), 2u) << name;
+    }
+    std::istringstream is(v2, std::ios::binary);
+    const MvgClassifier migrated = LoadModel(is);
+    ExpectFixturePredictions(migrated, name);
 
-  std::ostringstream v2(std::ios::binary);
-  SaveModelV2(clf, v2);
-  {
-    std::istringstream is(v2.str(), std::ios::binary);
-    EXPECT_EQ(PeekModelVersion(is), 2u);
+    // Re-saving a migrated model writes the current format, which loads
+    // back to the same predictions.
+    std::ostringstream resaved(std::ios::binary);
+    SaveModel(migrated, resaved);
+    std::istringstream peek(resaved.str(), std::ios::binary);
+    EXPECT_EQ(PeekModelVersion(peek), kModelFormatVersion) << name;
+    std::istringstream again(resaved.str(), std::ios::binary);
+    ExpectFixturePredictions(LoadModel(again), name);
   }
-
-  std::istringstream is(v2.str(), std::ios::binary);
-  const MvgClassifier migrated = LoadModel(is);
-  for (size_t i = 0; i < train.size(); ++i) {
-    EXPECT_EQ(migrated.Predict(train.series(i)), clf.Predict(train.series(i)));
-  }
-
-  // Re-saving a migrated model writes the current format.
-  std::ostringstream resaved(std::ios::binary);
-  SaveModel(migrated, resaved);
-  std::istringstream peek(resaved.str(), std::ios::binary);
-  EXPECT_EQ(PeekModelVersion(peek), kModelFormatVersion);
 }
 
 TEST_F(V3FramingTest, CorruptV2SectionStillRejected) {
-  MvgClassifier::Config config;
-  config.model = MvgModel::kSvm;
-  config.grid = GridPreset::kNone;
-  MvgClassifier clf(config);
-  clf.Fit(MakeNoiseDataset("migrate_corrupt", {0, 1}, 6, 48, 4));
-  std::ostringstream v2(std::ios::binary);
-  SaveModelV2(clf, v2);
-  std::string blob = v2.str();
+  std::string blob = ReadFixture("v2_svm.mvg");
+  ASSERT_GT(blob.size(), 40u);
   blob[40] ^= 0x5A;  // v2 payloads start at byte 32; this hits section 1
   ExpectRejected(blob);
+}
+
+// The pipeline section's retired exact_splits flag (byte 40 of the
+// payload: extractor config, model/grid/oversample bytes, cv_folds,
+// stacking_top_k and the seed come first) loads as 0 or 1, and anything
+// else is rejected.
+TEST_F(V3FramingTest, RetiredExactSplitsFlagAcceptsZeroOrOneOnly) {
+  const std::string& blob = Blob();
+  const size_t payload = GetU64(blob, Entry(0, 8));
+  const size_t size = GetU64(blob, Entry(0, 16));
+  ASSERT_EQ(blob[payload + 40], 0) << "writers emit the retired flag as 0";
+  std::istringstream want_is(blob, std::ios::binary);
+  const MvgClassifier want = LoadModel(want_is);
+  const Series probe = FixtureProbe(0);
+
+  for (const uint8_t value : {uint8_t{1}, uint8_t{2}}) {
+    std::string patched = blob;
+    patched[payload + 40] = static_cast<char>(value);
+    PutU32(&patched, Entry(0, 24), Crc32(patched.data() + payload, size));
+    FixTableCrc(&patched);
+    if (value == 1) {
+      std::istringstream is(patched, std::ios::binary);
+      EXPECT_EQ(LoadModel(is).Predict(probe), want.Predict(probe));
+    } else {
+      ExpectRejected(patched);
+    }
+  }
 }
 
 /// Zero-copy loads: the same bytes viewed in place must behave exactly
@@ -617,14 +733,7 @@ TEST_F(ZeroCopyTest, ViewLoadMatchesStreamLoadRandomForest) {
 }
 
 TEST_F(ZeroCopyTest, ViewLoadRejectsV2) {
-  MvgClassifier::Config config;
-  config.model = MvgModel::kSvm;
-  config.grid = GridPreset::kNone;
-  MvgClassifier clf(config);
-  clf.Fit(MakeNoiseDataset("zerocopy_v2", {0, 1}, 6, 48, 3));
-  std::ostringstream os(std::ios::binary);
-  SaveModelV2(clf, os);
-  const std::string blob = os.str();
+  const std::string blob = ReadFixture("v2_svm.mvg");
   std::vector<uint64_t> buf((blob.size() + 7) / 8);
   std::memcpy(buf.data(), blob.data(), blob.size());
   EXPECT_THROW(LoadModelView(buf.data(), blob.size()), SerializationError);
@@ -633,7 +742,7 @@ TEST_F(ZeroCopyTest, ViewLoadRejectsV2) {
 // The view load is O(1) by deferring payload CRCs (ModelVerify::
 // kStructure, the default): a payload bit flip passes the default open
 // but is caught by ModelVerify::kFull and by the stream loader. The
-// flipped byte sits in the pipeline section's trailing timing doubles,
+// flipped byte sits in the pipeline section's trailing reserved doubles,
 // which decode without error — isolating checksum behavior from decode
 // failures.
 TEST_F(ZeroCopyTest, ViewLoadDefersPayloadCrcUntilAskedToVerify) {
@@ -651,7 +760,7 @@ TEST_F(ZeroCopyTest, ViewLoadDefersPayloadCrcUntilAskedToVerify) {
   EXPECT_NO_THROW(LoadModelView(buf.data(), blob.size(), ModelVerify::kFull));
 
   // Pipeline section = first payload; its last 16 bytes are the two
-  // recorded wall times.
+  // reserved wall-time fields, read and ignored by the decoder.
   const size_t first_payload =
       ((kModelHeaderBytes + 3 * kModelTableEntryBytes + kModelPayloadAlign -
         1) /

@@ -1,8 +1,9 @@
 // End-to-end contracts of the streaming sketch-binned training path:
-// FitPaged models are bit-identical to the in-RAM Fit for every page
+// FitPaged models are byte-identical to the in-RAM Fit for every page
 // size, thread budget and (reducer) worker count; the sketch-binned
-// default stays within 1% accuracy of the exact-bins escape hatch; and a
-// dataset fitting in one page never spawns a read-ahead thread.
+// pipeline stays within 1% accuracy of a matrix-path fit with exact
+// sorted cuts; and a dataset fitting in one page never spawns a
+// read-ahead thread.
 
 #include <cmath>
 #include <sstream>
@@ -14,7 +15,9 @@
 
 #include "core/mvg_classifier.h"
 #include "dist/reducer.h"
+#include "ml/gradient_boosting.h"
 #include "ml/histogram_reducer.h"
+#include "ml/preprocessing.h"
 #include "serve/model_io.h"
 #include "tests/test_util.h"
 #include "ts/paged_ucr_reader.h"
@@ -45,24 +48,12 @@ std::string WriteStreamCorpus(const std::string& name, size_t rows) {
   return path;
 }
 
-/// Model-section bytes with the two recorded wall times (the trailing 16
-/// bytes of the pipeline section) masked out.
-struct MaskedSections {
-  std::string pipeline;
-  std::string scaler;
-  std::string model;
-
-  bool operator==(const MaskedSections& o) const {
-    return pipeline == o.pipeline && scaler == o.scaler && model == o.model;
-  }
-};
-
-MaskedSections Sections(const MvgClassifier& clf) {
-  MaskedSections ms;
-  clf.BuildSections(0, &ms.pipeline, &ms.scaler, &ms.model);
-  EXPECT_GE(ms.pipeline.size(), 16u);
-  ms.pipeline.resize(ms.pipeline.size() - 16);
-  return ms;
+/// The saved model file: a pure function of the fitted state, so equal
+/// bytes mean equal models.
+std::string ModelBytes(const MvgClassifier& clf) {
+  std::ostringstream os;
+  SaveModel(clf, os);
+  return os.str();
 }
 
 TEST(StreamingFitTest, PagedBitIdenticalToInRamAcrossPageSizesAndThreads) {
@@ -74,14 +65,14 @@ TEST(StreamingFitTest, PagedBitIdenticalToInRamAcrossPageSizesAndThreads) {
   config.grid = GridPreset::kNone;
   MvgClassifier in_ram(config);
   in_ram.Fit(train);
-  const MaskedSections want = Sections(in_ram);
+  const std::string want = ModelBytes(in_ram);
 
   // A different thread budget must not move a bit either.
   MvgClassifier::Config threaded = config;
   threaded.num_threads = 3;
   MvgClassifier in_ram_mt(threaded);
   in_ram_mt.Fit(train);
-  EXPECT_TRUE(Sections(in_ram_mt) == want) << "num_threads=3";
+  EXPECT_EQ(ModelBytes(in_ram_mt), want) << "num_threads=3";
 
   for (size_t page_rows : {size_t{64}, size_t{128}, size_t{1024}}) {
     for (size_t threads : {size_t{1}, size_t{3}}) {
@@ -94,7 +85,7 @@ TEST(StreamingFitTest, PagedBitIdenticalToInRamAcrossPageSizesAndThreads) {
       paged.FitPaged(&reader);
       EXPECT_EQ(paged.feature_width(), in_ram.feature_width());
       EXPECT_EQ(paged.train_length(), in_ram.train_length());
-      EXPECT_TRUE(Sections(paged) == want)
+      EXPECT_EQ(ModelBytes(paged), want)
           << "page_rows=" << page_rows << " threads=" << threads;
     }
   }
@@ -111,21 +102,20 @@ TEST(StreamingFitTest, PagedBitIdenticalForRandomForestWithGrid) {
   config.grid = GridPreset::kSmall;
   MvgClassifier in_ram(config);
   in_ram.Fit(train);
-  const MaskedSections want = Sections(in_ram);
+  const std::string want = ModelBytes(in_ram);
 
   PagedUcrReader::Options opt;
   opt.page_rows = 64;
   PagedUcrReader reader(path, opt);
   MvgClassifier paged(config);
   paged.FitPaged(&reader);
-  EXPECT_TRUE(Sections(paged) == want);
+  EXPECT_EQ(ModelBytes(paged), want);
 }
 
 TEST(StreamingFitTest, PagedBitIdenticalForAnyWorkerCount) {
   // Reducer ranks each stream the same file page by page; every rank of
   // every world size must serialize the exact bytes of the single-worker
-  // fit (the reducer zeroes the recorded wall times, so whole-file
-  // comparison is byte-exact).
+  // fit.
   const std::string path = WriteStreamCorpus("stream_world", 96);
 
   const auto fit_world = [&path](size_t world) {
@@ -142,9 +132,7 @@ TEST(StreamingFitTest, PagedBitIdenticalForAnyWorkerCount) {
         PagedUcrReader reader(path, opt);
         MvgClassifier clf(config);
         clf.FitPaged(&reader);
-        std::ostringstream os;
-        SaveModel(clf, os);
-        bytes[r] = os.str();
+        bytes[r] = ModelBytes(clf);
       });
     }
     for (std::thread& t : ranks) t.join();
@@ -163,8 +151,8 @@ TEST(StreamingFitTest, PagedBitIdenticalForAnyWorkerCount) {
 
 TEST(StreamingFitTest, SketchAccuracyWithinOnePercentOfExactBins) {
   // Imbalanced two-class corpus (so the sketch path's cuts-before-
-  // oversample vs the exact path's cuts-after-oversample actually
-  // differ) of 100 separable series. The class signal must survive the
+  // oversample vs the reference's cuts-after-oversample actually differ)
+  // of 100 separable series. The class signal must survive the
   // extraction front-end's detrend, so it is structural, not a trend:
   // class 0 is a smooth sine with faint noise, class 1 is white noise —
   // their visibility graphs differ sharply in degree structure.
@@ -189,27 +177,36 @@ TEST(StreamingFitTest, SketchAccuracyWithinOnePercentOfExactBins) {
     test.Add(make(label, 48), label);
   }
 
-  const auto accuracy = [&test](const MvgClassifier& clf) {
-    size_t hits = 0;
-    for (size_t i = 0; i < test.size(); ++i) {
-      hits += clf.Predict(test.series(i)) == test.label(i) ? 1 : 0;
-    }
-    return static_cast<double>(hits) / static_cast<double>(test.size());
-  };
-
   MvgClassifier::Config config;
   config.model = MvgModel::kXgboost;
   config.grid = GridPreset::kNone;
   MvgClassifier sketch(config);
   sketch.Fit(train);
 
-  MvgClassifier::Config exact_config = config;
-  exact_config.exact_bins = true;
-  MvgClassifier exact(exact_config);
-  exact.Fit(train);
+  // Reference: the same XGBoost candidate fitted through the matrix API
+  // on the oversampled features, so its cuts come from exact sorted
+  // columns (FeatureTable::Build) instead of the streaming sketch.
+  const MvgFeatureExtractor& fx = sketch.extractor();
+  Matrix x_os;
+  std::vector<int> y_os;
+  RandomOversample(fx.ExtractAll(train), train.labels(), config.seed, &x_os,
+                   &y_os);
+  const auto& fitted =
+      dynamic_cast<const GradientBoostingClassifier&>(sketch.model());
+  GradientBoostingClassifier exact(fitted.params());
+  exact.Fit(x_os, y_os);
 
-  const double acc_sketch = accuracy(sketch);
-  const double acc_exact = accuracy(exact);
+  size_t hits_sketch = 0, hits_exact = 0;
+  for (size_t i = 0; i < test.size(); ++i) {
+    hits_sketch += sketch.Predict(test.series(i)) == test.label(i) ? 1 : 0;
+    std::vector<double> features = fx.Extract(test.series(i));
+    features.resize(sketch.feature_width(), 0.0);
+    hits_exact += exact.Predict(features) == test.label(i) ? 1 : 0;
+  }
+  const double acc_sketch =
+      static_cast<double>(hits_sketch) / static_cast<double>(test.size());
+  const double acc_exact =
+      static_cast<double>(hits_exact) / static_cast<double>(test.size());
   EXPECT_GE(acc_exact, 0.9) << "corpus is not separable enough to compare";
   EXPECT_NEAR(acc_sketch, acc_exact, 0.01 + 1e-12);
 }
