@@ -22,6 +22,20 @@ void BM_CountMotifsOnVg(benchmark::State& state) {
 }
 BENCHMARK(BM_CountMotifsOnVg)->Range(64, 2048);
 
+void BM_CountMotifsOnWalkVg(benchmark::State& state) {
+  // Random-walk VGs carry the hub vertices that made full-adjacency
+  // counting O(sum deg^2); counted through one pooled scratch, as the
+  // extractor does.
+  const Series s = RandomWalk(static_cast<size_t>(state.range(0)), 3);
+  const Graph g = BuildVisibilityGraph(s);
+  MotifScratch scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(CountMotifs(g, &scratch));
+  }
+  state.counters["edges"] = static_cast<double>(g.num_edges());
+}
+BENCHMARK(BM_CountMotifsOnWalkVg)->Range(64, 2048);
+
 void BM_CountMotifsOnHvg(benchmark::State& state) {
   const Series s = GaussianNoise(static_cast<size_t>(state.range(0)), 3);
   const Graph g = BuildHorizontalVisibilityGraph(s);

@@ -668,13 +668,27 @@ int main(int argc, char** argv) {
                              [&] { BuildHorizontalVisibilityGraph(s, &ws); }));
   }
 
-  // --- Motif counting on prebuilt visibility graphs ---
+  // --- Motif counting vs graph construction on the same graph ---
+  // A within-run ratio, so no frozen copy of an older counter has to
+  // live in bench/: building a random-walk VG (hub-heavy, the motif
+  // counter's worst input family) over counting its motifs through the
+  // pooled scratch. Higher is better. A faster VG build lowers it too,
+  // which the baseline comment records.
   std::printf("Motif counting:\n");
-  for (size_t n : {size_t{256}, size_t{1024}}) {
-    const Series s = GaussianNoise(n, 13);
+  {
+    const size_t n = 1024;
+    const Series s = RandomWalk(n, 13);
     const Graph g = BuildVisibilityGraph(s);
-    results.push_back(
-        TimeIt("motif_counts_vg", n, opt, [&] { CountMotifs(g); }));
+    const BenchResult build = TimeIt("motif_walk_vg_build", n, opt,
+                                     [&] { BuildVisibilityGraph(s, &ws); });
+    const BenchResult count = TimeIt("motif_walk_vg_count", n, opt,
+                                     [&] { CountMotifs(g, &ws.motif); });
+    results.push_back(build);
+    results.push_back(count);
+    if (count.ns_per_iter > 0.0) {
+      metrics["motif_walk_vg_build_over_count_n1024"] =
+          build.ns_per_iter / count.ns_per_iter;
+    }
   }
 
   // --- End-to-end extraction (Algorithm 1, the paper's column G) ---
@@ -776,26 +790,25 @@ int main(int argc, char** argv) {
       stream.Push(feed[cursor++ % feed.size()]);
     }));
 
-    // Zero-steady-state-allocation gate on the pooled build path that
-    // PredictBatch's per-worker workspaces ride on.
+    // Zero-steady-state-allocation gate on the pooled build-and-count
+    // path that PredictBatch's per-worker workspaces ride on: graph
+    // construction plus motif counting through the workspace's scratch.
     VgWorkspace pooled;
     const Series s = GaussianNoise(1024, 4000);
-    for (int warm = 0; warm < 16; ++warm) {
-      BuildVisibilityGraph(s, &pooled);
-      BuildHorizontalVisibilityGraph(s, &pooled);
-    }
+    const auto build_and_count = [&] {
+      CountMotifs(BuildVisibilityGraph(s, &pooled), &pooled.motif);
+      CountMotifs(BuildHorizontalVisibilityGraph(s, &pooled), &pooled.motif);
+    };
+    for (int warm = 0; warm < 16; ++warm) build_and_count();
     const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
-    for (int iter = 0; iter < 64; ++iter) {
-      BuildVisibilityGraph(s, &pooled);
-      BuildHorizontalVisibilityGraph(s, &pooled);
-    }
+    for (int iter = 0; iter < 64; ++iter) build_and_count();
     const uint64_t allocs =
         g_alloc_count.load(std::memory_order_relaxed) - before;
     metrics["serve_pooled_build_alloc_free"] = allocs == 0 ? 1.0 : 0.0;
 
     // Informational: end-to-end allocations per pooled single prediction
     // (feature staging and the model's proba vectors still allocate; the
-    // graph-construction share is zero).
+    // graph-construction and motif-counting shares are zero).
     for (int warm = 0; warm < 4; ++warm) session.Predict(batch[0]);
     const uint64_t predict_before =
         g_alloc_count.load(std::memory_order_relaxed);

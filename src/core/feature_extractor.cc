@@ -202,8 +202,9 @@ size_t MvgFeatureExtractor::SeriesFeaturesPerScale() const {
              : 0;
 }
 
-std::vector<double> MvgFeatureExtractor::GraphFeatures(const Graph& g) const {
-  const MotifCounts counts = CountMotifs(g);
+std::vector<double> MvgFeatureExtractor::GraphFeatures(
+    const Graph& g, MotifScratch* scratch) const {
+  const MotifCounts counts = CountMotifs(g, scratch);
   const auto mpd = MotifProbabilityDistribution(counts);
   std::vector<double> out(mpd.begin(), mpd.end());
   if (config_.feature_mode != FeatureMode::kMpdsOnly) {
@@ -265,7 +266,7 @@ std::vector<double> MvgFeatureExtractor::Extract(const Series& s,
     double in_entropy = 0.0, out_entropy = 0.0;
     if (config_.graph_mode != GraphMode::kHvgOnly) {
       const Graph& vg = BuildVisibilityGraph(scale, ws, config_.vg_algorithm);
-      const std::vector<double> f = GraphFeatures(vg);
+      const std::vector<double> f = GraphFeatures(vg, &ws->motif);
       features.insert(features.end(), f.begin(), f.end());
       if (want_series_features) {
         wstats = WeightedVisibilityGraph::FromGraph(vg, scale)
@@ -277,7 +278,7 @@ std::vector<double> MvgFeatureExtractor::Extract(const Series& s,
     }
     if (config_.graph_mode != GraphMode::kVgOnly) {
       const Graph& hvg = BuildHorizontalVisibilityGraph(scale, ws);
-      const std::vector<double> f = GraphFeatures(hvg);
+      const std::vector<double> f = GraphFeatures(hvg, &ws->motif);
       features.insert(features.end(), f.begin(), f.end());
     }
     if (want_series_features) {

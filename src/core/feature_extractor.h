@@ -7,6 +7,7 @@
 
 #include "graph/graph.h"
 #include "ml/classifier.h"
+#include "motif/motif_counts.h"
 #include "ts/dataset.h"
 #include "ts/multiscale.h"
 #include "vg/visibility_graph.h"
@@ -91,8 +92,10 @@ class MvgFeatureExtractor {
   /// Features contributed by a single already-built graph: the 17-entry
   /// MPD plus (in kAll/kExtended modes) density, min/mean/max degree, max
   /// coreness, assortativity, and (kExtended) degree entropy, average
-  /// clustering and mean/max normalised betweenness.
-  std::vector<double> GraphFeatures(const Graph& g) const;
+  /// clustering and mean/max normalised betweenness. Motifs are counted
+  /// through `scratch` (Extract passes its workspace's pooled one).
+  std::vector<double> GraphFeatures(const Graph& g,
+                                    MotifScratch* scratch) const;
 
   /// Number of features per graph under the current FeatureMode.
   size_t FeaturesPerGraph() const;

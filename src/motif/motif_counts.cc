@@ -1,9 +1,8 @@
 #include "motif/motif_counts.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
-
-#include "graph/graph_kernels.h"
 
 namespace mvg {
 
@@ -15,12 +14,204 @@ int64_t Choose4(int64_t n) {
   return n < 4 ? 0 : n * (n - 1) * (n - 2) * (n - 3) / 24;
 }
 
-/// Sorted-list intersection of two CSR adjacency slices.
-void CommonNeighbors(Graph::NeighborSpan a, Graph::NeighborSpan b,
-                     std::vector<Graph::VertexId>* out) {
-  out->clear();
-  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
-                        std::back_inserter(*out));
+/// Resizes a pooled scratch array to `n` elements, keeping no values.
+/// Growth allocates exactly `n` (resize() would round up geometrically),
+/// so a workspace's footprint is its largest graph, not up to twice that.
+/// Arrays that must start zeroed use assign(n, 0), which sizes the same
+/// way.
+template <typename T>
+void SizeTo(std::vector<T>* v, size_t n) {
+  if (n > v->capacity()) {
+    v->assign(n, 0);
+  } else {
+    v->resize(n);
+  }
+}
+
+/// Relabels `g` into the scratch's rank-ordered CSR: vertices ranked by
+/// (degree, id) with a stable counting sort on degree, each neighbour list
+/// holding ranks in ascending order, so a list is its lower-rank ("in")
+/// part followed by its higher-rank ("out") part, split at out_begin.
+/// Out-list slots are numbered 0..m-1 in CSR order, as p - slot_shift[r].
+void BuildRankedCsr(const Graph& g, MotifScratch* sc) {
+  const uint32_t n = static_cast<uint32_t>(g.num_vertices());
+  const size_t* goff = g.offset_data();
+  const auto degree_of = [goff](uint32_t v) {
+    return static_cast<uint32_t>(goff[v + 1] - goff[v]);
+  };
+  uint32_t max_degree = 0;
+  for (uint32_t v = 0; v < n; ++v) {
+    max_degree = std::max(max_degree, degree_of(v));
+  }
+  // Counting sort on degree; visiting ids in ascending order breaks ties
+  // by id. The fill cursors are not needed yet, so they hold the first
+  // free rank per degree meanwhile.
+  std::vector<uint32_t>& first = sc->cursor;
+  first.assign(size_t{max_degree} + 1, 0);
+  for (uint32_t v = 0; v < n; ++v) ++first[degree_of(v)];
+  uint32_t running = 0;
+  for (uint32_t& c : first) {
+    const uint32_t count = c;
+    c = running;
+    running += count;
+  }
+  SizeTo(&sc->rank, n);
+  SizeTo(&sc->order, n);
+  SizeTo(&sc->degree, n);
+  for (uint32_t v = 0; v < n; ++v) {
+    const uint32_t d = degree_of(v);
+    const uint32_t r = first[d]++;
+    sc->rank[v] = static_cast<MotifRank>(r);
+    sc->order[r] = static_cast<MotifRank>(v);
+    sc->degree[r] = static_cast<MotifRank>(d);
+  }
+
+  SizeTo(&sc->offsets, size_t{n} + 1);
+  sc->offsets[0] = 0;
+  for (uint32_t r = 0; r < n; ++r) {
+    sc->offsets[r + 1] = sc->offsets[r] + sc->degree[r];
+  }
+  // Visiting sources in rank order appends each list in ascending rank
+  // order; when the source reaches rank r itself, list r holds exactly
+  // its lower-rank neighbours, which marks the start of its out part.
+  // slot_shift[r] counts the in-part entries of lists 0..r.
+  SizeTo(&sc->cursor, n);
+  std::copy(sc->offsets.begin(), sc->offsets.end() - 1, sc->cursor.begin());
+  SizeTo(&sc->out_begin, n);
+  SizeTo(&sc->slot_shift, n);
+  SizeTo(&sc->adj, sc->offsets[n]);
+  uint32_t in_entries = 0;
+  for (uint32_t r = 0; r < n; ++r) {
+    sc->out_begin[r] = sc->cursor[r];
+    in_entries += sc->cursor[r] - sc->offsets[r];
+    sc->slot_shift[r] = in_entries;
+    for (const Graph::VertexId v : g.Neighbors(sc->order[r])) {
+      sc->adj[sc->cursor[sc->rank[v]]++] = static_cast<MotifRank>(r);
+    }
+  }
+}
+
+/// Triangle-derived accumulators of the motif equations.
+struct TriangleSums {
+  int64_t triangles = 0;        // T
+  int64_t k4 = 0;               // #K4
+  int64_t tailed_raw = 0;       // sum_Delta (d_u + d_v + d_w - 6)
+  int64_t path3_walks = 0;      // sum_e (d_u - 1)(d_v - 1)
+  int64_t sum_tri_choose2 = 0;  // sum_e C(T_e, 2) -> diamonds
+};
+
+/// Each triangle u < v < w (by rank) is found once, from edge u -> v, as
+/// an out-neighbour w of v marked as an out-neighbour of u, and adds one
+/// to the T_e entries of its three edges. Its K4 extensions u < v < w < x
+/// are the out-neighbours x of w among the common out-neighbours of u and
+/// v, so each K4 is found once too.
+TriangleSums CountTrianglesAndCliques(MotifScratch* sc) {
+  const uint32_t nv = static_cast<uint32_t>(sc->degree.size());
+  const uint32_t* off = sc->offsets.data();
+  const uint32_t* out_begin = sc->out_begin.data();
+  const uint32_t* shift = sc->slot_shift.data();
+  const MotifRank* adj = sc->adj.data();
+  const MotifRank* deg = sc->degree.data();
+  // T_e of out-list slot e lives at edge_triangles[e + 1]; entry 0 takes
+  // the (zero) updates of non-triangles, so the scan below needs no branch.
+  sc->edge_triangles.assign(off[nv] / 2 + 1, 0);
+  sc->out_slot.assign(nv, 0);
+  sc->common_tag.assign(nv, 0);
+  SizeTo(&sc->common, nv);
+  MotifRank* tri = sc->edge_triangles.data();
+  uint32_t* out_slot = sc->out_slot.data();
+  uint32_t* common_tag = sc->common_tag.data();
+  MotifRank* common = sc->common.data();
+
+  TriangleSums sums;
+  for (uint32_t u = 0; u < nv; ++u) {
+    const uint32_t u_end = off[u + 1];
+    for (uint32_t p = out_begin[u]; p < u_end; ++p) {
+      out_slot[adj[p]] = p - shift[u] + 1;  // 0 = not an out-neighbour
+    }
+    const int64_t du = deg[u];
+    for (uint32_t p = out_begin[u]; p < u_end; ++p) {
+      const MotifRank v = adj[p];
+      const int64_t dv = deg[v];
+      sums.path3_walks += (du - 1) * (dv - 1);
+      // The slot of u -> v is unique in this count, so slot + 1 tags the
+      // edge's common out-neighbours without a clearing pass.
+      const uint32_t uv = p - shift[u];
+      const uint32_t tag = uv + 1;
+      uint32_t num_common = 0;
+      int64_t common_degrees = 0;
+      // Branch-free over out(v): whether w closes a triangle is close to a
+      // coin flip on VGs, so every update is scaled by `hit` instead.
+      // Stale tags of other edges never equal this edge's, so clearing a
+      // miss's tag is harmless.
+      const uint32_t shift_v = shift[v];
+      for (uint32_t q = out_begin[v]; q < off[v + 1]; ++q) {
+        const MotifRank w = adj[q];
+        const uint32_t uw = out_slot[w];
+        const uint32_t hit = uw != 0;
+        tri[q - shift_v + 1] += hit;
+        tri[uw] += hit;
+        common[num_common] = w;
+        num_common += hit;
+        common_degrees += deg[w] & (0u - hit);
+        common_tag[w] = tag & (0u - hit);
+      }
+      tri[uv + 1] += num_common;
+      sums.triangles += num_common;
+      sums.tailed_raw += (du + dv - 6) * num_common + common_degrees;
+      if (num_common < 2) continue;
+      // Out-lists are rank-sorted: past the last common vertex no x can
+      // be common.
+      const MotifRank last = common[num_common - 1];
+      for (uint32_t i = 0; i + 1 < num_common; ++i) {
+        const MotifRank w = common[i];
+        for (uint32_t q = out_begin[w]; q < off[w + 1]; ++q) {
+          const MotifRank x = adj[q];
+          if (x > last) break;
+          sums.k4 += common_tag[x] == tag;
+        }
+      }
+    }
+    for (uint32_t p = out_begin[u]; p < u_end; ++p) out_slot[adj[p]] = 0;
+  }
+  for (size_t e = 1; e < sc->edge_triangles.size(); ++e) {
+    sums.sum_tri_choose2 += Choose2(tri[e]);
+  }
+  return sums;
+}
+
+/// Non-induced 4-cycles, each counted once from its highest-rank vertex
+/// u: 2-paths u - v - w with v, w < u, grouped by the far endpoint w;
+/// C(paths, 2) picks the cycle's two halves. Lists are rank-sorted, so
+/// the scan of N(v) stops at u.
+int64_t CountFourCycles(MotifScratch* sc) {
+  const uint32_t nv = static_cast<uint32_t>(sc->degree.size());
+  const uint32_t* off = sc->offsets.data();
+  const uint32_t* out_begin = sc->out_begin.data();
+  const MotifRank* adj = sc->adj.data();
+  sc->paths.assign(nv, 0);
+  SizeTo(&sc->touched, size_t{nv} + 1);
+  MotifRank* paths = sc->paths.data();
+  MotifRank* touched = sc->touched.data();
+  int64_t cycles = 0;
+  for (uint32_t u = 0; u < nv; ++u) {
+    uint32_t num_touched = 0;
+    for (uint32_t p = off[u]; p < out_begin[u]; ++p) {
+      const MotifRank v = adj[p];
+      for (uint32_t q = off[v]; q < off[v + 1]; ++q) {
+        const MotifRank w = adj[q];
+        if (w >= u) break;
+        // C(k + 1, 2) - C(k, 2) = k; the first visit of w registers it
+        // for the reset.
+        const uint32_t before = paths[w]++;
+        cycles += before;
+        touched[num_touched] = w;
+        num_touched += before == 0;
+      }
+    }
+    for (uint32_t i = 0; i < num_touched; ++i) paths[touched[i]] = 0;
+  }
+  return cycles;
 }
 
 }  // namespace
@@ -38,6 +229,16 @@ const std::array<std::string, kNumMotifs>& MotifNames() {
 }
 
 MotifCounts CountMotifs(const Graph& g) {
+  MotifScratch scratch;
+  return CountMotifs(g, &scratch);
+}
+
+MotifCounts CountMotifs(const Graph& g, MotifScratch* sc) {
+  if (g.num_vertices() > kMaxMotifVertices) {
+    throw std::length_error(
+        "CountMotifs: graph has more than kMaxMotifVertices vertices");
+  }
+  BuildRankedCsr(g, sc);
   const int64_t n = static_cast<int64_t>(g.num_vertices());
   const int64_t m = static_cast<int64_t>(g.num_edges());
   MotifCounts out;
@@ -49,95 +250,25 @@ MotifCounts CountMotifs(const Graph& g) {
   // ---- size 3 ----
   // W = number of wedges (2-walk centers), counts each triangle 3 times.
   int64_t wedges = 0;
-  for (Graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-    wedges += Choose2(static_cast<int64_t>(g.Degree(v)));
+  int64_t star_raw = 0;  // sum_v C(d_v, 3)
+  for (const MotifRank d : sc->degree) {
+    wedges += Choose2(d);
+    star_raw += Choose3(d);
   }
-
-  // Triangle counts per edge (sorted-adjacency intersection) plus the
-  // accumulators that feed the 4-node equations.
-  int64_t triangles = 0;          // T
-  int64_t sum_tri_choose2 = 0;    // sum_e C(T_e, 2)  -> diamonds
-  int64_t cliques4_times6 = 0;    // 6 * #K4
-  int64_t tailed_raw = 0;         // sum_Delta (d_u + d_v + d_w - 6)
-  int64_t path3_walks = 0;        // sum_e (d_u - 1)(d_v - 1)
-  std::vector<Graph::VertexId> common;
-  for (Graph::VertexId u = 0; u < g.num_vertices(); ++u) {
-    const auto& nu = g.Neighbors(u);
-    const int64_t du = static_cast<int64_t>(nu.size());
-    for (Graph::VertexId v : nu) {
-      if (v <= u) continue;
-      const auto& nv = g.Neighbors(v);
-      const int64_t dv = static_cast<int64_t>(nv.size());
-      path3_walks += (du - 1) * (dv - 1);
-      CommonNeighbors(nu, nv, &common);
-      const int64_t te = static_cast<int64_t>(common.size());
-      sum_tri_choose2 += Choose2(te);
-      // Enumerate each triangle exactly once with w > v > u (the suffix of
-      // the sorted common list past v).
-      const size_t wstart = FirstGreater(common.data(), common.size(), v);
-      triangles += static_cast<int64_t>(common.size() - wstart);
-      for (size_t wi = wstart; wi < common.size(); ++wi) {
-        tailed_raw +=
-            du + dv + static_cast<int64_t>(g.Degree(common[wi])) - 6;
-      }
-      // K4: adjacent pairs inside the common neighborhood; counted once
-      // per edge of the K4 (6 times total). The vectorized sorted-
-      // intersection replaces per-pair binary searches: pairs with the
-      // later element adjacent to the earlier are exactly the elements of
-      // common[i+1..] found in N(common[i]).
-      for (size_t i = 0; i + 1 < common.size(); ++i) {
-        const auto& nw = g.Neighbors(common[i]);
-        const size_t start = FirstGreater(nw.data(), nw.size(), common[i]);
-        cliques4_times6 +=
-            CountSortedIntersection(common.data() + i + 1, common.size() - i - 1,
-                                    nw.data() + start, nw.size() - start);
-      }
-    }
-  }
-
+  const TriangleSums ts = CountTrianglesAndCliques(sc);
+  const int64_t triangles = ts.triangles;
+  const int64_t k4 = ts.k4;
   out.m31 = triangles;
   out.m32 = wedges - 3 * triangles;
   out.m33 = m * (n - 2) - 2 * out.m32 - 3 * out.m31;
   out.m34 = Choose3(n) - out.m31 - out.m32 - out.m33;
 
   // ---- size 4, connected ----
-  // Non-induced 4-cycles: for every vertex u, count 2-walks u -> x -> w per
-  // far endpoint w; C(cnt,2) picks two parallel walks. Every cycle is seen
-  // from each of its 4 vertices once.
-  // Walk counts live in a flat array indexed by far endpoint (zeroed via a
-  // touched list, so each source costs O(walks), not O(n)) instead of a
-  // hash map: no rehashing in the inner loop, and the Choose2 sum is over
-  // integers, so the changed visit order cannot change the total.
-  int64_t cycle_walks = 0;
-  {
-    std::vector<int64_t> cnt(g.num_vertices(), 0);
-    std::vector<Graph::VertexId> touched;
-    for (Graph::VertexId u = 0; u < g.num_vertices(); ++u) {
-      touched.clear();
-      for (Graph::VertexId x : g.Neighbors(u)) {
-        for (Graph::VertexId w : g.Neighbors(x)) {
-          if (w != u) {
-            if (cnt[w]++ == 0) touched.push_back(w);
-          }
-        }
-      }
-      for (const Graph::VertexId w : touched) {
-        cycle_walks += Choose2(cnt[w]);
-        cnt[w] = 0;
-      }
-    }
-  }
-  const int64_t noninduced_c4 = cycle_walks / 4;
+  const int64_t noninduced_p4 = ts.path3_walks - 3 * triangles;
+  const int64_t noninduced_c4 = CountFourCycles(sc);
 
-  int64_t star_raw = 0;  // sum_v C(d_v, 3)
-  for (Graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-    star_raw += Choose3(static_cast<int64_t>(g.Degree(v)));
-  }
-  const int64_t noninduced_p4 = path3_walks - 3 * triangles;
-
-  const int64_t k4 = cliques4_times6 / 6;
-  const int64_t diamond = sum_tri_choose2 - 6 * k4;
-  const int64_t tailed = tailed_raw - 4 * diamond - 12 * k4;
+  const int64_t diamond = ts.sum_tri_choose2 - 6 * k4;
+  const int64_t tailed = ts.tailed_raw - 4 * diamond - 12 * k4;
   const int64_t cycle4 = noninduced_c4 - diamond - 3 * k4;
   const int64_t star = star_raw - tailed - 2 * diamond - 4 * k4;
   const int64_t path4 =

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "motif/motif_counts.h"
 #include "ts/ts_kernels.h"
 
 namespace mvg {
@@ -38,6 +39,9 @@ struct VgWorkspace {
   /// the halved scales), so MvgFeatureExtractor::Extract allocates nothing
   /// on the series-assembly path either once warmed up.
   ts_kernels::MultiscaleScratch ts;
+  /// Pooled scratch of the degree-ordered motif counter, so counting the
+  /// motifs of each built graph allocates nothing once warmed up either.
+  MotifScratch motif;
 };
 
 }  // namespace mvg

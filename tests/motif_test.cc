@@ -1,4 +1,7 @@
+#include <fstream>
 #include <numeric>
+#include <sstream>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -135,7 +138,9 @@ INSTANTIATE_TEST_SUITE_P(
         RandomGraphCase{32, 0.12, 15}));
 
 TEST(MotifCounts, MatchesBruteForceOnVisibilityGraphs) {
-  // The real use case: VGs/HVGs of small series.
+  // The real use case: VGs/HVGs of small series. Random walks give
+  // hub-heavy VGs with long degree-tie runs; the logistic map gives
+  // chaotic, nearly tree-like ones.
   for (uint64_t seed = 0; seed < 6; ++seed) {
     const Series s = GaussianNoise(24, seed * 7 + 1);
     const Graph vg = BuildVisibilityGraph(s);
@@ -143,6 +148,164 @@ TEST(MotifCounts, MatchesBruteForceOnVisibilityGraphs) {
     ExpectSameCounts(CountMotifs(vg), CountMotifsBruteForce(vg), "vg");
     ExpectSameCounts(CountMotifs(hvg), CountMotifsBruteForce(hvg), "hvg");
   }
+  for (size_t n = 24; n <= 40; n += 8) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      const std::string where =
+          " n=" + std::to_string(n) + " seed=" + std::to_string(seed);
+      const Series walk = RandomWalk(n, seed);
+      const Series chaos =
+          LogisticMap(n, 3.9, 0.05 + 0.15 * static_cast<double>(seed));
+      for (const Series* s : {&walk, &chaos}) {
+        const char* family = s == &walk ? "walk" : "logistic";
+        const Graph vg = BuildVisibilityGraph(*s);
+        const Graph hvg = BuildHorizontalVisibilityGraph(*s);
+        ExpectSameCounts(CountMotifs(vg), CountMotifsBruteForce(vg),
+                         std::string(family) + " vg" + where);
+        ExpectSameCounts(CountMotifs(hvg), CountMotifsBruteForce(hvg),
+                         std::string(family) + " hvg" + where);
+      }
+    }
+  }
+}
+
+Graph Complete(size_t n) {
+  GraphBuilder b(n);
+  for (Graph::VertexId i = 0; i < n; ++i) {
+    for (Graph::VertexId j = i + 1; j < n; ++j) b.AddEdge(i, j);
+  }
+  return b.Build();
+}
+
+Graph Cycle(size_t n) {
+  GraphBuilder b(n);
+  for (Graph::VertexId i = 0; i < n; ++i) {
+    b.AddEdge(i, static_cast<Graph::VertexId>((i + 1) % n));
+  }
+  return b.Build();
+}
+
+/// Hub 0 joined to every vertex of the rim cycle 1..n-1.
+Graph Wheel(size_t n) {
+  GraphBuilder b(n);
+  for (Graph::VertexId i = 1; i < n; ++i) {
+    b.AddEdge(0, i);
+    b.AddEdge(i, static_cast<Graph::VertexId>(i + 1 < n ? i + 1 : 1));
+  }
+  return b.Build();
+}
+
+Graph Star(size_t n) {
+  GraphBuilder b(n);
+  for (Graph::VertexId i = 1; i < n; ++i) b.AddEdge(0, i);
+  return b.Build();
+}
+
+/// Complete bipartite K_{a,b}: vertices 0..a-1 against a..a+b-1.
+Graph CompleteBipartite(size_t a, size_t b) {
+  GraphBuilder builder(a + b);
+  for (Graph::VertexId i = 0; i < a; ++i) {
+    for (Graph::VertexId j = 0; j < b; ++j) {
+      builder.AddEdge(i, static_cast<Graph::VertexId>(a + j));
+    }
+  }
+  return builder.Build();
+}
+
+TEST(MotifCounts, MatchesBruteForceOnDegreeTieAndHubShapes) {
+  // Regular graphs rank purely by id; wheels and stars put one hub above
+  // a rim of equal degrees; K_{a,b} has two degree classes and no
+  // triangles but many 4-cycles.
+  std::vector<std::pair<std::string, Graph>> shapes;
+  for (size_t n : {1, 2, 3, 4, 5, 9, 14}) {
+    shapes.emplace_back("K" + std::to_string(n), Complete(n));
+  }
+  for (size_t n : {3, 4, 5, 8, 13}) {
+    shapes.emplace_back("C" + std::to_string(n), Cycle(n));
+  }
+  for (size_t n : {4, 5, 6, 11}) {
+    shapes.emplace_back("W" + std::to_string(n), Wheel(n));
+  }
+  for (size_t n : {2, 4, 7, 15}) {
+    shapes.emplace_back("S" + std::to_string(n), Star(n));
+  }
+  for (const auto& [a, b] : {std::pair<size_t, size_t>{1, 1}, {2, 2},
+                             {2, 5}, {3, 3}, {4, 7}, {6, 6}}) {
+    shapes.emplace_back("K" + std::to_string(a) + "," + std::to_string(b),
+                        CompleteBipartite(a, b));
+  }
+  for (const auto& [name, g] : shapes) {
+    ExpectSameCounts(CountMotifs(g), CountMotifsBruteForce(g), name);
+  }
+  // Closed forms on the complete graph: every 4-set is a K4, and K_{a,b}
+  // holds C(a,2) * C(b,2) induced 4-cycles.
+  EXPECT_EQ(CountMotifs(Complete(14)).m41, 1001);
+  EXPECT_EQ(CountMotifs(CompleteBipartite(4, 7)).m44, 6 * 21);
+}
+
+TEST(MotifCounts, PooledScratchMatchesFreshCounts) {
+  // One scratch across graphs that grow, shrink and change shape must
+  // never leak state from an earlier count into a later one.
+  MotifScratch scratch;
+  for (size_t n : {300, 17, 1024, 5, 0, 96, 2048, 40}) {
+    for (uint64_t seed = 1; seed <= 2; ++seed) {
+      const Series s = RandomWalk(n == 0 ? 1 : n, seed);
+      const Graph vg = n == 0 ? Graph() : BuildVisibilityGraph(s);
+      const Graph hvg = n == 0 ? Graph() : BuildHorizontalVisibilityGraph(s);
+      const std::string where = " n=" + std::to_string(n);
+      ExpectSameCounts(CountMotifs(vg, &scratch), CountMotifs(vg),
+                       "vg" + where);
+      ExpectSameCounts(CountMotifs(hvg, &scratch), CountMotifs(hvg),
+                       "hvg" + where);
+    }
+  }
+}
+
+TEST(MotifCounts, VertexLimitGuardsTheFourSubsetTotal) {
+  // C(55110, 4) is the last 4-subset total whose n(n-1)(n-2)(n-3)
+  // numerator fits in int64.
+  EXPECT_EQ(CountMotifs(Graph(kMaxMotifVertices)).m411,
+            int64_t{384293570411971935});
+  EXPECT_THROW(CountMotifs(Graph(kMaxMotifVertices + 1)), std::length_error);
+}
+
+Series FixtureSeries(const std::string& family, size_t n, uint64_t seed) {
+  if (family == "GaussianNoise") return GaussianNoise(n, seed);
+  if (family == "RandomWalk") return RandomWalk(n, seed);
+  if (family == "LogisticMap") {
+    return LogisticMap(n, 3.9, 0.05 + 0.15 * static_cast<double>(seed));
+  }
+  ADD_FAILURE() << "unknown fixture family " << family;
+  return Series(n, 0.0);
+}
+
+TEST(MotifCounts, MatchesRecordedFixtureCounts) {
+  // tests/fixtures/motif_counts.txt: the 17 counts of long VGs and HVGs
+  // as recorded before the degree-ordered counter replaced the
+  // full-adjacency one (see tests/fixtures/README.md).
+  std::ifstream in(std::string(MVG_TEST_FIXTURE_DIR) + "/motif_counts.txt");
+  ASSERT_TRUE(in.good());
+  std::string line;
+  size_t rows = 0;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    std::string family, kind;
+    size_t n = 0;
+    uint64_t seed = 0;
+    fields >> family >> kind >> n >> seed;
+    MotifCounts want;
+    fields >> want.m21 >> want.m22 >> want.m31 >> want.m32 >> want.m33 >>
+        want.m34 >> want.m41 >> want.m42 >> want.m43 >> want.m44 >>
+        want.m45 >> want.m46 >> want.m47 >> want.m48 >> want.m49 >>
+        want.m410 >> want.m411;
+    ASSERT_FALSE(fields.fail()) << line;
+    const Series s = FixtureSeries(family, n, seed);
+    const Graph g = kind == "vg" ? BuildVisibilityGraph(s)
+                                 : BuildHorizontalVisibilityGraph(s);
+    ExpectSameCounts(CountMotifs(g), want, line.substr(0, 32));
+    ++rows;
+  }
+  EXPECT_EQ(rows, 24u);
 }
 
 TEST(MotifProbability, GroupsSumToOne) {
