@@ -247,10 +247,29 @@ int CheckAgainstBaseline(const std::string& baseline_path,
       baseline.count("tolerance") ? baseline["tolerance"] : 0.25;
   baseline.erase("tolerance");
   baseline.erase("schema");
+  // Per-metric overrides: "tolerance_<metric>" replaces the global
+  // tolerance for that metric (0 makes an exactness gate exact).
+  const std::string kTolerancePrefix = "tolerance_";
+  std::map<std::string, double> tolerances;
+  for (auto it = baseline.begin(); it != baseline.end();) {
+    if (it->first.compare(0, kTolerancePrefix.size(), kTolerancePrefix) == 0) {
+      tolerances[it->first.substr(kTolerancePrefix.size())] = it->second;
+      it = baseline.erase(it);
+    } else {
+      ++it;
+    }
+  }
 
   int failures = 0;
-  std::printf("\nBaseline check (%s, tolerance %.0f%%):\n",
+  std::printf("\nBaseline check (%s, tolerance %.0f%% unless overridden):\n",
               baseline_path.c_str(), tolerance * 100.0);
+  for (const auto& override_entry : tolerances) {
+    if (baseline.count(override_entry.first) == 0) {
+      std::printf("  FAIL %-40s tolerance override for an ungated metric\n",
+                  override_entry.first.c_str());
+      ++failures;
+    }
+  }
   for (const auto& [name, expected] : baseline) {
     const auto it = metrics.find(name);
     if (it == metrics.end()) {
@@ -259,7 +278,9 @@ int CheckAgainstBaseline(const std::string& baseline_path,
       continue;
     }
     // All gated metrics are higher-is-better ratios (speedups).
-    const double floor = expected * (1.0 - tolerance);
+    const auto tol = tolerances.find(name);
+    const double floor =
+        expected * (1.0 - (tol != tolerances.end() ? tol->second : tolerance));
     const bool ok = it->second >= floor;
     std::printf("  %s %-40s %.3f (baseline %.3f, floor %.3f)\n",
                 ok ? "ok  " : "FAIL", name.c_str(), it->second, expected,
@@ -268,11 +289,11 @@ int CheckAgainstBaseline(const std::string& baseline_path,
   }
   if (failures > 0) {
     std::fprintf(stderr,
-                 "perf_suite: %d metric(s) regressed more than %.0f%% vs %s\n",
-                 failures, tolerance * 100.0, baseline_path.c_str());
+                 "perf_suite: %d metric(s) below their floor in %s\n",
+                 failures, baseline_path.c_str());
     return 1;
   }
-  std::printf("perf_suite: all %zu baseline metrics within tolerance\n",
+  std::printf("perf_suite: all %zu baseline metrics at or above their floor\n",
               baseline.size());
   return 0;
 }
@@ -464,6 +485,140 @@ int main(int argc, char** argv) {
     if (gbt_simd.ns_per_iter > 0.0) {
       metrics["simd_gbt_update_speedup"] =
           gbt_legacy.ns_per_iter / gbt_simd.ns_per_iter;
+    }
+
+    // GBT training tail: building a node's grad/hess histogram (PairScan
+    // over every column, plus the Release that re-zeroes its dirty span)
+    // over searching that histogram for the best split (NodeSplitSearch
+    // over every column, as GradientBoostingClassifier's tree builder
+    // runs it). A within-run ratio on a fixed synthetic table — 64
+    // columns x 256 bins, a root node (all rows, contiguous) and a 64-row
+    // node (scattered rows, so most bins in its span are empty) — so no
+    // frozen copy of an older search loop lives in bench/. Higher is
+    // better; a faster scan lowers it too, which the baseline comment
+    // records.
+    {
+      const size_t tail_rows = 2048, tail_cols = 64;
+      Rng trng(77);
+      Matrix tx(tail_rows, std::vector<double>(tail_cols));
+      for (size_t i = 0; i < tail_rows; ++i) {
+        for (size_t f = 0; f < tail_cols; ++f) {
+          // The first 256 rows pin all 256 values, so every column has
+          // exactly 256 bins.
+          tx[i][f] = static_cast<double>(i < 256 ? i : trng.Index(256));
+        }
+      }
+      FeatureTable tft;
+      tft.Build(tx);
+      std::vector<double> tgh(2 * tail_rows);
+      for (size_t i = 0; i < tail_rows; ++i) {
+        tgh[2 * i] = trng.Gaussian(0.0, 1.0);
+        tgh[2 * i + 1] = trng.Uniform(0.05, 0.25);
+      }
+      std::vector<size_t> tcols(tail_cols);
+      for (size_t f = 0; f < tail_cols; ++f) tcols[f] = f;
+      NodeHistogramPool tpool(tft, tcols, 2);
+      RowStage tstage;
+      SplitScratch tsplit;
+
+      struct TailNode {
+        std::vector<size_t> rows;
+        GainNode gain;
+        size_t buf = NodeHistogramPool::kNone;
+      };
+      std::vector<size_t> small = trng.Sample(tail_rows, 64);
+      std::sort(small.begin(), small.end());
+      std::vector<TailNode> tnodes(2);
+      tnodes[0].rows.resize(tail_rows);
+      for (size_t i = 0; i < tail_rows; ++i) tnodes[0].rows[i] = i;
+      tnodes[1].rows = small;
+      for (TailNode& nd : tnodes) {
+        double g = 0.0, h = 0.0;
+        for (size_t r : nd.rows) {
+          g += tgh[2 * r];
+          h += tgh[2 * r + 1];
+        }
+        nd.gain = GainNode{g, h, 1.0, 1.0, g * g / (h + 1.0)};
+      }
+      const auto build = [&](const TailNode& nd) {
+        const size_t b = tpool.Acquire();
+        tstage.StageRows(nd.rows, 0, nd.rows.size());
+        for (size_t j = 0; j < tail_cols; ++j) {
+          PairScan(tft.column(j), tstage, tgh.data(),
+                   tpool.hist(b) + tpool.slot_offset(j), tpool.lo(b) + j,
+                   tpool.hi(b) + j);
+        }
+        return b;
+      };
+      size_t tail_sink = 0;
+      std::vector<SplitSlot> tslots(tail_cols);
+      const auto search = [&](const TailNode& nd) {
+        for (size_t j = 0; j < tail_cols; ++j) {
+          tslots[j].fh = tpool.hist(nd.buf) + tpool.slot_offset(j);
+          tslots[j].lo = tpool.lo(nd.buf)[j];
+          tslots[j].end =
+              std::min<size_t>(tft.num_bins(j) - 1, tpool.hi(nd.buf)[j]);
+        }
+        double best = 1e-12;
+        size_t bin = 0;
+        tail_sink += NodeSplitSearch(tslots.data(), tail_cols, nd.gain,
+                                     &tsplit, &best, &bin) +
+                     bin;
+      };
+      // Build and search are timed back to back in each repetition, and
+      // the gate is the median of the per-repetition ratios: a load spike
+      // on a shared host then moves both halves of one ratio instead of
+      // skewing a best-of-N minimum on one side only. The rows report
+      // each side's fastest repetition.
+      for (TailNode& nd : tnodes) nd.buf = build(nd);
+      const auto ns_per_call = [&](auto&& fn, size_t* iters) {
+        fn();  // warmup
+        WallTimer timer;
+        size_t it = 0;
+        do {
+          fn();
+          ++it;
+        } while (it < opt.min_iters || timer.Seconds() < opt.min_seconds);
+        *iters = it;
+        return timer.Seconds() * 1e9 / static_cast<double>(it);
+      };
+      const size_t tail_n = tail_rows + 64;
+      BenchResult tail_build{"gbt_tail_hist_build", tail_n, 0, 0.0};
+      BenchResult tail_search{"gbt_tail_split_search", tail_n, 0, 0.0};
+      std::vector<double> ratios;
+      const int tail_reps = 3 * opt.repetitions;
+      for (int rep = 0; rep < tail_reps; ++rep) {
+        size_t build_iters = 0, search_iters = 0;
+        const double b = ns_per_call(
+            [&] {
+              for (const TailNode& nd : tnodes) tpool.Release(build(nd));
+            },
+            &build_iters);
+        const double sr = ns_per_call(
+            [&] {
+              for (const TailNode& nd : tnodes) search(nd);
+            },
+            &search_iters);
+        if (tail_build.iters == 0 || b < tail_build.ns_per_iter) {
+          tail_build.ns_per_iter = b;
+          tail_build.iters = build_iters;
+        }
+        if (tail_search.iters == 0 || sr < tail_search.ns_per_iter) {
+          tail_search.ns_per_iter = sr;
+          tail_search.iters = search_iters;
+        }
+        if (sr > 0.0) ratios.push_back(b / sr);
+      }
+      if (tail_sink == static_cast<size_t>(-1)) std::puts("");  // defeat DCE
+      for (const BenchResult& r : {tail_build, tail_search}) {
+        std::printf("  %-34s n=%-6zu %12.0f ns/iter  (%zu iters)\n",
+                    r.name.c_str(), r.n, r.ns_per_iter, r.iters);
+        results.push_back(r);
+      }
+      if (!ratios.empty()) {
+        std::sort(ratios.begin(), ratios.end());
+        metrics["gbt_scan_over_split_search"] = ratios[ratios.size() / 2];
+      }
     }
 
     // Single-series predict tail latency through the full kernel stack

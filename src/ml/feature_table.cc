@@ -1,6 +1,7 @@
 #include "ml/feature_table.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -126,6 +127,65 @@ void FeatureTable::RepresentativeRowInto(size_t i,
                                  std::numeric_limits<double>::infinity());
     }
   }
+}
+
+namespace {
+
+/// One thread's cache of all-zero histogram slabs (see NodeHistogramPool).
+/// A fixed array, so returning a slab never allocates (the pool returns
+/// them from its destructor).
+struct SlabCache {
+  std::array<AlignedBuffer<double>, 16> slabs;  ///< [0, count) are cached.
+  size_t count = 0;
+  size_t bytes = 0;
+};
+
+SlabCache& ThreadSlabCache() {
+  thread_local SlabCache cache;
+  return cache;
+}
+
+size_t SlabBytes(const AlignedBuffer<double>& slab) {
+  return slab.size() * sizeof(double);
+}
+
+}  // namespace
+
+NodeHistogramPool::~NodeHistogramPool() {
+  SlabCache& cache = ThreadSlabCache();
+  for (const size_t b : free_list_) {
+    const size_t bytes = SlabBytes(pool_[b]);
+    if (bytes == 0 || cache.count == cache.slabs.size() ||
+        cache.bytes + bytes > kSlabCacheBytes) {
+      continue;
+    }
+    cache.bytes += bytes;
+    cache.slabs[cache.count++] = std::move(pool_[b]);
+  }
+}
+
+size_t NodeHistogramPool::CachedBytes() { return ThreadSlabCache().bytes; }
+
+AlignedBuffer<double> NodeHistogramPool::TakeCachedSlab(size_t n) {
+  SlabCache& cache = ThreadSlabCache();
+  if (cache.count == 0) return AlignedBuffer<double>(n);
+  // Best fit: the smallest slab holding n doubles; failing that the
+  // largest, which is zero-extended below.
+  size_t pick = 0;
+  for (size_t i = 1; i < cache.count; ++i) {
+    const size_t cand = cache.slabs[i].size();
+    const size_t cur = cache.slabs[pick].size();
+    const bool cand_fits = cand >= n, cur_fits = cur >= n;
+    if (cand_fits != cur_fits ? cand_fits
+                              : (cand_fits ? cand < cur : cand > cur)) {
+      pick = i;
+    }
+  }
+  AlignedBuffer<double> slab = std::move(cache.slabs[pick]);
+  cache.slabs[pick] = std::move(cache.slabs[--cache.count]);
+  cache.bytes -= SlabBytes(slab);
+  if (slab.size() < n) slab.ResetZero(n);
+  return slab;
 }
 
 }  // namespace mvg

@@ -134,7 +134,7 @@ class FeatureTable {
 /// grad/hess sums for boosting). The pool owns the engine-critical
 /// invariants the two tree engines share:
 ///
-///  * every free-listed (and freshly allocated) buffer is all-zero;
+///  * every free-listed (and freshly acquired) buffer is all-zero;
 ///    callers accumulate straight into an Acquire()d buffer and record
 ///    the dirty per-slot bin span through lo()/hi(); Release() zeroes
 ///    exactly that span, so small deep nodes never touch the full global
@@ -145,9 +145,29 @@ class FeatureTable {
 ///    invariant above).
 ///
 /// At most tree-depth + 1 buffers are ever live.
+///
+/// Slab ownership: the pool owns its slabs while it lives. When it is
+/// destroyed, its free-listed slabs (all-zero by the invariant; a slab
+/// still live after an exception is simply freed) go to a cache owned by
+/// the calling thread, and Acquire() takes from that cache before it
+/// allocates. A cached slab keeps its size; one smaller than the new
+/// pool's hist_size() is zero-extended (reallocated zeroed), a larger one
+/// is used as is — the bytes past hist_size() are zero and stay untouched.
+/// Without the cache every tree allocated and zeroed its own slabs (a GBT
+/// fit builds thousands of trees, each with up to depth + 1 slabs of
+/// 100-300 KB), and the freed slabs fragmented the heap, so the process's
+/// peak RSS climbed with every refit. The cache is per thread because a
+/// tree is built start to finish on one thread — the next tree on that
+/// thread reuses the slabs with no locking — and it is capped at
+/// kSlabCacheBytes (and 16 slabs) per thread: a plain all-features
+/// DecisionTree uses the same pool with k-wide slabs (about 2 MB at 138
+/// features x 256 bins x 7 classes), which an uncapped cache would pin
+/// for the thread's lifetime.
 class NodeHistogramPool {
  public:
   static constexpr size_t kNone = static_cast<size_t>(-1);
+  /// Byte cap of one thread's cache of returned slabs.
+  static constexpr size_t kSlabCacheBytes = size_t{4} << 20;
 
   /// `cols[j]` is the FeatureTable column behind slot j.
   NodeHistogramPool(const FeatureTable& ft, const std::vector<size_t>& cols,
@@ -161,6 +181,12 @@ class NodeHistogramPool {
     }
     hist_size_ = total_bins * width;
   }
+  ~NodeHistogramPool();
+  NodeHistogramPool(const NodeHistogramPool&) = delete;
+  NodeHistogramPool& operator=(const NodeHistogramPool&) = delete;
+
+  /// Bytes of slabs cached for the calling thread (<= kSlabCacheBytes).
+  static size_t CachedBytes();
 
   /// Doubles per histogram (all slots).
   size_t hist_size() const { return hist_size_; }
@@ -174,7 +200,7 @@ class NodeHistogramPool {
 
   size_t Acquire() {
     if (free_list_.empty()) {
-      pool_.emplace_back(hist_size_);  // AlignedBuffer: 64B slab, zeroed.
+      pool_.push_back(TakeCachedSlab(hist_size_));  // 64B slab, all-zero.
       lo_.emplace_back(offsets_.size());
       hi_.emplace_back(offsets_.size());
       free_list_.push_back(pool_.size() - 1);
@@ -248,6 +274,10 @@ class NodeHistogramPool {
   }
 
  private:
+  /// An all-zero slab of at least n doubles: from this thread's cache
+  /// when it holds one, freshly allocated otherwise.
+  static AlignedBuffer<double> TakeCachedSlab(size_t n);
+
   size_t width_ = 0;
   size_t hist_size_ = 0;
   std::vector<size_t> offsets_;  ///< per-slot bin offset.

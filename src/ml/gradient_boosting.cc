@@ -68,6 +68,8 @@ struct GradientBoostingClassifier::HistBuilder {
   std::vector<size_t> rows;
   std::vector<size_t> scratch;
   RowStage stage;  ///< 32-bit staged rows for the scans.
+  std::vector<SplitSlot> slots;  ///< slot j = cols[j], refilled per node.
+  SplitScratch split;            ///< NodeSplitSearch's compaction buffers.
   /// Shared pool machinery (free list, all-zero invariant, dirty-span
   /// bookkeeping, sibling subtraction); slot j = cols[j], 2 doubles per
   /// bin (grad, hess).
@@ -89,7 +91,8 @@ struct GradientBoostingClassifier::HistBuilder {
               Tree* tree_in, std::vector<double>* gains_in,
               std::vector<uint16_t>* node_bins_in)
       : ft(ft_in), gh(gh_in), params(params_in), cols(cols_in), tree(tree_in),
-        gains(gains_in), node_bins(node_bins_in), hpool(ft_in, cols_in, 2) {
+        gains(gains_in), node_bins(node_bins_in), slots(cols_in.size()),
+        hpool(ft_in, cols_in, 2) {
     red = params.reducer;
     if (red != nullptr) {
       own_begin = OwnedRowsBegin(ft.num_rows(), red->rank(), red->world_size());
@@ -213,62 +216,35 @@ struct GradientBoostingClassifier::HistBuilder {
     }
     const double* hist = hpool.hist(buf);
 
-    const double parent_score = g_sum * g_sum / (h_sum + params.lambda);
+    const GainNode node{g_sum, h_sum, params.lambda, params.min_child_weight,
+                        g_sum * g_sum / (h_sum + params.lambda)};
     double best_gain = params.gamma + 1e-12;
-    int best_feature = -1;
     size_t best_bin = 0;
-    double best_threshold = 0.0;
     obs::Count(obs::PipelineMetrics::Get().train_split_searches);
 
+    // Bins below lo are empty for this node (cumulative sums start at
+    // zero there) and boundaries at/after hi leave nothing on the right;
+    // a constant column (one bin) offers no boundary.
     for (size_t j = 0; j < cols.size(); ++j) {
-      const size_t f = cols[j];
-      const size_t nb = ft.num_bins(f);
-      if (nb < 2) continue;
-      const double* fh = hist + hpool.slot_offset(j);
-      // Bins below lo are empty for this node (cumulative sums start at
-      // zero there) and boundaries at/after hi leave nothing on the right.
-      const size_t lo = hpool.lo(buf)[j];
-      const size_t hi = hpool.hi(buf)[j];
-      double gl = 0.0, hl = 0.0;
-      for (size_t b = lo; b + 1 < nb && b < hi; ++b) {
-        const double bin_h = fh[b * 2 + 1];
-        gl += fh[b * 2];
-        hl += bin_h;
-        const double gr = g_sum - gl, hr = h_sum - hl;
-        // Every row carries hess >= 1e-12, far above the subtraction's
-        // rounding noise, so hr <= 0 means the node's rows are exhausted
-        // and every later boundary is empty too.
-        if (hr <= 0.0) break;
-        // A bin with no rows adds no new boundary (same partition as the
-        // previous one).
-        if (bin_h == 0.0) continue;
-        if (hl < params.min_child_weight || hr < params.min_child_weight) {
-          continue;
-        }
-        const double gain = 0.5 * (gl * gl / (hl + params.lambda) +
-                                   gr * gr / (hr + params.lambda) -
-                                   parent_score);
-        if (gain > best_gain) {
-          best_gain = gain;
-          best_feature = static_cast<int>(f);
-          best_bin = b;
-          best_threshold = ft.threshold(f, b);
-        }
-      }
+      const size_t nb = ft.num_bins(cols[j]);
+      slots[j].fh = hist + hpool.slot_offset(j);
+      slots[j].lo = hpool.lo(buf)[j];
+      slots[j].end = std::min<size_t>(nb - 1, hpool.hi(buf)[j]);
     }
-
-    if (best_feature < 0) return make_leaf();
+    const size_t slot = NodeSplitSearch(slots.data(), slots.size(), node,
+                                        &split, &best_gain, &best_bin);
+    if (slot == kNoSplit) return make_leaf();
+    const size_t best_feature = cols[slot];
 
     const size_t mid = StablePartitionRows(
-        rows, scratch, begin, end,
-        ft.column(static_cast<size_t>(best_feature)), best_bin);
+        rows, scratch, begin, end, ft.column(best_feature), best_bin);
     if (mid == begin || mid == end) return make_leaf();
 
-    (*gains)[static_cast<size_t>(best_feature)] += best_gain;
+    (*gains)[best_feature] += best_gain;
 
     TreeNode internal;
-    internal.feature = best_feature;
-    internal.threshold = best_threshold;
+    internal.feature = static_cast<int32_t>(best_feature);
+    internal.threshold = ft.threshold(best_feature, best_bin);
     tree->push_back(internal);
     node_bins->push_back(static_cast<uint16_t>(best_bin));
     const int32_t id = static_cast<int32_t>(tree->size() - 1);

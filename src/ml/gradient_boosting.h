@@ -28,6 +28,15 @@ class HistogramReducer;
 /// FeatureTable is built once per Fit (Fit/FitOnRows bin the matrix rows
 /// and run the FitBinned body), each node scans only its smaller child and
 /// derives the sibling by subtraction, and rows are partitioned in place.
+/// The per-node search over the histogram is NodeSplitSearch
+/// (ml/hist_kernels.h): per column, an exact prefix pass compacts the
+/// boundaries whose bin holds rows without branching on the data, the
+/// gains of four boundaries are computed per vector, and a running max
+/// picks the first strict improvement in (column, bin) order — bit for
+/// bit the choice of the plain scalar loop (tests/split_search_oracle.h).
+/// Node histogram slabs come from NodeHistogramPool, which hands them to
+/// a per-thread cache when a tree is done, so consecutive trees on a
+/// thread reuse them instead of allocating and zeroing their own.
 /// Within a boosting round the per-class trees are fitted in parallel
 /// (`num_threads`); per-tree column draws are pre-assigned so results are
 /// identical for every thread count.

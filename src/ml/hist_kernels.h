@@ -19,6 +19,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "util/aligned_buffer.h"
@@ -214,6 +215,203 @@ MVG_NO_AUTOVEC inline void PairScan(const uint8_t* col, const RowStage& st,
   }
   *plo = static_cast<uint16_t>(mn);
   *phi = static_cast<uint16_t>(mx);
+}
+
+/// Node-level constants of the GBT split gain
+///   0.5 * (gl^2/(hl+lambda) + gr^2/(hr+lambda) - parent_score),
+/// with gr = g_sum - gl and hr = h_sum - hl.
+struct GainNode {
+  double g_sum = 0.0;  ///< node gradient total.
+  double h_sum = 0.0;  ///< node hessian total.
+  double lambda = 0.0;
+  double min_child_weight = 0.0;
+  double parent_score = 0.0;  ///< g_sum^2 / (h_sum + lambda).
+};
+
+/// One column slot of a GBT node histogram as NodeSplitSearch reads it:
+/// `fh` holds (grad, hess) per bin, and the candidate boundaries are
+/// "bin <= b goes left" for b in [lo, end). An empty range (end <= lo)
+/// offers no boundary.
+struct SplitSlot {
+  const double* fh = nullptr;
+  size_t lo = 0;
+  size_t end = 0;
+};
+
+/// Scratch of NodeSplitSearch, owned by the tree builder and reused for
+/// every node: two compaction buffers of (gl, hl) pairs (the slot being
+/// compacted, and the previous slot whose gains are being computed) plus
+/// one slot's gains. Sized for the 256-bin maximum of a FeatureTable
+/// column, which is a whole number of lanes.
+struct SplitScratch {
+  static constexpr size_t kMaxBoundaries = 256;
+  AlignedBuffer<double> pairs{2 * 2 * kMaxBoundaries};
+  AlignedBuffer<double> gain{kMaxBoundaries};
+};
+
+/// NodeSplitSearch's "no slot beat the initial best gain".
+inline constexpr size_t kNoSplit = static_cast<size_t>(-1);
+
+/// Best split of one GBT node over its column slots, in (slot, bin)
+/// order: returns the winning slot and sets *best_gain / *best_bin when
+/// some boundary's gain strictly beats the incoming *best_gain, and
+/// returns kNoSplit otherwise. Bit-exact against the plain scalar loop
+/// (per slot: prefix sums in bin order, stop once the right side is
+/// exhausted, skip bins with no rows, min_child_weight check, two
+/// divisions, strict `>` against the running best across slots), in
+/// three passes per slot:
+///
+///  1. prefix: one (gl, hl) pair add per bin, in bin order — the same
+///     adds as the scalar loop. Every pair is written to the scratch,
+///     and the write index advances only past a bin with non-zero
+///     hessian (a bin with no rows adds no new partition), so the
+///     compaction takes no data-dependent branch. The search stops
+///     where hr = h_sum - hl <= 0: every GBT row carries hessian >=
+///     1e-12, far above the subtraction's rounding noise, so no rows
+///     remain on the right from there on. That stop moves onto the
+///     compacted list: hl changes only at bins with non-zero hessian,
+///     so hr can first drop to <= 0 only at a compacted entry, or at
+///     the very first bin when h_sum <= 0.
+///  2. gain: four entries at a time on simd::F64x4, the same IEEE
+///     operations as the scalar expression (util/simd.h contract; the
+///     expression has no multiply-add to contract). A lane failing
+///     min_child_weight, at or past the first exhausted entry, or past
+///     the last entry becomes -inf, which never wins a strict `>`.
+///  3. argmax: a running lane-wise max seeded with the best gain so far
+///     (Max ignores NaN gains, as a strict `>` does); when it beats the
+///     best, the first entry equal to it — the first strict improvement
+///     of a scalar scan — and that entry's bin (the slot's i-th bin with
+///     non-zero hessian) are looked up once.
+///
+/// Slot j's gain vectors are interleaved with slot j+1's prefix pass,
+/// one vector per four bins: the prefix pass is a latency chain of adds
+/// and the gains are bound by the divider, so the two overlap. Pass 2
+/// reads entries compacted one slot earlier, whose stores have long
+/// retired; reading entries just written would stall every vector load
+/// on store forwarding (a 32-byte load spanning two 16-byte stores).
+MVG_NO_AUTOVEC inline size_t NodeSplitSearch(const SplitSlot* slots,
+                                             size_t num_slots,
+                                             const GainNode& node,
+                                             SplitScratch* s,
+                                             double* best_gain,
+                                             size_t* best_bin) {
+  const simd::F64x4 g_sum = simd::F64x4::Broadcast(node.g_sum);
+  const simd::F64x4 h_sum = simd::F64x4::Broadcast(node.h_sum);
+  const simd::F64x4 lambda = simd::F64x4::Broadcast(node.lambda);
+  const simd::F64x4 mcw = simd::F64x4::Broadcast(node.min_child_weight);
+  const simd::F64x4 parent = simd::F64x4::Broadcast(node.parent_score);
+  const simd::F64x4 half = simd::F64x4::Broadcast(0.5);
+  const simd::F64x4 zero = simd::F64x4::Zero();
+  const simd::F64x4 ninf =
+      simd::F64x4::Broadcast(-std::numeric_limits<double>::infinity());
+  double* gains = s->gain.data();
+
+  struct Compacted {
+    double* pairs;                ///< (gl, hl) per entry.
+    const double* fh = nullptr;   ///< the slot's histogram from bin lo.
+    size_t lo = 0;                ///< the slot's first bin.
+    size_t count = 0;             ///< entries (bins with non-zero hessian).
+  };
+  Compacted buf[2] = {
+      {s->pairs.data()},
+      {s->pairs.data() + 2 * SplitScratch::kMaxBoundaries}};
+
+  size_t winner = kNoSplit;
+  // Iteration j compacts slot j and scores slot j - 1 (both buffers
+  // start empty, so iteration 0 scores nothing and iteration num_slots
+  // only scores).
+  for (size_t j = 0; j <= num_slots; ++j) {
+    Compacted& cur = buf[j & 1];
+    const Compacted& prev = buf[(j + 1) & 1];
+
+    // Pass 2 state for slot j - 1: entries at or past `valid` are
+    // masked; `valid` shrinks to the first exhausted entry.
+    const size_t num_vecs = (prev.count + 3) / 4;
+    size_t v = 0;
+    size_t valid = prev.count;
+    simd::F64x4 top = simd::F64x4::Broadcast(*best_gain);
+    const auto gain_vec = [&] {
+      const size_t i = 4 * v;
+      const double* p = prev.pairs + 2 * i;
+      simd::F64x4 l_g, l_h;
+      simd::DeinterleaveEvenOdd(simd::F64x4::LoadAligned(p),
+                                simd::F64x4::LoadAligned(p + 4), &l_g, &l_h);
+      const simd::F64x4 r_g = g_sum - l_g;
+      const simd::F64x4 r_h = h_sum - l_h;
+      simd::F64x4 gain =
+          half * (l_g * l_g / (l_h + lambda) + r_g * r_g / (r_h + lambda) -
+                  parent);
+      gain = simd::Blend(simd::CmpLT(l_h, mcw), ninf, gain);
+      gain = simd::Blend(simd::CmpLT(r_h, mcw), ninf, gain);
+      const int exhausted = simd::MoveMask(simd::CmpGE(zero, r_h));
+      if (exhausted != 0) {
+        valid = std::min(valid, i + static_cast<size_t>(
+                                        simd::FirstLane(exhausted)));
+      }
+      if (i + 4 > valid) {
+        const simd::F64x4 lane = simd::F64x4::Set(0.0, 1.0, 2.0, 3.0) +
+                                 simd::F64x4::Broadcast(static_cast<double>(i));
+        const simd::F64x4 limit =
+            simd::F64x4::Broadcast(static_cast<double>(valid));
+        gain = simd::Blend(simd::CmpLT(lane, limit), gain, ninf);
+      }
+      gain.StoreAligned(gains + i);
+      top = simd::Max(top, gain);
+      ++v;
+    };
+
+    if (j < num_slots) {
+      // Pass 1 for slot j, with slot j - 1's gain vectors riding along.
+      const SplitSlot& slot = slots[j];
+      const size_t len = slot.end > slot.lo ? slot.end - slot.lo : 0;
+      assert(len <= SplitScratch::kMaxBoundaries);
+      const double* f = slot.fh + 2 * slot.lo;
+      simd::F64x2 acc = simd::F64x2::Zero();
+      double* w = cur.pairs;  // next entry
+      const auto step = [&](size_t t) {
+        acc = acc + simd::F64x2::Load(f + 2 * t);
+        acc.StoreAligned(w);
+        w += f[2 * t + 1] != 0.0 ? 2 : 0;
+      };
+      size_t t = 0;
+      for (; t + 4 <= len; t += 4) {
+        step(t);
+        step(t + 1);
+        step(t + 2);
+        step(t + 3);
+        if (v < num_vecs) gain_vec();
+      }
+      for (; t < len; ++t) step(t);
+      const size_t m = static_cast<size_t>(w - cur.pairs) / 2;
+      // Pad to whole lanes: padded gains are computed, then masked.
+      for (size_t i = m; i % 4 != 0; ++i) {
+        cur.pairs[2 * i] = 0.0;
+        cur.pairs[2 * i + 1] = 0.0;
+      }
+      cur.fh = f;
+      cur.lo = slot.lo;
+      cur.count = m;
+    }
+    while (v < num_vecs) gain_vec();
+
+    // Pass 3 for slot j - 1. Exhausted at its first bin: no boundary.
+    if (node.h_sum <= 0.0 && (valid == 0 || prev.fh[1] == 0.0)) {
+      valid = 0;
+    }
+    if (valid == 0) continue;
+    const double best = simd::ReduceMaxOrdered(top);
+    if (!(best > *best_gain)) continue;
+    size_t i = 0;
+    while (!(gains[i] == best)) ++i;
+    *best_gain = gains[i];
+    size_t b = 0;
+    for (size_t seen = 0;; ++b) {
+      if (prev.fh[2 * b + 1] != 0.0 && seen++ == i) break;
+    }
+    *best_bin = prev.lo + b;
+    winner = j - 1;
+  }
+  return winner;
 }
 
 }  // namespace mvg

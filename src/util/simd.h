@@ -771,9 +771,15 @@ inline I32x4 operator-(I32x4 a, I32x4 b) {
   return {{a.v[0] - b.v[0], a.v[1] - b.v[1], a.v[2] - b.v[2],
            a.v[3] - b.v[3]}};
 }
+/// Low 32 bits of each product, as the vector backends' mullo gives:
+/// the multiply runs in uint32_t, where wrapping is defined.
 inline I32x4 operator*(I32x4 a, I32x4 b) {
-  return {{a.v[0] * b.v[0], a.v[1] * b.v[1], a.v[2] * b.v[2],
-           a.v[3] * b.v[3]}};
+  I32x4 r{};
+  for (int i = 0; i < 4; ++i) {
+    r.v[i] = static_cast<int32_t>(static_cast<uint32_t>(a.v[i]) *
+                                  static_cast<uint32_t>(b.v[i]));
+  }
+  return r;
 }
 inline I32x4 RotateLanes1(I32x4 a) {
   return {{a.v[1], a.v[2], a.v[3], a.v[0]}};

@@ -195,7 +195,10 @@ TEST(SimdI32x4, WidenMulAddRotateEqMatchScalar) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(av[i] + bv[i], (a + b).Lane(i));
     EXPECT_EQ(av[i] - bv[i], (a - b).Lane(i));
-    EXPECT_EQ(av[i] * bv[i], (a * b).Lane(i));
+    // Lane products keep their low 32 bits (100000 * 30000 wraps).
+    const int32_t product = static_cast<int32_t>(
+        static_cast<uint32_t>(av[i]) * static_cast<uint32_t>(bv[i]));
+    EXPECT_EQ(product, (a * b).Lane(i));
   }
   const simd::I32x4 rot = RotateLanes1(a);
   EXPECT_EQ(av[1], rot.Lane(0));
