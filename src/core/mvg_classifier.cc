@@ -1,6 +1,8 @@
 #include "core/mvg_classifier.h"
 
 #include <algorithm>
+#include <functional>
+#include <iterator>
 #include <numeric>
 #include <stdexcept>
 #include <utility>
@@ -162,37 +164,84 @@ bool MvgClassifier::UseSketchBinned() const {
 }
 
 void MvgClassifier::Fit(const Dataset& train) {
-  if (train.empty()) throw std::invalid_argument("MvgClassifier: empty train");
-  const size_t threads = ResolvedThreads();
-
-  WallTimer fe_timer;
-  Matrix x = extractor_.ExtractAll(train, threads);
-  std::vector<int> y = train.labels();
-  if (UseSketchBinned()) {
-    FitSketchBinned(std::move(x), std::move(y), train.MaxLength(),
-                    fe_timer.Seconds());
-    return;
-  }
-  FitOnExtracted(std::move(x), std::move(y), train.MaxLength(),
-                 fe_timer.Seconds());
+  // One chunk: the caller's dataset itself, never copied.
+  bool served = false;
+  FitChunks([&]() { return std::exchange(served, true) ? nullptr : &train; },
+            [&] { served = false; });
 }
 
-void MvgClassifier::FitSketchBinned(Matrix x, std::vector<int> y,
-                                    size_t max_len, double fe_seconds) {
-  const size_t threads = config_.reducer != nullptr ? 1 : ResolvedThreads();
-  train_length_ = max_len;
-  fe_seconds_ = fe_seconds;
+void MvgClassifier::FitPaged(PagedUcrReader* reader) {
+  if (reader == nullptr) {
+    throw std::invalid_argument("MvgClassifier::FitPaged: null reader");
+  }
+  SeriesPage page;
+  Dataset chunk;
+  FitChunks(
+      [&]() -> const Dataset* {
+        // Free the previous page before reading the next, and the last
+        // one before training: at most one raw page is held.
+        chunk = Dataset();
+        if (!reader->NextPage(&page)) return nullptr;
+        for (size_t i = 0; i < page.size(); ++i) {
+          chunk.Add(std::move(page.series[i]), page.labels[i]);
+        }
+        return &chunk;
+      },
+      [reader] { reader->Reset(); });
+}
 
-  // One streaming pass builds the bin cuts; the sketch state is a pure
-  // function of the row-ordered stream, so it equals the paged fit's
-  // page-by-page sketch bit for bit.
+void MvgClassifier::FitChunks(const std::function<const Dataset*()>& next,
+                              const std::function<void()>& rewind) {
+  const size_t threads = ResolvedThreads();
+  const bool binned = UseSketchBinned();
+  fe_seconds_ = 0.0;
+  // Extraction is per-series (one row depends only on its own series),
+  // so chunk-wise rows padded to the global width equal the rows of one
+  // ExtractAll over the whole dataset, whatever the chunking.
+  const auto extract = [&](const Dataset& chunk) {
+    WallTimer fe_timer;
+    Matrix rows = extractor_.ExtractAll(chunk, threads);
+    fe_seconds_ += fe_timer.Seconds();
+    return rows;
+  };
+
+  // Pass A: extract each chunk once. The tree families fold every row
+  // into the quantile sketches, whose state is a pure function of the
+  // row-ordered stream and so independent of the chunking. Rows are kept
+  // for the matrix families, and for the tree families only while there
+  // is one chunk: a second chunk drops them before it is extracted, so
+  // multi-chunk memory stays O(chunk).
   CutSketcher sketcher(FeatureTable::kMaxBins);
-  sketcher.AddRows(x, threads);
-  const CutSketcher::FeatureCuts fc = sketcher.Finish();
+  Matrix x;
+  std::vector<int> y;
+  size_t max_len = 0;
+  size_t chunks = 0;
+  for (const Dataset* chunk = next(); chunk != nullptr; chunk = next()) {
+    if (++chunks > 1 && binned) Matrix().swap(x);
+    Matrix rows = extract(*chunk);
+    max_len = std::max(max_len, chunk->MaxLength());
+    y.insert(y.end(), chunk->labels().begin(), chunk->labels().end());
+    if (binned) sketcher.AddRows(rows, threads);
+    if (!binned || chunks == 1) {
+      x.insert(x.end(), std::make_move_iterator(rows.begin()),
+               std::make_move_iterator(rows.end()));
+    }
+  }
+  if (y.empty()) throw std::invalid_argument("MvgClassifier: empty train");
+  train_length_ = max_len;
+
+  if (!binned) {
+    size_t width = 0;
+    for (const auto& row : x) width = std::max(width, row.size());
+    for (auto& row : x) row.resize(width, 0.0);
+    FitOnExtracted(std::move(x), std::move(y));
+    return;
+  }
 
   // Oversampling duplicates whole rows, so it happens in index space and
   // the duplicates are copied bin-wise after the originals are binned.
-  const size_t n = x.size();
+  const CutSketcher::FeatureCuts fc = sketcher.Finish();
+  const size_t n = y.size();
   std::vector<size_t> os;
   if (config_.oversample) {
     os = OversampleIndices(y, config_.seed);
@@ -206,10 +255,31 @@ void MvgClassifier::FitSketchBinned(Matrix x, std::vector<int> y,
 
   FeatureTable ft;
   ft.InitFromCuts(fc.cuts, fc.cut_offset, os.size());
-  ParallelFor(n, threads,
-              [&](size_t r) { ft.BinRowInto(x[r].data(), x[r].size(), r); });
+  size_t next_row = 0;
+  const auto bin = [&](const Matrix& rows) {
+    const size_t base = next_row;
+    next_row += rows.size();
+    if (next_row > n) return;  // a grown source; rejected below
+    ParallelFor(rows.size(), threads, [&](size_t i) {
+      ft.BinRowInto(rows[i].data(), rows[i].size(), base + i);
+    });
+  };
+  if (chunks == 1) {
+    bin(x);
+    Matrix().swap(x);
+  } else {
+    // Pass B: re-extract chunk by chunk and bin each row straight into
+    // the column-major table; no row-major matrix of the whole dataset.
+    rewind();
+    for (const Dataset* chunk = next(); chunk != nullptr; chunk = next()) {
+      bin(extract(*chunk));
+    }
+  }
+  if (next_row != n) {
+    throw std::runtime_error(
+        "MvgClassifier: training source changed between passes");
+  }
   for (size_t i = n; i < os.size(); ++i) ft.CopyRow(os[i], i);
-
   TrainBinnedTail(&ft, fc, std::move(y_os));
 }
 
@@ -239,121 +309,13 @@ void MvgClassifier::TrainBinnedTail(FeatureTable* ft,
   train_seconds_ = train_timer.Seconds();
 }
 
-void MvgClassifier::FitPaged(PagedUcrReader* reader) {
-  if (reader == nullptr) {
-    throw std::invalid_argument("MvgClassifier::FitPaged: null reader");
-  }
-  const size_t threads = ResolvedThreads();
-
-  if (UseSketchBinned()) {
-    // Two-pass streaming fit. Pass A: extract page by page and fold every
-    // feature row into the quantile sketches (plus labels and lengths) —
-    // nothing row-major is retained. Pass B: re-read the file, re-extract
-    // and bin each row straight into the column-major table. Peak memory
-    // is O(page + sketches + table); the row-major double matrix never
-    // exists. The sketch state — and so the cuts, the table and the
-    // fitted model — is bit-identical to FitSketchBinned on the whole
-    // dataset, because the per-feature streams are identical.
-    WallTimer fe_timer;
-    CutSketcher sketcher(FeatureTable::kMaxBins);
-    std::vector<int> y;
-    size_t max_len = 0;
-    SeriesPage page;
-    while (reader->NextPage(&page)) {
-      Dataset chunk;
-      for (size_t i = 0; i < page.size(); ++i) {
-        max_len = std::max(max_len, page.series[i].size());
-        chunk.Add(std::move(page.series[i]), page.labels[i]);
-      }
-      const Matrix rows = extractor_.ExtractAll(chunk, threads);
-      sketcher.AddRows(rows, threads);
-      y.insert(y.end(), page.labels.begin(), page.labels.end());
-    }
-    if (y.empty()) {
-      throw std::invalid_argument("MvgClassifier: empty train");
-    }
-    const CutSketcher::FeatureCuts fc = sketcher.Finish();
-
-    const size_t n = y.size();
-    std::vector<size_t> os;
-    if (config_.oversample) {
-      os = OversampleIndices(y, config_.seed);
-    } else {
-      os.resize(n);
-      std::iota(os.begin(), os.end(), size_t{0});
-    }
-    std::vector<int> y_os;
-    y_os.reserve(os.size());
-    for (size_t i : os) y_os.push_back(y[i]);
-
-    FeatureTable ft;
-    ft.InitFromCuts(fc.cuts, fc.cut_offset, os.size());
-    reader->Reset();
-    size_t next_row = 0;
-    while (reader->NextPage(&page)) {
-      Dataset chunk;
-      for (size_t i = 0; i < page.size(); ++i) {
-        chunk.Add(std::move(page.series[i]), page.labels[i]);
-      }
-      const Matrix rows = extractor_.ExtractAll(chunk, threads);
-      const size_t base = next_row;
-      ParallelFor(rows.size(), threads, [&](size_t i) {
-        ft.BinRowInto(rows[i].data(), rows[i].size(), base + i);
-      });
-      next_row += rows.size();
-    }
-    if (next_row != n) {
-      throw std::runtime_error(
-          "MvgClassifier::FitPaged: file changed between passes");
-    }
-    for (size_t i = n; i < os.size(); ++i) ft.CopyRow(os[i], i);
-
-    train_length_ = max_len;
-    fe_seconds_ = fe_timer.Seconds();
-    TrainBinnedTail(&ft, fc, std::move(y_os));
-    return;
-  }
-
-  WallTimer fe_timer;
-  Matrix x;
-  std::vector<int> y;
-  size_t max_len = 0;
-  size_t max_width = 0;
-  SeriesPage page;
-  while (reader->NextPage(&page)) {
-    // Extraction is per-series (one row depends only on its own series),
-    // so extracting page by page and padding to the *global* max width at
-    // the end yields exactly the matrix ExtractAll builds in one shot —
-    // the foundation of the paged-vs-in-RAM bit-identity contract.
-    Dataset chunk;
-    for (size_t i = 0; i < page.size(); ++i) {
-      max_len = std::max(max_len, page.series[i].size());
-      chunk.Add(std::move(page.series[i]), page.labels[i]);
-    }
-    Matrix rows = extractor_.ExtractAll(chunk, threads);
-    for (auto& row : rows) {
-      max_width = std::max(max_width, row.size());
-      x.push_back(std::move(row));
-    }
-    y.insert(y.end(), page.labels.begin(), page.labels.end());
-  }
-  if (x.empty()) {
-    throw std::invalid_argument("MvgClassifier: empty train");
-  }
-  for (auto& row : x) row.resize(max_width, 0.0);
-  FitOnExtracted(std::move(x), std::move(y), max_len, fe_timer.Seconds());
-}
-
-void MvgClassifier::FitOnExtracted(Matrix x, std::vector<int> y,
-                                   size_t max_len, double fe_seconds) {
+void MvgClassifier::FitOnExtracted(Matrix x, std::vector<int> y) {
   // Distributed training serialises the grid/stacking/tree loops: every
   // candidate fit issues allreduce rounds, and all ranks must reach them
   // in the same order. (Feature extraction stays parallel — it is
-  // collective-free, see Fit/FitPaged.)
+  // collective-free, see FitChunks.)
   const size_t threads = config_.reducer != nullptr ? 1 : ResolvedThreads();
-  train_length_ = max_len;
-  feature_width_ = x.empty() ? 0 : x[0].size();
-  fe_seconds_ = fe_seconds;
+  feature_width_ = x[0].size();
 
   WallTimer train_timer;
   if (config_.oversample) {

@@ -2,6 +2,7 @@
 #define MVG_CORE_MVG_CLASSIFIER_H_
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -73,13 +74,16 @@ class MvgClassifier : public SeriesClassifier {
   MvgClassifier();
   explicit MvgClassifier(Config config);
 
+  /// Trains on `train` as one in-memory chunk (no copy of the series).
   void Fit(const Dataset& train) override;
   /// Out-of-core Fit: consumes a UCR file page by page, so peak raw-series
-  /// memory is O(page) instead of O(dataset) — extracted feature rows (a
-  /// few KiB per series) still accumulate, since training is batch. The
-  /// fitted model is bit-identical to Fit() on ReadUcrFile of the same
-  /// file: pages are processed in file order and padding/oversampling/
-  /// search see exactly the same feature matrix.
+  /// memory is O(page) instead of O(dataset). The tree families keep no
+  /// feature rows across pages: a multi-page file is read twice (sketch,
+  /// then re-extract and bin), so their memory stays O(page + table);
+  /// a file that fits in one page is extracted once, as in Fit(). SVM and
+  /// stacking keep every extracted row (a few KiB per series), since they
+  /// train on the feature matrix. The fitted model is bit-identical to
+  /// Fit() on ReadUcrFile of the same file for any page size.
   void FitPaged(PagedUcrReader* reader);
   int Predict(const Series& s) const override;
   /// Pooled variant: feature extraction routes every graph build through
@@ -105,8 +109,10 @@ class MvgClassifier : public SeriesClassifier {
   /// the lifetime contract and the full-verification variant.
   static MvgClassifier LoadBinaryView(const void* data, size_t size);
 
-  /// Wall-clock split of the last Fit() (Table 3's FE vs Clf columns);
-  /// zero on a loaded model.
+  /// Wall-clock split of the last Fit() or FitPaged() (Table 3's FE vs
+  /// Clf columns); zero on a loaded model. The FE time counts feature
+  /// extraction only, summed over both passes of a two-pass paged fit;
+  /// sketching, binning and oversampling count in neither.
   double feature_extraction_seconds() const { return fe_seconds_; }
   double training_seconds() const { return train_seconds_; }
 
@@ -143,31 +149,31 @@ class MvgClassifier : public SeriesClassifier {
       size_t num_threads) const;
   size_t ResolvedThreads() const;
 
-  /// Everything Fit() does after feature extraction for SVM and stacking
-  /// (oversample, scale, grid search, final fit) — the matrix tail of Fit
-  /// and FitPaged.
-  /// `x` rows must already be padded to a uniform width; `fe_seconds` is
-  /// the measured extraction time, `max_len` the longest training series.
-  void FitOnExtracted(Matrix x, std::vector<int> y, size_t max_len,
-                      double fe_seconds);
+  /// The one training body behind Fit() and FitPaged(). `next` returns
+  /// the next row-ordered chunk of the training set, or nullptr past the
+  /// last one (a chunk stays valid until the following call); `rewind`
+  /// restarts at the first chunk. Pass A extracts each chunk once. SVM and
+  /// stacking keep every row and go to FitOnExtracted. The tree families
+  /// sketch the rows, keep them only while there is one chunk, and bin
+  /// them; with several chunks they rewind and re-extract to bin. Then
+  /// TrainBinnedTail runs.
+  void FitChunks(const std::function<const Dataset*()>& next,
+                 const std::function<void()>& rewind);
+
+  /// The SVM and stacking tail (oversample, scale, grid search, final
+  /// fit). `x` rows must already be padded to a uniform width.
+  void FitOnExtracted(Matrix x, std::vector<int> y);
 
   /// True when training runs on the streaming sketch-binned path: the
   /// tree families. SVM and stacking consume raw feature values and train
   /// on the matrix (FitOnExtracted).
   bool UseSketchBinned() const;
 
-  /// Sketch-binned tail of the in-RAM Fit(): one sketch pass over the
-  /// already-extracted matrix, then TrainBinnedTail. Produces exactly the
-  /// sketch state (and therefore model) of the paged two-pass fit.
-  void FitSketchBinned(Matrix x, std::vector<int> y, size_t max_len,
-                       double fe_seconds);
-
-  /// Shared back half of the sketch-binned fits: `ft` holds every
-  /// training row (oversample duplicates included) binned against the
-  /// sketch cuts `fc`, `y_os` the matching labels. Fits the scaler from
-  /// the sketches' exact bounds, grid-searches via GridSearchBinned and
-  /// refits the winner with Classifier::FitBinned — no double feature
-  /// matrix anywhere.
+  /// The tree-family tail: `ft` holds every training row (oversample
+  /// duplicates included) binned against the sketch cuts `fc`, `y_os`
+  /// the matching labels. Fits the scaler from the sketches' exact
+  /// bounds, grid-searches via GridSearchBinned and refits the winner
+  /// with Classifier::FitBinned — no double feature matrix anywhere.
   void TrainBinnedTail(FeatureTable* ft, const CutSketcher::FeatureCuts& fc,
                        std::vector<int> y_os);
 

@@ -1,14 +1,19 @@
-// End-to-end contracts of the streaming sketch-binned training path:
-// FitPaged models are byte-identical to the in-RAM Fit for every page
-// size, thread budget and (reducer) worker count; the sketch-binned
+// End-to-end contracts of the shared chunked training body: FitPaged
+// models are byte-identical to the in-RAM Fit for every family, page
+// size, thread budget and (reducer) worker count; only a multi-page
+// tree-family fit extracts a series twice, and rejects a source that
+// changes between its two passes; the sketch-binned
 // pipeline stays within 1% accuracy of a matrix-path fit with exact
 // sorted cuts; and a dataset fitting in one page never spawns a
 // read-ahead thread.
 
 #include <cmath>
+#include <filesystem>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +23,7 @@
 #include "ml/gradient_boosting.h"
 #include "ml/histogram_reducer.h"
 #include "ml/preprocessing.h"
+#include "obs/obs.h"
 #include "serve/model_io.h"
 #include "tests/test_util.h"
 #include "ts/paged_ucr_reader.h"
@@ -56,25 +62,34 @@ std::string ModelBytes(const MvgClassifier& clf) {
   return os.str();
 }
 
-TEST(StreamingFitTest, PagedBitIdenticalToInRamAcrossPageSizesAndThreads) {
-  const std::string path = WriteStreamCorpus("stream_pages", 150);
+/// Fits `model` in RAM and paged, with pages below, equal to and above
+/// the 150-row count: the tree families train through both the two-pass
+/// and the one-chunk route, SVM and stacking through the kept-rows route.
+/// Every page size runs at one and at three threads, so each route is
+/// compared at a thread budget other than the reference's; neither may
+/// move a bit.
+void ExpectPagedBitIdenticalToInRam(MvgModel model) {
+  const std::string name = std::to_string(static_cast<int>(model));
+  SCOPED_TRACE("model=" + name);
+  const size_t rows = 150;
+  // One file per model: ctest may run the two callers concurrently.
+  const std::string path = WriteStreamCorpus("stream_pages_" + name, rows);
   const Dataset train = ReadUcrFile(path);
 
   MvgClassifier::Config config;
-  config.model = MvgModel::kXgboost;
+  config.model = model;
   config.grid = GridPreset::kNone;
   MvgClassifier in_ram(config);
   in_ram.Fit(train);
   const std::string want = ModelBytes(in_ram);
 
-  // A different thread budget must not move a bit either.
   MvgClassifier::Config threaded = config;
   threaded.num_threads = 3;
   MvgClassifier in_ram_mt(threaded);
   in_ram_mt.Fit(train);
   EXPECT_EQ(ModelBytes(in_ram_mt), want) << "num_threads=3";
 
-  for (size_t page_rows : {size_t{64}, size_t{128}, size_t{1024}}) {
+  for (size_t page_rows : {size_t{64}, size_t{128}, rows, size_t{1024}}) {
     for (size_t threads : {size_t{1}, size_t{3}}) {
       PagedUcrReader::Options opt;
       opt.page_rows = page_rows;
@@ -89,6 +104,105 @@ TEST(StreamingFitTest, PagedBitIdenticalToInRamAcrossPageSizesAndThreads) {
           << "page_rows=" << page_rows << " threads=" << threads;
     }
   }
+}
+
+TEST(StreamingFitTest, PagedBitIdenticalToInRamAcrossPageSizesAndThreads) {
+  for (MvgModel model :
+       {MvgModel::kXgboost, MvgModel::kRandomForest, MvgModel::kSvm}) {
+    ExpectPagedBitIdenticalToInRam(model);
+  }
+}
+
+// Stacking is the slowest family to fit, so it gets its own test (and
+// its own test timeout).
+TEST(StreamingFitTest, PagedStackingBitIdenticalToInRam) {
+  ExpectPagedBitIdenticalToInRam(MvgModel::kStacking);
+}
+
+TEST(StreamingFitTest, OnlyMultiPageTreeFitsExtractTwice) {
+  // Extraction opens one span per series. One chunk (Fit, or a file that
+  // fits in one page) is extracted once for every family; a multi-page
+  // file is extracted twice by the tree families (sketch pass, then bin
+  // pass) and once by SVM and stacking, which keep their rows.
+  if (!obs::kCompiledIn) GTEST_SKIP() << "built with MVG_OBS_OFF";
+  struct ObsOn {
+    bool was = obs::Enabled();
+    ObsOn() { obs::SetEnabled(true); }
+    ~ObsOn() { obs::SetEnabled(was); }
+  } obs_on;
+  const size_t n = 40;
+  const std::string path = WriteStreamCorpus("stream_extract_count", n);
+  const Dataset train = ReadUcrFile(path);
+  const obs::Histogram& spans =
+      *obs::PipelineMetrics::Get().feature_extract_seconds;
+
+  for (MvgModel model : {MvgModel::kXgboost, MvgModel::kRandomForest,
+                         MvgModel::kSvm, MvgModel::kStacking}) {
+    SCOPED_TRACE("model=" + std::to_string(static_cast<int>(model)));
+    MvgClassifier::Config config;
+    config.model = model;
+    config.grid = GridPreset::kNone;
+    uint64_t before = spans.Count();
+    MvgClassifier(config).Fit(train);
+    EXPECT_EQ(spans.Count() - before, n) << "Fit";
+
+    const bool tree =
+        model == MvgModel::kXgboost || model == MvgModel::kRandomForest;
+    for (size_t page_rows : {size_t{1024}, size_t{16}}) {
+      PagedUcrReader::Options opt;
+      opt.page_rows = page_rows;
+      PagedUcrReader reader(path, opt);
+      before = spans.Count();
+      MvgClassifier(config).FitPaged(&reader);
+      const size_t want = page_rows >= n || !tree ? n : 2 * n;
+      EXPECT_EQ(spans.Count() - before, want) << "page_rows=" << page_rows;
+    }
+  }
+}
+
+TEST(StreamingFitTest, TwoPassFitRejectsASourceThatChangesBetweenPasses) {
+  // A multi-page tree fit reads its source twice. When the second pass
+  // sees a different row count the fit must throw, and a longer second
+  // pass must not bin past the table's rows.
+  MvgClassifier::Config config;
+  config.model = MvgModel::kXgboost;
+  config.grid = GridPreset::kNone;
+  config.oversample = false;  // the table has exactly pass A's rows
+  const auto expect_changed = [&](PagedUcrReader* reader) {
+    try {
+      MvgClassifier(config).FitPaged(reader);
+      ADD_FAILURE() << "FitPaged accepted a changed source";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("changed between passes"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  PagedUcrReader::Options opt;
+  opt.read_ahead = false;
+  SeriesPage skipped;
+
+  // Grown: pass A starts where the reader stands and pass B rewinds to
+  // the start of the file, so a reader advanced by one page sees the
+  // file grow. Pass A's 64 rows fill the table's padded columns exactly;
+  // pass B's 96 would run past the last one.
+  opt.page_rows = 32;
+  const std::string grown = WriteStreamCorpus("stream_grown", 96);
+  PagedUcrReader grown_reader(grown, opt);
+  ASSERT_TRUE(grown_reader.NextPage(&skipped));
+  expect_changed(&grown_reader);
+
+  // Shrunk: the file is rewritten in place after the first page is read.
+  // The small file already sits whole in the stream's buffer, so pass A
+  // still sees the old rows and only pass B's rewind reads the new ones.
+  opt.page_rows = 2;
+  const std::string shrunk = WriteStreamCorpus("stream_shrunk", 6);
+  ASSERT_LT(std::filesystem::file_size(shrunk), 4096u)
+      << "the first read must buffer the whole file";
+  PagedUcrReader shrunk_reader(shrunk, opt);
+  ASSERT_TRUE(shrunk_reader.NextPage(&skipped));
+  WriteStreamCorpus("stream_shrunk", 3);  // same path, rewritten
+  expect_changed(&shrunk_reader);
 }
 
 TEST(StreamingFitTest, PagedBitIdenticalForRandomForestWithGrid) {
