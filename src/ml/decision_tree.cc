@@ -11,6 +11,7 @@
 
 #include "ml/hist_kernels.h"
 #include "ml/histogram_reducer.h"
+#include "ml/tree_walk.h"
 #include "obs/obs.h"
 #include "util/binary_io.h"
 #include "util/random.h"
@@ -505,13 +506,12 @@ std::vector<double> DecisionTreeClassifier::PredictProba(
   if (node_count() == 0) {
     return std::vector<double>(num_classes_internal_, 0.0);
   }
-  int32_t cur = 0;
-  while (nodes[cur].feature >= 0) {
-    const Node& node = nodes[cur];
-    cur = x[static_cast<size_t>(node.feature)] <= node.threshold ? node.left
-                                                                 : node.right;
-  }
-  const double* proba = proba_data() + nodes[cur].proba_begin;
+  const double* proba = nullptr;
+  WalkTrees(
+      1, [nodes](size_t) { return nodes; }, GoRightOnValue{x.data()},
+      [&](size_t, const Node& leaf) {
+        proba = proba_data() + leaf.proba_begin;
+      });
   return std::vector<double>(proba, proba + num_classes_internal_);
 }
 
@@ -627,8 +627,14 @@ void DecisionTreeClassifier::LoadBinary(BinaryReader* r) {
 
   if (r->format_version() == 2) {
     // v2 body: per-node records with inline leaf distributions; converted
-    // into the flat storage on load.
+    // into the flat storage on load. The smallest record is i32 feature,
+    // f64 threshold, i32 left, i32 right, an empty distribution's u64
+    // length and the u64 depth.
+    constexpr size_t kV2MinNodeBytes = 4 + 8 + 4 + 4 + 8 + 8;
     const size_t count = r->ReadSize();
+    if (count > r->remaining() / kV2MinNodeBytes) {
+      throw SerializationError("DecisionTree: node array exceeds section");
+    }
     nodes_.reserve(count);
     for (size_t i = 0; i < count; ++i) {
       Node node;
@@ -681,9 +687,14 @@ void DecisionTreeClassifier::LoadBinary(BinaryReader* r) {
     nodes_.resize(count);
     leaf_proba_.resize(proba_total);
     if (HostIsLittleEndian()) {
-      std::memcpy(nodes_.data(), node_bytes, count * sizeof(Node));
-      std::memcpy(leaf_proba_.data(), proba_bytes,
-                  proba_total * sizeof(double));
+      // Empty arrays have no data() to copy into (memcpy needs non-null).
+      if (count > 0) {
+        std::memcpy(nodes_.data(), node_bytes, count * sizeof(Node));
+      }
+      if (proba_total > 0) {
+        std::memcpy(leaf_proba_.data(), proba_bytes,
+                    proba_total * sizeof(double));
+      }
     } else {
       BinaryReader nr(node_bytes, count * sizeof(Node));
       for (size_t i = 0; i < count; ++i) {

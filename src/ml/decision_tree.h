@@ -89,6 +89,10 @@ class DecisionTreeClassifier : public Classifier {
 
   const Params& params() const { return params_; }
 
+  /// Entries per leaf distribution (the class count the tree was fitted
+  /// with; a forest's trees use the forest's).
+  size_t leaf_width() const { return num_classes_internal_; }
+
   /// Node/leaf-distribution storage, owned (nodes_/leaf_proba_) or a
   /// zero-copy view into an externally-owned buffer (v3 mmap load; the
   /// buffer must outlive the tree — the serving session keeps the mapping

@@ -8,6 +8,7 @@
 
 #include "ml/hist_kernels.h"
 #include "ml/histogram_reducer.h"
+#include "ml/tree_walk.h"
 #include "obs/obs.h"
 #include "util/binary_io.h"
 #include "util/parallel.h"
@@ -411,12 +412,9 @@ void GradientBoostingClassifier::FitTable(
       for (size_t f = 0; f < d; ++f) feature_gain_[f] += out_gains[out][f];
     }
 
-    for (size_t out = 0; out < num_outputs; ++out) {
-      UpdateLogitsWithTreeBinned(round_trees[out].data(),
-                                 round_bins[out].data(), ft, rows_global,
-                                 params_.learning_rate, out, &logits,
-                                 params_.num_threads);
-    }
+    UpdateLogitsWithRoundBinned(round_trees, round_bins, ft, rows_global,
+                                params_.learning_rate, &logits,
+                                params_.num_threads);
     for (const Tree& tree : round_trees) AppendTree(tree);
     ++num_rounds_;
   }
@@ -427,43 +425,31 @@ void GradientBoostingClassifier::AppendTree(const Tree& tree) {
   tree_offsets_.push_back(nodes_.size());
 }
 
-void GradientBoostingClassifier::UpdateLogitsWithTreeBinned(
-    const TreeNode* nodes, const uint16_t* node_bins, const FeatureTable& ft,
-    const std::vector<size_t>& rows_global, double lr, size_t out,
+void GradientBoostingClassifier::UpdateLogitsWithRoundBinned(
+    const std::vector<std::vector<TreeNode>>& trees,
+    const std::vector<std::vector<uint16_t>>& node_bins,
+    const FeatureTable& ft, const std::vector<size_t>& rows_global, double lr,
     Matrix* logits, size_t num_threads) {
   // The bin comparison routes every row exactly as the threshold would
   // (bin(f, r) <= b  <=>  value <= threshold(f, b) by the FeatureTable
   // binning contract), so this update agrees bit for bit with a descent
-  // over the materialised features. Plain per-row descent: a four-row
-  // lockstep variant was benchmarked and lost above ~4k rows (the descent
-  // is bound by the row-data loads, which out-of-order execution already
-  // overlaps across loop iterations).
+  // over the materialised features.
   ParallelFor(
       rows_global.size(), num_threads,
       [&](size_t i) {
         const size_t r = rows_global[i];
-        int32_t cur = 0;
-        while (nodes[cur].feature >= 0) {
-          const TreeNode& nd = nodes[cur];
-          cur = ft.bin(static_cast<size_t>(nd.feature), r) <=
-                        static_cast<uint8_t>(node_bins[cur])
-                    ? nd.left
-                    : nd.right;
-        }
-        (*logits)[i][out] += lr * nodes[cur].weight;
+        double* lg = (*logits)[i].data();
+        WalkTrees(
+            trees.size(), [&](size_t out) { return trees[out].data(); },
+            [&](size_t out, size_t f, const TreeNode&, int32_t node) {
+              return !(ft.bin(f, r) <=
+                       static_cast<uint8_t>(node_bins[out][node]));
+            },
+            [&](size_t out, const TreeNode& leaf) {
+              lg[out] += lr * leaf.weight;
+            });
       },
       /*grain=*/512);
-}
-
-double GradientBoostingClassifier::PredictTreeAt(const TreeNode* nodes,
-                                                 const std::vector<double>& x) {
-  int32_t cur = 0;
-  while (nodes[cur].feature >= 0) {
-    const TreeNode& node = nodes[cur];
-    cur = x[static_cast<size_t>(node.feature)] <= node.threshold ? node.left
-                                                                 : node.right;
-  }
-  return nodes[cur].weight;
 }
 
 std::vector<double> GradientBoostingClassifier::PredictProba(
@@ -471,11 +457,19 @@ std::vector<double> GradientBoostingClassifier::PredictProba(
   const size_t k = encoder_.num_classes();
   const bool binary = k == 2;
   std::vector<double> logits(base_score_);
-  for (size_t rd = 0; rd < num_rounds_; ++rd) {
-    for (size_t out = 0; out < trees_per_round_; ++out) {
-      logits[out] += params_.learning_rate * PredictTreeAt(tree_at(rd, out), x);
-    }
-  }
+  // Trees in flat round-major order; tree t feeds output t % trees/round,
+  // and the walker visits them in that order, so every logit sums its
+  // trees exactly as a round-by-round loop does.
+  const TreeNode* nodes = node_data();
+  size_t out = 0;
+  WalkTrees(
+      num_rounds_ * trees_per_round_,
+      [&](size_t t) { return nodes + tree_offsets_[t]; },
+      GoRightOnValue{x.data()},
+      [&](size_t, const TreeNode& leaf) {
+        logits[out] += params_.learning_rate * leaf.weight;
+        if (++out == trees_per_round_) out = 0;
+      });
   if (binary) {
     const double p1 = Sigmoid(logits[0]);
     return {1.0 - p1, p1};
@@ -613,7 +607,9 @@ void GradientBoostingClassifier::LoadBinary(BinaryReader* r) {
 
   if (r->format_version() == 2) {
     // v2 body: nested round/tree/node records, converted into the flat
-    // storage on load.
+    // storage on load. A node record is i32 feature, f64 threshold, f64
+    // weight, i32 left, i32 right.
+    constexpr size_t kV2NodeBytes = 4 + 8 + 8 + 4 + 4;
     const size_t rounds = r->ReadSize();
     for (size_t rd = 0; rd < rounds; ++rd) {
       const size_t per_round = r->ReadSize();
@@ -624,6 +620,9 @@ void GradientBoostingClassifier::LoadBinary(BinaryReader* r) {
       }
       for (size_t t = 0; t < per_round; ++t) {
         const size_t count = r->ReadSize();
+        if (count > r->remaining() / kV2NodeBytes) {
+          throw SerializationError("GradientBoosting: tree exceeds section");
+        }
         Tree tree;
         tree.reserve(count);
         for (size_t n = 0; n < count; ++n) {
@@ -653,15 +652,24 @@ void GradientBoostingClassifier::LoadBinary(BinaryReader* r) {
         "GradientBoosting: round with " + std::to_string(trees_per_round_) +
         " trees, expected " + std::to_string(base_score_.size()));
   }
-  if (num_rounds_ > 0 &&
-      trees_per_round_ > r->remaining() / (8 * num_rounds_)) {
+  // 8 bytes per index entry; divided step by step so no product of
+  // file-supplied counts can wrap.
+  if (trees_per_round_ > 0 &&
+      num_rounds_ > r->remaining() / 8 / trees_per_round_) {
     throw SerializationError("GradientBoosting: tree index exceeds section");
   }
   const size_t num_trees = num_rounds_ * trees_per_round_;
   tree_offsets_.assign(1, 0);
   tree_offsets_.reserve(num_trees + 1);
   for (size_t idx = 0; idx < num_trees; ++idx) {
-    tree_offsets_.push_back(tree_offsets_.back() + r->ReadU64());
+    // Every tree has a node, and the running sum never passes `total`, so
+    // it cannot wrap either.
+    const uint64_t count = r->ReadU64();
+    if (count == 0 || count > total - tree_offsets_.back()) {
+      throw SerializationError(
+          "GradientBoosting: tree index inconsistent with node count");
+    }
+    tree_offsets_.push_back(tree_offsets_.back() + count);
   }
   if (tree_offsets_.back() != total) {
     throw SerializationError(
@@ -680,7 +688,9 @@ void GradientBoostingClassifier::LoadBinary(BinaryReader* r) {
   } else {
     nodes_.resize(total);
     if (HostIsLittleEndian()) {
-      std::memcpy(nodes_.data(), node_bytes, total * sizeof(TreeNode));
+      if (total > 0) {  // an empty vector's data() may be null.
+        std::memcpy(nodes_.data(), node_bytes, total * sizeof(TreeNode));
+      }
     } else {
       BinaryReader nr(node_bytes, total * sizeof(TreeNode));
       for (size_t i = 0; i < total; ++i) {

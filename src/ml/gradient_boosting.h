@@ -39,7 +39,9 @@ class HistogramReducer;
 /// thread reuse them instead of allocating and zeroing their own.
 /// Within a boosting round the per-class trees are fitted in parallel
 /// (`num_threads`); per-tree column draws are pre-assigned so results are
-/// identical for every thread count.
+/// identical for every thread count. Prediction and the per-round logit
+/// update walk the trees with WalkTrees (ml/tree_walk.h), a group of
+/// consecutive trees in lockstep, adding leaf weights in tree order.
 class GradientBoostingClassifier : public Classifier {
  public:
   struct Params {
@@ -111,6 +113,20 @@ class GradientBoostingClassifier : public Classifier {
 
   const Params& params() const { return params_; }
 
+  /// The per-round boosting update: logits[i][out] += lr * trees[out](row
+  /// i) for every output of the round. Rows descend on bin ids
+  /// (ft.bin(f, r) <= node_bins[out][node], exactly the partition the
+  /// builder applied), so no double features are needed during training;
+  /// the round's trees walk in lockstep (ml/tree_walk.h). Each row is
+  /// independent and each output gets one add per round, so the result
+  /// is bit-identical for every thread count and to a tree-by-tree loop.
+  /// Public so tests can pin it against the scalar descent.
+  static void UpdateLogitsWithRoundBinned(
+      const std::vector<std::vector<TreeNode>>& trees,
+      const std::vector<std::vector<uint16_t>>& node_bins,
+      const FeatureTable& ft, const std::vector<size_t>& rows_global,
+      double lr, Matrix* logits, size_t num_threads);
+
  private:
   using Tree = std::vector<TreeNode>;
 
@@ -122,22 +138,6 @@ class GradientBoostingClassifier : public Classifier {
   /// distributed row ownership arithmetic operate on table ids unchanged.
   void FitTable(const FeatureTable& ft, const std::vector<size_t>& rows_global,
                 const std::vector<size_t>& encoded);
-
-  /// The per-round boosting update: logits[i][out] += lr * tree(row i),
-  /// descending on bin ids (ft.bin(f, r) <= node_bins[node], exactly the
-  /// partition the builder applied) so no double features are needed
-  /// during training. Each row is an independent descent, so the result
-  /// is bit-identical for every thread count.
-  static void UpdateLogitsWithTreeBinned(const TreeNode* nodes,
-                                         const uint16_t* node_bins,
-                                         const FeatureTable& ft,
-                                         const std::vector<size_t>& rows_global,
-                                         double lr, size_t out, Matrix* logits,
-                                         size_t num_threads);
-
-  /// Walks one tree inside the flat node storage.
-  static double PredictTreeAt(const TreeNode* nodes,
-                              const std::vector<double>& x);
 
   /// Appends `tree` to the flat storage and records its offset.
   void AppendTree(const Tree& tree);
@@ -151,9 +151,6 @@ class GradientBoostingClassifier : public Classifier {
   }
   size_t node_count() const {
     return nodes_view_ != nullptr ? nodes_view_count_ : nodes_.size();
-  }
-  const TreeNode* tree_at(size_t rd, size_t t) const {
-    return node_data() + tree_offsets_[rd * trees_per_round_ + t];
   }
 
   void ResetStorage() {

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "ml/histogram_reducer.h"
+#include "ml/tree_walk.h"
 #include "util/binary_io.h"
 #include "util/parallel.h"
 #include "util/random.h"
@@ -92,10 +93,16 @@ std::vector<double> RandomForestClassifier::PredictProba(
     const std::vector<double>& x) const {
   std::vector<double> acc(encoder_.num_classes(), 0.0);
   if (trees_.empty()) return acc;
-  for (const auto& tree : trees_) {
-    const std::vector<double> p = tree.PredictProba(x);
-    for (size_t c = 0; c < acc.size(); ++c) acc[c] += p[c];
-  }
+  // The trees walk in lockstep and their leaves arrive in tree order, so
+  // each class sums the trees' distributions in the same order as a
+  // tree-by-tree loop.
+  WalkTrees(
+      trees_.size(), [this](size_t t) { return trees_[t].node_data(); },
+      GoRightOnValue{x.data()},
+      [&](size_t t, const DecisionTreeClassifier::Node& leaf) {
+        const double* p = trees_[t].proba_data() + leaf.proba_begin;
+        for (size_t c = 0; c < acc.size(); ++c) acc[c] += p[c];
+      });
   for (double& v : acc) v /= static_cast<double>(trees_.size());
   return acc;
 }
@@ -134,8 +141,25 @@ void RandomForestClassifier::LoadBinary(BinaryReader* r) {
   params_.max_bins = r->ReadSize();
   LoadEncoder(r);
   const size_t count = r->ReadSize();
+  // Each tree body opens with four u64 hyper-parameters.
+  if (count > r->remaining() / 32) {
+    throw SerializationError("RandomForest: tree count exceeds section");
+  }
   trees_.assign(count, DecisionTreeClassifier());
-  for (DecisionTreeClassifier& tree : trees_) tree.LoadBinary(r);
+  for (DecisionTreeClassifier& tree : trees_) {
+    tree.LoadBinary(r);
+    // PredictProba walks every tree from node 0 and reads a full
+    // forest-width distribution at its leaf.
+    if (tree.node_count() == 0) {
+      throw SerializationError("RandomForest: tree without nodes");
+    }
+    if (tree.leaf_width() != encoder_.num_classes()) {
+      throw SerializationError(
+          "RandomForest: tree distribution width " +
+          std::to_string(tree.leaf_width()) + " != num_classes " +
+          std::to_string(encoder_.num_classes()));
+    }
+  }
 }
 
 }  // namespace mvg
