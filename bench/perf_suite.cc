@@ -866,8 +866,8 @@ int main(int argc, char** argv) {
   }
 
   // --- Serving runtime: persistence parity, latency, allocations ---
-  // Gated metrics (serve_predict_match, serve_pooled_build_alloc_free) are
-  // exact by construction, so they hold in --quick mode too; the latency
+  // Gated metrics (serve_predict_match, serve_pooled_build_alloc_free,
+  // serve_predict_alloc_free) are exact by construction, so they hold in --quick mode too; the latency
   // rows are informational raw timings like every other row.
   std::printf("Serving:\n");
   {
@@ -961,17 +961,17 @@ int main(int argc, char** argv) {
         g_alloc_count.load(std::memory_order_relaxed) - before;
     metrics["serve_pooled_build_alloc_free"] = allocs == 0 ? 1.0 : 0.0;
 
-    // Informational: end-to-end allocations per pooled single prediction
-    // (feature staging and the model's proba vectors still allocate; the
-    // graph-construction and motif-counting shares are zero).
+    // Zero-allocation gate on the whole warm single prediction: the
+    // session's workspace pools the graph builds, the motif scratch and
+    // ranked CSR the statistics read, the feature row and the model's
+    // probability vector, so nothing on the path allocates.
     for (int warm = 0; warm < 4; ++warm) session.Predict(batch[0]);
     const uint64_t predict_before =
         g_alloc_count.load(std::memory_order_relaxed);
-    const size_t predict_iters = 32;
-    for (size_t i = 0; i < predict_iters; ++i) session.Predict(batch[0]);
-    metrics["serve_allocs_per_predict"] = static_cast<double>(
-        (g_alloc_count.load(std::memory_order_relaxed) - predict_before)) /
-        static_cast<double>(predict_iters);
+    for (int iter = 0; iter < 32; ++iter) session.Predict(batch[0]);
+    metrics["serve_predict_alloc_free"] =
+        g_alloc_count.load(std::memory_order_relaxed) == predict_before ? 1.0
+                                                                        : 0.0;
   }
 
   // --- serving_async: executor dispatch + micro-batching front end ---

@@ -51,6 +51,10 @@ void SanitizeNonFiniteInto(const Series& s, Series* out) {
   const double scale = amax > kSafeMagnitude ? kSafeMagnitude / amax : 1.0;
   out->assign(s.begin(), s.end());
   if (!has_nonfinite && scale == 1.0) return;
+  if (has_nonfinite) {
+    obs::Count(obs::PipelineMetrics::Get().extract_nonfinite_samples,
+               s.size() - scan.finite);
+  }
   lo *= scale;
   hi *= scale;
   // Mean of the *scaled* finite values: |v * scale| <= kSafeMagnitude, so
@@ -186,9 +190,9 @@ size_t MvgFeatureExtractor::FeaturesPerGraph() const {
     case FeatureMode::kMpdsOnly:
       return kNumMotifs;
     case FeatureMode::kAll:
-      return kNumMotifs + 6;
+      return kNumMotifs + kNumGraphStatistics;
     case FeatureMode::kExtended:
-      return kNumMotifs + 10;
+      return kNumMotifs + kNumGraphStatistics + 4;
   }
   return kNumMotifs;
 }
@@ -202,23 +206,16 @@ size_t MvgFeatureExtractor::SeriesFeaturesPerScale() const {
              : 0;
 }
 
-std::vector<double> MvgFeatureExtractor::GraphFeatures(
-    const Graph& g, MotifScratch* scratch) const {
-  const MotifCounts counts = CountMotifs(g, scratch);
-  const auto mpd = MotifProbabilityDistribution(counts);
-  std::vector<double> out(mpd.begin(), mpd.end());
-  if (config_.feature_mode != FeatureMode::kMpdsOnly) {
-    out.push_back(Density(g));
-    const DegreeStats ds = ComputeDegreeStats(g);
-    out.push_back(ds.min);
-    out.push_back(ds.mean);
-    out.push_back(ds.max);
-    out.push_back(static_cast<double>(MaxCore(g)));
-    out.push_back(DegreeAssortativity(g));
-  }
+void MvgFeatureExtractor::GraphFeatures(const Graph& g, MotifScratch* scratch,
+                                        double* out) const {
+  const auto mpd = MotifProbabilityDistribution(CountMotifs(g, scratch));
+  out = std::copy(mpd.begin(), mpd.end(), out);
+  if (config_.feature_mode == FeatureMode::kMpdsOnly) return;
+  WriteGraphStatistics(g, scratch->newman, scratch, out);
+  out += kNumGraphStatistics;
   if (config_.feature_mode == FeatureMode::kExtended) {
-    out.push_back(DegreeDistributionEntropy(g));
-    out.push_back(AverageClustering(g));
+    out[0] = DegreeDistributionEntropy(g);
+    out[1] = AverageClustering(g);
     const std::vector<double> bc =
         NormalizeBetweenness(BetweennessCentrality(g), g.num_vertices());
     double mean_bc = 0.0, max_bc = 0.0;
@@ -226,11 +223,9 @@ std::vector<double> MvgFeatureExtractor::GraphFeatures(
       mean_bc += c;
       max_bc = std::max(max_bc, c);
     }
-    out.push_back(bc.empty() ? 0.0
-                             : mean_bc / static_cast<double>(bc.size()));
-    out.push_back(max_bc);
+    out[2] = bc.empty() ? 0.0 : mean_bc / static_cast<double>(bc.size());
+    out[3] = max_bc;
   }
-  return out;
 }
 
 std::vector<double> MvgFeatureExtractor::Extract(const Series& s) const {
@@ -240,6 +235,13 @@ std::vector<double> MvgFeatureExtractor::Extract(const Series& s) const {
 
 std::vector<double> MvgFeatureExtractor::Extract(const Series& s,
                                                  VgWorkspace* ws) const {
+  std::vector<double> row;
+  ExtractInto(s, ws, &row);
+  return row;
+}
+
+void MvgFeatureExtractor::ExtractInto(const Series& s, VgWorkspace* ws,
+                                      std::vector<double>* row) const {
   if (s.empty()) throw std::invalid_argument("Extract: empty series");
   obs::ObsSpan span(obs::PipelineMetrics::Get().feature_extract_seconds);
   // Streaming front-end on the pooled scratch: sanitize into ts.base,
@@ -252,8 +254,17 @@ std::vector<double> MvgFeatureExtractor::Extract(const Series& s,
     ts_kernels::DetrendInPlace(ts.base.data(), ts.base.size());
   }
   ts_kernels::BuildScalesInto(config_.scale_mode, config_.tau, &ts);
-  std::vector<double> features;
+  // Reserved once to the layout width, so the per-graph resizes below
+  // never reallocate.
+  std::vector<double>& features = *row;
+  features.clear();
   features.reserve(LayoutForLength(s.size()).feature_width);
+  const size_t per_graph = FeaturesPerGraph();
+  const auto add_graph = [&](const Graph& g) {
+    const size_t at = features.size();
+    features.resize(at + per_graph);
+    GraphFeatures(g, &ws->motif, features.data() + at);
+  };
   const bool want_series_features = SeriesFeaturesPerScale() > 0;
   for (const Series* scale_ptr : ts.view) {
     const Series& scale = *scale_ptr;
@@ -266,8 +277,7 @@ std::vector<double> MvgFeatureExtractor::Extract(const Series& s,
     double in_entropy = 0.0, out_entropy = 0.0;
     if (config_.graph_mode != GraphMode::kHvgOnly) {
       const Graph& vg = BuildVisibilityGraph(scale, ws, config_.vg_algorithm);
-      const std::vector<double> f = GraphFeatures(vg, &ws->motif);
-      features.insert(features.end(), f.begin(), f.end());
+      add_graph(vg);
       if (want_series_features) {
         wstats = WeightedVisibilityGraph::FromGraph(vg, scale)
                      .ComputeWeightStats();
@@ -277,9 +287,7 @@ std::vector<double> MvgFeatureExtractor::Extract(const Series& s,
       }
     }
     if (config_.graph_mode != GraphMode::kVgOnly) {
-      const Graph& hvg = BuildHorizontalVisibilityGraph(scale, ws);
-      const std::vector<double> f = GraphFeatures(hvg, &ws->motif);
-      features.insert(features.end(), f.begin(), f.end());
+      add_graph(BuildHorizontalVisibilityGraph(scale, ws));
     }
     if (want_series_features) {
       features.push_back(wstats.mean);
@@ -292,7 +300,6 @@ std::vector<double> MvgFeatureExtractor::Extract(const Series& s,
       features.push_back(out_entropy);
     }
   }
-  return features;
 }
 
 Matrix MvgFeatureExtractor::ExtractAll(const Dataset& ds,
@@ -311,7 +318,8 @@ Matrix MvgFeatureExtractor::ExtractAll(const Dataset& ds,
   // and stay warm across the whole batch.
   std::vector<VgWorkspace> workspaces(MaxWorkers(ds.size(), num_threads));
   ParallelForWorker(ds.size(), num_threads, [&](size_t worker, size_t i) {
-    x[i] = Extract(ds.series(i), &workspaces[worker]);
+    x[i].reserve(width);
+    ExtractInto(ds.series(i), &workspaces[worker], &x[i]);
     x[i].resize(width, 0.0);
   });
   return x;

@@ -77,6 +77,14 @@ class MvgFeatureExtractor {
   /// construction path. Results are identical to Extract(s).
   std::vector<double> Extract(const Series& s, VgWorkspace* ws) const;
 
+  /// The one extraction body: replaces `*row` with the feature vector of
+  /// `s`, reusing its capacity. With a warm `ws` and a `row` that has
+  /// held a row of this length before, it allocates nothing (kMpdsOnly
+  /// and kAll; kExtended's betweenness and weighted-VG statistics still
+  /// allocate).
+  void ExtractInto(const Series& s, VgWorkspace* ws,
+                   std::vector<double>* row) const;
+
   /// Feature matrix for a whole dataset. Rows are padded with zeros to the
   /// widest vector so short series coexist with long ones. Extraction is
   /// embarrassingly parallel (paper §1); `num_threads > 1` fans the rows
@@ -89,13 +97,15 @@ class MvgFeatureExtractor {
   /// study).
   std::vector<std::string> FeatureNames(size_t series_length) const;
 
-  /// Features contributed by a single already-built graph: the 17-entry
-  /// MPD plus (in kAll/kExtended modes) density, min/mean/max degree, max
-  /// coreness, assortativity, and (kExtended) degree entropy, average
-  /// clustering and mean/max normalised betweenness. Motifs are counted
-  /// through `scratch` (Extract passes its workspace's pooled one).
-  std::vector<double> GraphFeatures(const Graph& g,
-                                    MotifScratch* scratch) const;
+  /// Writes the FeaturesPerGraph() features of a single already-built
+  /// graph to out[0, FeaturesPerGraph()): the 17-entry MPD plus (in
+  /// kAll/kExtended modes) density, min/mean/max degree, max coreness,
+  /// assortativity, and (kExtended) degree entropy, average clustering
+  /// and mean/max normalised betweenness. One CountMotifs pass through
+  /// `scratch` (Extract passes its workspace's pooled one) also yields
+  /// the ranked CSR and Newman sums the kAll statistics are read from.
+  void GraphFeatures(const Graph& g, MotifScratch* scratch,
+                     double* out) const;
 
   /// Number of features per graph under the current FeatureMode.
   size_t FeaturesPerGraph() const;

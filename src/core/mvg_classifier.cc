@@ -13,6 +13,7 @@
 #include "ml/random_forest.h"
 #include "ml/stacking.h"
 #include "ml/svm.h"
+#include "obs/obs.h"
 #include "ts/paged_ucr_reader.h"
 #include "util/parallel.h"
 #include "util/timer.h"
@@ -364,12 +365,20 @@ int MvgClassifier::Predict(const Series& s) const {
 
 int MvgClassifier::Predict(const Series& s, VgWorkspace* ws) const {
   if (!model_) throw std::runtime_error("MvgClassifier: not fitted");
-  std::vector<double> features = extractor_.Extract(s, ws);
-  features.resize(feature_width_, 0.0);
+  // The row and the probabilities live in the workspace, so a warm
+  // tree-family prediction allocates nothing.
+  std::vector<double>& features = ws->features;
+  extractor_.ExtractInto(s, ws, &features);
+  if (features.size() != feature_width_) {
+    const obs::PipelineMetrics& pm = obs::PipelineMetrics::Get();
+    obs::Count(features.size() < feature_width_ ? pm.predict_rows_padded
+                                                : pm.predict_rows_truncated);
+    features.resize(feature_width_, 0.0);
+  }
   const bool scale = config_.model == MvgModel::kSvm ||
                      config_.model == MvgModel::kStacking;
-  if (scale) features = scaler_.Transform(features);
-  return model_->Predict(features);
+  if (scale) return model_->Predict(scaler_.Transform(features), &ws->proba);
+  return model_->Predict(features, &ws->proba);
 }
 
 std::string MvgClassifier::Name() const {

@@ -53,114 +53,38 @@ DegreeStats ComputeDegreeStats(const Graph& g) {
 }
 
 std::vector<size_t> CoreNumbers(const Graph& g) {
-  // Batagelj & Zaversnik (2003): bucket sort vertices by degree, then
-  // repeatedly remove a minimum-degree vertex, decrementing neighbors.
-  const size_t n = g.num_vertices();
-  std::vector<size_t> degree(n), core(n, 0);
-  size_t max_degree = 0;
-  for (size_t v = 0; v < n; ++v) {
-    degree[v] = g.Degree(v);
-    max_degree = std::max(max_degree, degree[v]);
-  }
-  // bin[d] = start offset of vertices with degree d in `order`.
-  std::vector<size_t> bin(max_degree + 2, 0);
-  for (size_t v = 0; v < n; ++v) ++bin[degree[v]];
-  size_t start = 0;
-  for (size_t d = 0; d <= max_degree; ++d) {
-    const size_t count = bin[d];
-    bin[d] = start;
-    start += count;
-  }
-  std::vector<size_t> order(n), pos(n);
-  for (size_t v = 0; v < n; ++v) {
-    pos[v] = bin[degree[v]];
-    order[pos[v]] = v;
-    ++bin[degree[v]];
-  }
-  // Restore bin starts.
-  for (size_t d = max_degree; d >= 1; --d) bin[d] = bin[d - 1];
-  bin[0] = 0;
-
-  for (size_t i = 0; i < n; ++i) {
-    const size_t v = order[i];
-    core[v] = degree[v];
-    for (Graph::VertexId u : g.Neighbors(static_cast<Graph::VertexId>(v))) {
-      if (degree[u] > degree[v]) {
-        // Move u to the front of its bucket and decrement its degree.
-        const size_t du = degree[u];
-        const size_t pu = pos[u];
-        const size_t pw = bin[du];
-        const size_t w = order[pw];
-        if (u != w) {
-          std::swap(order[pu], order[pw]);
-          pos[u] = pw;
-          pos[w] = pu;
-        }
-        ++bin[du];
-        --degree[u];
-      }
-    }
-  }
+  RankedCsr csr;
+  BuildRankedCsr(g, &csr);
+  PeelCores(&csr);
+  std::vector<size_t> core(g.num_vertices());
+  for (size_t v = 0; v < core.size(); ++v) core[v] = csr.core[csr.rank[v]];
   return core;
 }
 
 size_t MaxCore(const Graph& g) {
-  const std::vector<size_t> core = CoreNumbers(g);
-  size_t mx = 0;
-  for (size_t c : core) mx = std::max(mx, c);
-  return mx;
+  RankedCsr csr;
+  BuildRankedCsr(g, &csr);
+  return PeelCores(&csr);
 }
 
 double DegreeAssortativity(const Graph& g) {
-  // Newman's formula over edges: r = (M^-1 S_jk - [M^-1 S_half]^2) /
-  //                                  (M^-1 S_sq  - [M^-1 S_half]^2)
-  // with S_jk = sum j*k, S_half = sum (j+k)/2, S_sq = sum (j^2+k^2)/2
-  // over all edges, j/k being endpoint degrees.
-  const size_t m = g.num_edges();
-  if (m == 0) return 0.0;
+  RankedCsr csr;
+  BuildRankedCsr(g, &csr);
+  return AssortativityFromSums(SumNewmanTerms(csr), g.num_edges());
+}
+
+void WriteGraphStatistics(const Graph& g, const NewmanSums& newman,
+                          RankedCsr* csr, double* out) {
   const size_t n = g.num_vertices();
-  // One pass materializes the degrees (the inner loop reads them per
-  // neighbor); the edge scan then accumulates the three Newman sums in
-  // 4-lane blocks. Every term is an integer or half-integer represented
-  // exactly in a double (degrees <= n < 2^26 for any graph that fits in
-  // memory), so the sums are exact and the lane split cannot change them.
-  std::vector<double> deg(n);
-  for (size_t v = 0; v < n; ++v) deg[v] = static_cast<double>(g.Degree(v));
-  simd::F64x4 v_jk = simd::F64x4::Zero();
-  simd::F64x4 v_sum = simd::F64x4::Zero();   // sum of dj + dk (halved below)
-  simd::F64x4 v_sq2 = simd::F64x4::Zero();   // sum of dj^2 + dk^2
-  double s_jk = 0.0, s_sum = 0.0, s_sq2 = 0.0;
-  for (Graph::VertexId u = 0; u < n; ++u) {
-    const Graph::NeighborSpan nb = g.Neighbors(u);
-    const double dj = deg[u];
-    // Neighbors are sorted: the v > u suffix starts after the first
-    // neighbor greater than u.
-    size_t i = FirstGreater(nb.data(), nb.size(), u);
-    const simd::F64x4 djv = simd::F64x4::Broadcast(dj);
-    const simd::F64x4 dj2v = simd::F64x4::Broadcast(dj * dj);
-    for (; i + 4 <= nb.size(); i += 4) {
-      const simd::F64x4 dk =
-          simd::F64x4::Set(deg[nb[i]], deg[nb[i + 1]], deg[nb[i + 2]],
-                           deg[nb[i + 3]]);
-      v_jk = v_jk + djv * dk;
-      v_sum = v_sum + (djv + dk);
-      v_sq2 = v_sq2 + (dj2v + dk * dk);
-    }
-    for (; i < nb.size(); ++i) {
-      const double dk = deg[nb[i]];
-      s_jk += dj * dk;
-      s_sum += dj + dk;
-      s_sq2 += dj * dj + dk * dk;
-    }
-  }
-  const double s_half = 0.5 * (s_sum + ReduceAddOrdered(v_sum));
-  s_jk += ReduceAddOrdered(v_jk);
-  const double s_sq = 0.5 * (s_sq2 + ReduceAddOrdered(v_sq2));
-  const double inv_m = 1.0 / static_cast<double>(m);
-  const double num = inv_m * s_jk - (inv_m * s_half) * (inv_m * s_half);
-  const double den = inv_m * s_sq - (inv_m * s_half) * (inv_m * s_half);
-  if (std::abs(den) < 1e-12) return 0.0;
-  return num / den;
+  const bool empty = csr->degree.empty();
+  out[0] = Density(g);
+  out[1] = empty ? 0.0 : static_cast<double>(csr->degree.front());
+  out[2] = empty ? 0.0
+                 : 2.0 * static_cast<double>(g.num_edges()) /
+                       static_cast<double>(n);
+  out[3] = empty ? 0.0 : static_cast<double>(csr->degree.back());
+  out[4] = static_cast<double>(PeelCores(csr));
+  out[5] = AssortativityFromSums(newman, g.num_edges());
 }
 
 bool IsConnected(const Graph& g) {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/ranked_csr.h"
 
 namespace mvg {
 
@@ -24,7 +25,8 @@ struct DegreeStats {
 DegreeStats ComputeDegreeStats(const Graph& g);
 
 /// Core number of every vertex via the Batagelj-Zaversnik O(m) bucket
-/// algorithm (paper ref. [5]).
+/// algorithm (paper ref. [5]): ranks `g` (BuildRankedCsr) and runs
+/// PeelCores, so at most kMaxRankedVertices vertices.
 std::vector<size_t> CoreNumbers(const Graph& g);
 
 /// Maximum core number (degeneracy) — the paper's K (Eq. 3).
@@ -32,9 +34,21 @@ size_t MaxCore(const Graph& g);
 
 /// Degree assortativity coefficient: Pearson correlation of the degrees at
 /// the two endpoints of each edge, computed with Newman's edge-sum formula
-/// (paper Eq. 4, ref. [33]). Returns 0 when degenerate (e.g. regular
-/// graphs, no edges).
+/// (paper Eq. 4, ref. [33]) over exact integer sums. Returns 0 when
+/// degenerate (e.g. regular graphs, no edges). Ranks `g` like CoreNumbers.
 double DegreeAssortativity(const Graph& g);
+
+/// Number of values WriteGraphStatistics writes.
+inline constexpr size_t kNumGraphStatistics = 6;
+
+/// The paper's six statistics of `g` in feature order: density, min,
+/// mean and max degree, max coreness and assortativity, written to
+/// out[0, kNumGraphStatistics). `csr` must hold the ranked CSR of `g` and
+/// `newman` its Newman sums, as CountMotifs(g, scratch) leaves them; the
+/// coreness peel reuses `csr`'s pooled arrays. Each value equals the
+/// standalone function's above, bit for bit.
+void WriteGraphStatistics(const Graph& g, const NewmanSums& newman,
+                          RankedCsr* csr, double* out);
 
 /// True when the graph is connected (VGs always are; used as an invariant
 /// check). The empty graph counts as connected.

@@ -30,8 +30,20 @@ std::vector<size_t> LabelEncoder::EncodeAll(const std::vector<int>& y) const {
   return out;
 }
 
+void Classifier::PredictProbaInto(const std::vector<double>& x,
+                                  std::vector<double>* proba) const {
+  *proba = PredictProba(x);
+}
+
 int Classifier::Predict(const std::vector<double>& x) const {
-  const std::vector<double> p = PredictProba(x);
+  std::vector<double> proba;
+  return Predict(x, &proba);
+}
+
+int Classifier::Predict(const std::vector<double>& x,
+                        std::vector<double>* proba) const {
+  PredictProbaInto(x, proba);
+  const std::vector<double>& p = *proba;
   size_t best = 0;
   for (size_t i = 1; i < p.size(); ++i) {
     if (p[i] > p[best]) best = i;

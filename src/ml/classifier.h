@@ -73,8 +73,17 @@ class Classifier {
   virtual std::vector<double> PredictProba(
       const std::vector<double>& x) const = 0;
 
-  /// Most probable original label.
-  virtual int Predict(const std::vector<double>& x) const;
+  /// Replaces `*proba` with PredictProba(x), reusing its capacity. The
+  /// tree families evaluate straight into it (their PredictProba wraps
+  /// this), so a call into a vector that has held their probabilities
+  /// before allocates nothing. The default copies PredictProba's result.
+  virtual void PredictProbaInto(const std::vector<double>& x,
+                                std::vector<double>* proba) const;
+
+  /// Most probable original label (the lowest class index on ties).
+  int Predict(const std::vector<double>& x) const;
+  /// Same label, with the probabilities staged in caller storage.
+  int Predict(const std::vector<double>& x, std::vector<double>* proba) const;
 
   /// Batch helpers.
   std::vector<int> PredictAll(const Matrix& x) const;

@@ -502,17 +502,25 @@ void DecisionTreeClassifier::FitBinned(const FeatureTable& ft,
 
 std::vector<double> DecisionTreeClassifier::PredictProba(
     const std::vector<double>& x) const {
+  std::vector<double> proba;
+  PredictProbaInto(x, &proba);
+  return proba;
+}
+
+void DecisionTreeClassifier::PredictProbaInto(
+    const std::vector<double>& x, std::vector<double>* proba) const {
   const Node* nodes = node_data();
   if (node_count() == 0) {
-    return std::vector<double>(num_classes_internal_, 0.0);
+    proba->assign(num_classes_internal_, 0.0);
+    return;
   }
-  const double* proba = nullptr;
+  const double* leaf_proba = nullptr;
   WalkTrees(
       1, [nodes](size_t) { return nodes; }, GoRightOnValue{x.data()},
       [&](size_t, const Node& leaf) {
-        proba = proba_data() + leaf.proba_begin;
+        leaf_proba = proba_data() + leaf.proba_begin;
       });
-  return std::vector<double>(proba, proba + num_classes_internal_);
+  proba->assign(leaf_proba, leaf_proba + num_classes_internal_);
 }
 
 std::unique_ptr<Classifier> DecisionTreeClassifier::Clone() const {

@@ -52,6 +52,8 @@ class DecisionTreeClassifier : public Classifier {
   void FitOnRows(const Matrix& x, const std::vector<int>& y,
                  const std::vector<size_t>& rows) override;
   std::vector<double> PredictProba(const std::vector<double>& x) const override;
+  void PredictProbaInto(const std::vector<double>& x,
+                        std::vector<double>* proba) const override;
   std::unique_ptr<Classifier> Clone() const override;
   std::string Name() const override;
   void SaveBinary(BinaryWriter* w) const override;

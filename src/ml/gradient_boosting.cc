@@ -19,7 +19,8 @@ namespace mvg {
 namespace {
 
 /// Numerically stable softmax, allocation-free (the fused gradient pass
-/// calls this once per row per round).
+/// calls this once per row per round). `p` may alias `logits`: each entry
+/// is read before it is written.
 void SoftmaxInto(const double* logits, size_t k, double* p) {
   double mx = logits[0];
   for (size_t i = 1; i < k; ++i) mx = std::max(mx, logits[i]);
@@ -29,12 +30,6 @@ void SoftmaxInto(const double* logits, size_t k, double* p) {
     sum += p[i];
   }
   for (size_t i = 0; i < k; ++i) p[i] /= sum;
-}
-
-std::vector<double> Softmax(const std::vector<double>& logits) {
-  std::vector<double> p(logits.size());
-  SoftmaxInto(logits.data(), logits.size(), p.data());
-  return p;
 }
 
 double Sigmoid(double z) { return 1.0 / (1.0 + std::exp(-z)); }
@@ -454,9 +449,20 @@ void GradientBoostingClassifier::UpdateLogitsWithRoundBinned(
 
 std::vector<double> GradientBoostingClassifier::PredictProba(
     const std::vector<double>& x) const {
+  std::vector<double> proba;
+  PredictProbaInto(x, &proba);
+  return proba;
+}
+
+void GradientBoostingClassifier::PredictProbaInto(
+    const std::vector<double>& x, std::vector<double>* proba) const {
   const size_t k = encoder_.num_classes();
   const bool binary = k == 2;
-  std::vector<double> logits(base_score_);
+  // The logits (one per output, so one when binary) accumulate in place
+  // in the probability vector and are then transformed in place.
+  proba->resize(k);
+  double* logits = proba->data();
+  std::copy(base_score_.begin(), base_score_.end(), logits);
   // Trees in flat round-major order; tree t feeds output t % trees/round,
   // and the walker visits them in that order, so every logit sums its
   // trees exactly as a round-by-round loop does.
@@ -472,9 +478,11 @@ std::vector<double> GradientBoostingClassifier::PredictProba(
       });
   if (binary) {
     const double p1 = Sigmoid(logits[0]);
-    return {1.0 - p1, p1};
+    logits[0] = 1.0 - p1;
+    logits[1] = p1;
+    return;
   }
-  return Softmax(logits);
+  SoftmaxInto(logits, k, logits);
 }
 
 std::unique_ptr<Classifier> GradientBoostingClassifier::Clone() const {

@@ -84,6 +84,8 @@ class GradientBoostingClassifier : public Classifier {
   void FitBinned(const FeatureTable& ft, const std::vector<int>& y,
                  const std::vector<size_t>& rows) override;
   std::vector<double> PredictProba(const std::vector<double>& x) const override;
+  void PredictProbaInto(const std::vector<double>& x,
+                        std::vector<double>* proba) const override;
   std::unique_ptr<Classifier> Clone() const override;
   std::string Name() const override;
   void SaveBinary(BinaryWriter* w) const override;

@@ -91,8 +91,17 @@ void RandomForestClassifier::FitTable(const FeatureTable& ft,
 
 std::vector<double> RandomForestClassifier::PredictProba(
     const std::vector<double>& x) const {
-  std::vector<double> acc(encoder_.num_classes(), 0.0);
-  if (trees_.empty()) return acc;
+  std::vector<double> proba;
+  PredictProbaInto(x, &proba);
+  return proba;
+}
+
+void RandomForestClassifier::PredictProbaInto(
+    const std::vector<double>& x, std::vector<double>* proba) const {
+  proba->assign(encoder_.num_classes(), 0.0);
+  if (trees_.empty()) return;
+  double* acc = proba->data();
+  const size_t k = proba->size();
   // The trees walk in lockstep and their leaves arrive in tree order, so
   // each class sums the trees' distributions in the same order as a
   // tree-by-tree loop.
@@ -101,10 +110,9 @@ std::vector<double> RandomForestClassifier::PredictProba(
       GoRightOnValue{x.data()},
       [&](size_t t, const DecisionTreeClassifier::Node& leaf) {
         const double* p = trees_[t].proba_data() + leaf.proba_begin;
-        for (size_t c = 0; c < acc.size(); ++c) acc[c] += p[c];
+        for (size_t c = 0; c < k; ++c) acc[c] += p[c];
       });
-  for (double& v : acc) v /= static_cast<double>(trees_.size());
-  return acc;
+  for (size_t c = 0; c < k; ++c) acc[c] /= static_cast<double>(trees_.size());
 }
 
 std::unique_ptr<Classifier> RandomForestClassifier::Clone() const {

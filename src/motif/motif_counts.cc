@@ -14,83 +14,6 @@ int64_t Choose4(int64_t n) {
   return n < 4 ? 0 : n * (n - 1) * (n - 2) * (n - 3) / 24;
 }
 
-/// Resizes a pooled scratch array to `n` elements, keeping no values.
-/// Growth allocates exactly `n` (resize() would round up geometrically),
-/// so a workspace's footprint is its largest graph, not up to twice that.
-/// Arrays that must start zeroed use assign(n, 0), which sizes the same
-/// way.
-template <typename T>
-void SizeTo(std::vector<T>* v, size_t n) {
-  if (n > v->capacity()) {
-    v->assign(n, 0);
-  } else {
-    v->resize(n);
-  }
-}
-
-/// Relabels `g` into the scratch's rank-ordered CSR: vertices ranked by
-/// (degree, id) with a stable counting sort on degree, each neighbour list
-/// holding ranks in ascending order, so a list is its lower-rank ("in")
-/// part followed by its higher-rank ("out") part, split at out_begin.
-/// Out-list slots are numbered 0..m-1 in CSR order, as p - slot_shift[r].
-void BuildRankedCsr(const Graph& g, MotifScratch* sc) {
-  const uint32_t n = static_cast<uint32_t>(g.num_vertices());
-  const size_t* goff = g.offset_data();
-  const auto degree_of = [goff](uint32_t v) {
-    return static_cast<uint32_t>(goff[v + 1] - goff[v]);
-  };
-  uint32_t max_degree = 0;
-  for (uint32_t v = 0; v < n; ++v) {
-    max_degree = std::max(max_degree, degree_of(v));
-  }
-  // Counting sort on degree; visiting ids in ascending order breaks ties
-  // by id. The fill cursors are not needed yet, so they hold the first
-  // free rank per degree meanwhile.
-  std::vector<uint32_t>& first = sc->cursor;
-  first.assign(size_t{max_degree} + 1, 0);
-  for (uint32_t v = 0; v < n; ++v) ++first[degree_of(v)];
-  uint32_t running = 0;
-  for (uint32_t& c : first) {
-    const uint32_t count = c;
-    c = running;
-    running += count;
-  }
-  SizeTo(&sc->rank, n);
-  SizeTo(&sc->order, n);
-  SizeTo(&sc->degree, n);
-  for (uint32_t v = 0; v < n; ++v) {
-    const uint32_t d = degree_of(v);
-    const uint32_t r = first[d]++;
-    sc->rank[v] = static_cast<MotifRank>(r);
-    sc->order[r] = static_cast<MotifRank>(v);
-    sc->degree[r] = static_cast<MotifRank>(d);
-  }
-
-  SizeTo(&sc->offsets, size_t{n} + 1);
-  sc->offsets[0] = 0;
-  for (uint32_t r = 0; r < n; ++r) {
-    sc->offsets[r + 1] = sc->offsets[r] + sc->degree[r];
-  }
-  // Visiting sources in rank order appends each list in ascending rank
-  // order; when the source reaches rank r itself, list r holds exactly
-  // its lower-rank neighbours, which marks the start of its out part.
-  // slot_shift[r] counts the in-part entries of lists 0..r.
-  SizeTo(&sc->cursor, n);
-  std::copy(sc->offsets.begin(), sc->offsets.end() - 1, sc->cursor.begin());
-  SizeTo(&sc->out_begin, n);
-  SizeTo(&sc->slot_shift, n);
-  SizeTo(&sc->adj, sc->offsets[n]);
-  uint32_t in_entries = 0;
-  for (uint32_t r = 0; r < n; ++r) {
-    sc->out_begin[r] = sc->cursor[r];
-    in_entries += sc->cursor[r] - sc->offsets[r];
-    sc->slot_shift[r] = in_entries;
-    for (const Graph::VertexId v : g.Neighbors(sc->order[r])) {
-      sc->adj[sc->cursor[sc->rank[v]]++] = static_cast<MotifRank>(r);
-    }
-  }
-}
-
 /// Triangle-derived accumulators of the motif equations.
 struct TriangleSums {
   int64_t triangles = 0;        // T
@@ -100,6 +23,8 @@ struct TriangleSums {
   int64_t sum_tri_choose2 = 0;  // sum_e C(T_e, 2) -> diamonds
 };
 
+/// Every edge u -> v is visited once here, so the same loop also sums
+/// Newman's assortativity terms into sc->newman.
 /// Each triangle u < v < w (by rank) is found once, from edge u -> v, as
 /// an out-neighbour w of v marked as an out-neighbour of u, and adds one
 /// to the T_e entries of its three edges. Its K4 extensions u < v < w < x
@@ -110,20 +35,21 @@ TriangleSums CountTrianglesAndCliques(MotifScratch* sc) {
   const uint32_t* off = sc->offsets.data();
   const uint32_t* out_begin = sc->out_begin.data();
   const uint32_t* shift = sc->slot_shift.data();
-  const MotifRank* adj = sc->adj.data();
-  const MotifRank* deg = sc->degree.data();
+  const VertexRank* adj = sc->adj.data();
+  const VertexRank* deg = sc->degree.data();
   // T_e of out-list slot e lives at edge_triangles[e + 1]; entry 0 takes
   // the (zero) updates of non-triangles, so the scan below needs no branch.
   sc->edge_triangles.assign(off[nv] / 2 + 1, 0);
   sc->out_slot.assign(nv, 0);
   sc->common_tag.assign(nv, 0);
   SizeTo(&sc->common, nv);
-  MotifRank* tri = sc->edge_triangles.data();
+  VertexRank* tri = sc->edge_triangles.data();
   uint32_t* out_slot = sc->out_slot.data();
   uint32_t* common_tag = sc->common_tag.data();
-  MotifRank* common = sc->common.data();
+  VertexRank* common = sc->common.data();
 
   TriangleSums sums;
+  NewmanSums newman;
   for (uint32_t u = 0; u < nv; ++u) {
     const uint32_t u_end = off[u + 1];
     for (uint32_t p = out_begin[u]; p < u_end; ++p) {
@@ -131,9 +57,10 @@ TriangleSums CountTrianglesAndCliques(MotifScratch* sc) {
     }
     const int64_t du = deg[u];
     for (uint32_t p = out_begin[u]; p < u_end; ++p) {
-      const MotifRank v = adj[p];
+      const VertexRank v = adj[p];
       const int64_t dv = deg[v];
       sums.path3_walks += (du - 1) * (dv - 1);
+      newman.Add(static_cast<uint64_t>(du), static_cast<uint64_t>(dv));
       // The slot of u -> v is unique in this count, so slot + 1 tags the
       // edge's common out-neighbours without a clearing pass.
       const uint32_t uv = p - shift[u];
@@ -146,7 +73,7 @@ TriangleSums CountTrianglesAndCliques(MotifScratch* sc) {
       // miss's tag is harmless.
       const uint32_t shift_v = shift[v];
       for (uint32_t q = out_begin[v]; q < off[v + 1]; ++q) {
-        const MotifRank w = adj[q];
+        const VertexRank w = adj[q];
         const uint32_t uw = out_slot[w];
         const uint32_t hit = uw != 0;
         tri[q - shift_v + 1] += hit;
@@ -162,11 +89,11 @@ TriangleSums CountTrianglesAndCliques(MotifScratch* sc) {
       if (num_common < 2) continue;
       // Out-lists are rank-sorted: past the last common vertex no x can
       // be common.
-      const MotifRank last = common[num_common - 1];
+      const VertexRank last = common[num_common - 1];
       for (uint32_t i = 0; i + 1 < num_common; ++i) {
-        const MotifRank w = common[i];
+        const VertexRank w = common[i];
         for (uint32_t q = out_begin[w]; q < off[w + 1]; ++q) {
-          const MotifRank x = adj[q];
+          const VertexRank x = adj[q];
           if (x > last) break;
           sums.k4 += common_tag[x] == tag;
         }
@@ -177,6 +104,7 @@ TriangleSums CountTrianglesAndCliques(MotifScratch* sc) {
   for (size_t e = 1; e < sc->edge_triangles.size(); ++e) {
     sums.sum_tri_choose2 += Choose2(tri[e]);
   }
+  sc->newman = newman;
   return sums;
 }
 
@@ -188,18 +116,18 @@ int64_t CountFourCycles(MotifScratch* sc) {
   const uint32_t nv = static_cast<uint32_t>(sc->degree.size());
   const uint32_t* off = sc->offsets.data();
   const uint32_t* out_begin = sc->out_begin.data();
-  const MotifRank* adj = sc->adj.data();
+  const VertexRank* adj = sc->adj.data();
   sc->paths.assign(nv, 0);
   SizeTo(&sc->touched, size_t{nv} + 1);
-  MotifRank* paths = sc->paths.data();
-  MotifRank* touched = sc->touched.data();
+  VertexRank* paths = sc->paths.data();
+  VertexRank* touched = sc->touched.data();
   int64_t cycles = 0;
   for (uint32_t u = 0; u < nv; ++u) {
     uint32_t num_touched = 0;
     for (uint32_t p = off[u]; p < out_begin[u]; ++p) {
-      const MotifRank v = adj[p];
+      const VertexRank v = adj[p];
       for (uint32_t q = off[v]; q < off[v + 1]; ++q) {
-        const MotifRank w = adj[q];
+        const VertexRank w = adj[q];
         if (w >= u) break;
         // C(k + 1, 2) - C(k, 2) = k; the first visit of w registers it
         // for the reset.
@@ -251,7 +179,7 @@ MotifCounts CountMotifs(const Graph& g, MotifScratch* sc) {
   // W = number of wedges (2-walk centers), counts each triangle 3 times.
   int64_t wedges = 0;
   int64_t star_raw = 0;  // sum_v C(d_v, 3)
-  for (const MotifRank d : sc->degree) {
+  for (const VertexRank d : sc->degree) {
     wedges += Choose2(d);
     star_raw += Choose3(d);
   }

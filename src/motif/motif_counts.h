@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/ranked_csr.h"
 
 namespace mvg {
 
@@ -41,37 +42,32 @@ const std::array<std::string, kNumMotifs>& MotifNames();
 /// Largest vertex count CountMotifs accepts. The 4-subset total C(n, 4)
 /// is formed as n(n-1)(n-2)(n-3) / 24, and that product overflows int64
 /// from n = 55,111 on; every other 4-node accumulator stays below about
-/// n^4 / 2 on the complete graph. The limit also keeps every rank-ordered
-/// CSR offset (at most 2|E| < n^2) inside the 32-bit scratch arrays.
+/// n^4 / 2 on the complete graph. Under this limit every rank, degree,
+/// per-edge triangle count and per-vertex 2-path count fits in 16 bits,
+/// and every rank-ordered CSR offset (at most 2|E| < n^2) in 32.
 inline constexpr size_t kMaxMotifVertices = 55110;
+static_assert(kMaxMotifVertices <= kMaxRankedVertices,
+              "CountMotifs ranks every graph it accepts");
+// The Newman sums ride along in the motif pass. Their largest, sum_v
+// d_v^3, reaches 9,223,547,791,334,198,190 on K_n at this limit, above
+// INT64_MAX, so they are unsigned.
+static_assert(CubeSumFitsU64(kMaxMotifVertices),
+              "NewmanSums::sq must not overflow on a countable graph");
 
-/// Vertex rank in the motif counter's degree order. Under
-/// kMaxMotifVertices every rank, degree, per-edge triangle count and
-/// per-vertex 2-path count fits in 16 bits.
-using MotifRank = uint16_t;
-static_assert(kMaxMotifVertices <= 65536, "ranks must fit in MotifRank");
-
-/// Reusable scratch of the degree-ordered motif counter. A workspace that
-/// counts graphs back to back (VgWorkspace pools one) stops allocating once
-/// its arrays have grown to the largest graph seen. Rank-valued arrays are
-/// 16-bit and CSR positions 32-bit (2|E| < n^2 < 2^32), so the scratch
-/// costs 6 bytes per edge plus 36 per vertex. Single-threaded state, like
-/// VgWorkspace.
-struct MotifScratch {
-  std::vector<MotifRank> rank;       ///< vertex id -> rank by (degree, id)
-  std::vector<MotifRank> order;      ///< rank -> vertex id
-  std::vector<MotifRank> degree;     ///< degree by rank (ascending)
-  std::vector<uint32_t> offsets;     ///< rank-ordered CSR, size n + 1
-  std::vector<uint32_t> out_begin;   ///< first higher-rank entry per list
-  std::vector<uint32_t> slot_shift;  ///< CSR position - out-list slot
-  std::vector<uint32_t> cursor;      ///< CSR fill cursors
-  std::vector<MotifRank> adj;        ///< rank-sorted neighbour lists, 2|E|
-  std::vector<MotifRank> edge_triangles;  ///< sink 0, then T_e per out slot
+/// Reusable scratch of the degree-ordered motif counter: the ranked CSR
+/// of the graph last counted, the counter's own per-edge and per-vertex
+/// arrays, and the Newman sums of that graph. A workspace that counts
+/// graphs back to back (VgWorkspace pools one) stops allocating once its
+/// arrays have grown to the largest graph seen. Single-threaded state,
+/// like VgWorkspace.
+struct MotifScratch : RankedCsr {
+  std::vector<VertexRank> edge_triangles;  ///< sink 0, then T_e per out slot
   std::vector<uint32_t> out_slot;    ///< out-list slot + 1 per marked vertex
   std::vector<uint32_t> common_tag;  ///< K4 membership tag per vertex
-  std::vector<MotifRank> common;     ///< common out-neighbours of one edge
-  std::vector<MotifRank> paths;      ///< 2-path counts per far endpoint
-  std::vector<MotifRank> touched;    ///< far endpoints with paths > 0
+  std::vector<VertexRank> common;    ///< common out-neighbours of one edge
+  std::vector<VertexRank> paths;     ///< 2-path counts per far endpoint
+  std::vector<VertexRank> touched;   ///< far endpoints with paths > 0
+  NewmanSums newman;                 ///< of the graph last counted
 };
 
 /// Counts all induced motifs up to size 4 with PGD-style combinatorial
@@ -84,6 +80,9 @@ struct MotifScratch {
 /// graph with m edges and arboricity alpha the triangle and 4-cycle passes
 /// take O(m * alpha) and the K4 pass O(m * alpha^2), instead of the
 /// O(sum_v deg(v)^2) a walk over full adjacencies costs on hub vertices.
+/// The same oriented-edge loop accumulates Newman's assortativity sums
+/// into scratch->newman, and the scratch keeps the ranked CSR, so the
+/// graph statistics of WriteGraphStatistics need no second pass over `g`.
 /// Throws std::length_error for graphs with more than kMaxMotifVertices
 /// vertices. The scratch overload allocates nothing once `scratch` is warm.
 MotifCounts CountMotifs(const Graph& g, MotifScratch* scratch);

@@ -71,6 +71,16 @@ PipelineMetrics& PipelineMetrics::Get() {
         "Jobs waiting in the executor submit queue");
     m->serve_predictions = r.RegisterCounter(
         "mvg_serve_predictions_total", "Series classified by ServingSession");
+    m->extract_nonfinite_samples = r.RegisterCounter(
+        "mvg_extract_nonfinite_samples_total",
+        "Non-finite series samples (NaN, +-inf) replaced before feature "
+        "extraction");
+    m->predict_rows_padded = r.RegisterCounter(
+        "mvg_predict_rows_padded_total",
+        "Predicted feature rows shorter than the model's width, zero-padded");
+    m->predict_rows_truncated = r.RegisterCounter(
+        "mvg_predict_rows_truncated_total",
+        "Predicted feature rows longer than the model's width, truncated");
     m->wire_frames_sent = r.RegisterCounter(
         "mvg_wire_frames_sent_total", "Wire-protocol frames written");
     m->wire_frames_recv = r.RegisterCounter(

@@ -102,6 +102,10 @@ struct PipelineMetrics {
   Gauge* executor_job_queue_depth;
   // Serving.
   Counter* serve_predictions;
+  // Data quality (counted on the rare path only).
+  Counter* extract_nonfinite_samples;
+  Counter* predict_rows_padded;
+  Counter* predict_rows_truncated;
   // Wire protocol.
   Counter* wire_frames_sent;
   Counter* wire_frames_recv;

@@ -41,7 +41,13 @@ struct VgWorkspace {
   ts_kernels::MultiscaleScratch ts;
   /// Pooled scratch of the degree-ordered motif counter, so counting the
   /// motifs of each built graph allocates nothing once warmed up either.
+  /// It also holds the ranked CSR the graph statistics are read from.
   MotifScratch motif;
+  /// The feature row MvgClassifier::Predict extracts into, and the class
+  /// probabilities the model writes, so a warm prediction allocates
+  /// nothing at all (tree families, kMpdsOnly and kAll).
+  std::vector<double> features;
+  std::vector<double> proba;
 };
 
 }  // namespace mvg

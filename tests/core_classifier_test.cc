@@ -2,9 +2,13 @@
 #include <cmath>
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/mvg_classifier.h"
 #include "ml/metrics.h"
+#include "obs/obs.h"
 #include "ts/generators.h"
+#include "vg/vg_workspace.h"
 
 namespace mvg {
 namespace {
@@ -94,6 +98,42 @@ TEST(MvgClassifierTest, HandlesImbalanceWithOversampling) {
   const std::vector<int> pred = clf.PredictAll(split.test);
   // Must predict the minority class at least once (oversampling worked).
   EXPECT_NE(std::count(pred.begin(), pred.end(), 1), 0);
+}
+
+TEST(MvgClassifierTest, PredictCountsDataQualityEvents) {
+  // Rows shorter or longer than the model's width, and non-finite
+  // samples, each bump their counter; a clean training-length series
+  // touches none.
+  if (!obs::kCompiledIn) GTEST_SKIP() << "built with MVG_OBS_OFF";
+  const DatasetSplit split = Easy(3);
+  MvgClassifier clf(FastConfig(MvgModel::kXgboost));
+  clf.Fit(split.train);
+  const obs::PipelineMetrics& pm = obs::PipelineMetrics::Get();
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  VgWorkspace ws;
+  const auto delta = [&](auto&& predict) {
+    const uint64_t padded = pm.predict_rows_padded->Value();
+    const uint64_t truncated = pm.predict_rows_truncated->Value();
+    const uint64_t nonfinite = pm.extract_nonfinite_samples->Value();
+    predict();
+    return std::vector<uint64_t>{pm.predict_rows_padded->Value() - padded,
+                                 pm.predict_rows_truncated->Value() - truncated,
+                                 pm.extract_nonfinite_samples->Value() -
+                                     nonfinite};
+  };
+  using Counts = std::vector<uint64_t>;
+  EXPECT_EQ(delta([&] { clf.Predict(GaussianNoise(96, 1), &ws); }),
+            (Counts{0, 0, 0}));
+  EXPECT_EQ(delta([&] { clf.Predict(GaussianNoise(40, 2), &ws); }),
+            (Counts{1, 0, 0}));
+  EXPECT_EQ(delta([&] { clf.Predict(GaussianNoise(400, 3), &ws); }),
+            (Counts{0, 1, 0}));
+  Series dirty = GaussianNoise(96, 4);
+  dirty[1] = std::numeric_limits<double>::quiet_NaN();
+  dirty[7] = -std::numeric_limits<double>::infinity();
+  EXPECT_EQ(delta([&] { clf.Predict(dirty, &ws); }), (Counts{0, 0, 2}));
+  obs::SetEnabled(was_enabled);
 }
 
 TEST(MvgClassifierTest, PredictBeforeFitThrows) {

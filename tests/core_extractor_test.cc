@@ -1,9 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <limits>
+#include <sstream>
+#include <string>
+
 #include "core/feature_extractor.h"
 #include "motif/motif_counts.h"
 #include "tests/test_util.h"
 #include "ts/generators.h"
+#include "vg/vg_workspace.h"
 
 namespace mvg {
 namespace {
@@ -151,6 +161,72 @@ TEST(FeatureExtractor, FeaturesSeparateChaosFromNoise) {
     noise_m31 += fx.Extract(GaussianNoise(300, 100 + r))[2];
   }
   EXPECT_GT(std::abs(chaos_m31 - noise_m31) / reps, 0.01);
+}
+
+/// The fixture's inputs: MakeFamilySeries(family, n, seed), or for
+/// "nonfinite" a length-96 random walk with NaN and ±inf samples.
+Series FixtureSeries(const std::string& family, size_t n, uint64_t seed) {
+  for (const testutil::SeriesFamily f : testutil::AllSeriesFamilies()) {
+    if (family == testutil::ToString(f)) {
+      return testutil::MakeFamilySeries(f, n, seed);
+    }
+  }
+  EXPECT_EQ(family, "nonfinite");
+  Series s =
+      testutil::MakeFamilySeries(testutil::SeriesFamily::kRandomWalk, n, seed);
+  const double inf = std::numeric_limits<double>::infinity();
+  s[5] = std::numeric_limits<double>::quiet_NaN();
+  s[20] = inf;
+  s[21] = inf;
+  s[40] = -inf;
+  s[77] = std::numeric_limits<double>::quiet_NaN();
+  return s;
+}
+
+FeatureMode FixtureMode(const std::string& mode) {
+  if (mode == "mpds") return FeatureMode::kMpdsOnly;
+  if (mode == "all") return FeatureMode::kAll;
+  EXPECT_EQ(mode, "extended");
+  return FeatureMode::kExtended;
+}
+
+TEST(FeatureExtractor, MatchesRecordedFixtureRows) {
+  // tests/fixtures/extract_features.txt: Extract() rows recorded before
+  // the graph statistics moved onto the motif counter's ranked CSR (see
+  // tests/fixtures/README.md). Every value must match bit for bit.
+  std::ifstream in(std::string(MVG_TEST_FIXTURE_DIR) +
+                   "/extract_features.txt");
+  ASSERT_TRUE(in.good());
+  std::string line;
+  size_t rows = 0;
+  VgWorkspace ws;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    std::string family, mode;
+    size_t n = 0, width = 0;
+    uint64_t seed = 0;
+    fields >> family >> n >> seed >> mode >> width;
+    ASSERT_FALSE(fields.fail()) << line.substr(0, 40);
+    MvgConfig config;
+    config.feature_mode = FixtureMode(mode);
+    const MvgFeatureExtractor fx(config);
+    const std::vector<double> got =
+        fx.Extract(FixtureSeries(family, n, seed), &ws);
+    const std::string tag = family + " " + std::to_string(n) + " " + mode;
+    ASSERT_EQ(got.size(), width) << tag;
+    for (size_t i = 0; i < width; ++i) {
+      std::string token;
+      fields >> token;
+      ASSERT_FALSE(fields.fail()) << tag << " value " << i;
+      const double want = std::strtod(token.c_str(), nullptr);
+      ASSERT_EQ(std::memcmp(&got[i], &want, sizeof want), 0)
+          << tag << " feature " << i << ": got " << got[i] << ", want "
+          << want;
+    }
+    ++rows;
+  }
+  EXPECT_EQ(rows, 39u);
 }
 
 }  // namespace
