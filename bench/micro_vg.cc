@@ -4,7 +4,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "bench/legacy_vg.h"
 #include "ts/generators.h"
 #include "vg/visibility_graph.h"
 
@@ -53,17 +52,6 @@ void BM_VgPooledWorkspace(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_VgPooledWorkspace)->Range(128, 4096)->Complexity();
-
-void BM_VgLegacyVectorOfVectors(benchmark::State& state) {
-  // The PR-1 representation (vector<vector> adjacency, sort+unique
-  // finalize): the baseline the CSR rewrite is measured against.
-  const Series s = GaussianNoise(static_cast<size_t>(state.range(0)), 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(bench::BuildLegacyVisibilityGraph(s));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_VgLegacyVectorOfVectors)->Range(128, 4096)->Complexity();
 
 void BM_VgDcOnSmoothSeries(benchmark::State& state) {
   // Smooth series have deep recursion structure (close to worst case for

@@ -1,8 +1,11 @@
-// Machine-readable performance suite for the hot paths: visibility-graph
-// construction (CSR pooled vs the PR-1 vector-of-vectors baseline), motif
-// counting, end-to-end feature extraction across series lengths, and the
-// serving runtime (batch p50/p99 latency, streaming push latency, pooled
-// allocation behaviour, save/load prediction parity).
+// Machine-readable performance suite for what the repo benchmark
+// (perfbench, BENCHMARK.json) cannot see: vector kernels against their
+// frozen scalar spellings, within-run stage ratios (sketch binning vs the
+// exact sort, VG build vs motif count, GBT histogram build vs split
+// search), and the serving runtime's concurrency and load paths (async
+// micro-batching, mmap view load, sharded routing, instrumentation
+// overhead). Byte-identity and allocation contracts are asserted exactly
+// by the tier-1 ctest suites, not here.
 //
 // Unlike the micro_* binaries this has no Google Benchmark dependency, so
 // it builds everywhere the library builds and is what CI's perf lane runs:
@@ -15,37 +18,34 @@
 //   perf_suite --quick          smaller sizes/times (smoke-test mode)
 //
 // Raw ns/iter numbers are machine-dependent and are uploaded as artifacts
-// for trend tracking only; the --check gate compares *ratios* (e.g. CSR
-// speedup over the legacy representation), which transfer across hosts.
+// for trend tracking only; the --check gate compares *ratios* (e.g. a
+// vector kernel's speedup over its scalar spelling), which transfer
+// across hosts.
+//
+// Quick mode shrinks sizes and time budgets but emits every gated metric.
+// The gates are calibrated for full-size Release runs of the CI perf
+// lane's -DMVG_NATIVE=ON build, so the tier-1 smoke (perf_suite_smoke)
+// runs --quick --json without --check.
 
 #include <algorithm>
-#include <atomic>
 #include <cctype>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <future>
 #include <map>
 #include <mutex>
-#include <new>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "bench/legacy_fe.h"
 #include "bench/legacy_kernels.h"
-#include "bench/legacy_parallel.h"
-#include "bench/legacy_vg.h"
 #include "core/feature_extractor.h"
 #include "core/mvg_classifier.h"
-#include "dist/reducer.h"
 #include "dist/shard_router.h"
 #include "ml/feature_table.h"
-#include "ml/gradient_boosting.h"
 #include "ml/hist_kernels.h"
 #include "ml/quantile_sketch.h"
 #include "motif/motif_counts.h"
@@ -56,13 +56,9 @@
 #include "serve/model_mmap.h"
 #include "serve/serving.h"
 #include "ts/generators.h"
-#include "ts/multiscale.h"
 #include "ts/paged_ucr_reader.h"
-#include "ts/ts_kernels.h"
 #include "ts/ucr_io.h"
 #include "util/aligned_buffer.h"
-#include "util/binary_io.h"
-#include "util/parallel.h"
 #include "util/random.h"
 #include "util/simd.h"
 #include "util/timer.h"
@@ -77,28 +73,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 #endif
-
-// ---------------------------------------------------------------------------
-// Global allocation counter: replacing operator new in this binary lets the
-// suite *prove* the pooled serving path performs zero steady-state heap
-// allocations, instead of inferring it from timings. The counter is a
-// relaxed atomic; the overhead is irrelevant at benchmark granularity.
-// ---------------------------------------------------------------------------
-
-static std::atomic<uint64_t> g_alloc_count{0};
-
-static void* CountedAlloc(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new(std::size_t size) { return CountedAlloc(size); }
-void* operator new[](std::size_t size) { return CountedAlloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -143,6 +117,59 @@ BenchResult TimeIt(const std::string& name, size_t n, const SuiteOptions& opt,
   std::printf("  %-34s n=%-6zu %12.0f ns/iter  (%zu iters)\n", name.c_str(),
               n, best.ns_per_iter, best.iters);
   return best;
+}
+
+struct PairedTiming {
+  BenchResult a, b;
+  double ratio = 0.0;  ///< median over repetitions of a's ns / b's ns
+};
+
+/// Times `fa` and `fb` back to back in each of 3 * `repetitions`
+/// repetitions (each side warmed, then run to the iteration and time
+/// floors) and returns the median of the per-repetition ratios a / b. A
+/// load spike on a shared host then moves both halves of one ratio
+/// instead of skewing a best-of-N minimum on one side only. The rows
+/// report each side's fastest repetition.
+template <typename FnA, typename FnB>
+PairedTiming TimePaired(const std::string& name_a, const std::string& name_b,
+                        size_t n, const SuiteOptions& opt, FnA&& fa,
+                        FnB&& fb) {
+  const auto ns_per_call = [&](auto&& fn, size_t* iters) {
+    fn();  // warmup
+    WallTimer timer;
+    size_t it = 0;
+    do {
+      fn();
+      ++it;
+    } while (it < opt.min_iters || timer.Seconds() < opt.min_seconds);
+    *iters = it;
+    return timer.Seconds() * 1e9 / static_cast<double>(it);
+  };
+  const auto keep_fastest = [](BenchResult* r, double ns, size_t iters) {
+    if (r->iters == 0 || ns < r->ns_per_iter) {
+      r->ns_per_iter = ns;
+      r->iters = iters;
+    }
+  };
+  PairedTiming out{{name_a, n, 0, 0.0}, {name_b, n, 0, 0.0}, 0.0};
+  std::vector<double> ratios;
+  for (int rep = 0; rep < 3 * opt.repetitions; ++rep) {
+    size_t a_iters = 0, b_iters = 0;
+    const double a = ns_per_call(fa, &a_iters);
+    const double b = ns_per_call(fb, &b_iters);
+    keep_fastest(&out.a, a, a_iters);
+    keep_fastest(&out.b, b, b_iters);
+    if (b > 0.0) ratios.push_back(a / b);
+  }
+  for (const BenchResult* r : {&out.a, &out.b}) {
+    std::printf("  %-34s n=%-6zu %12.0f ns/iter  (%zu iters)\n",
+                r->name.c_str(), r->n, r->ns_per_iter, r->iters);
+  }
+  if (!ratios.empty()) {
+    std::sort(ratios.begin(), ratios.end());
+    out.ratio = ratios[ratios.size() / 2];
+  }
+  return out;
 }
 
 /// Escape-aware scan of one JSON string literal; `i` must point at the
@@ -407,8 +434,8 @@ int main(int argc, char** argv) {
     // engage. A counting sink stands in for the CSR builder so no shared
     // representation cost dilutes the ratio; deeper recursion levels run
     // the same code on geometrically shorter ranges, where the scalar
-    // tails take over (the end-to-end build is gated separately by
-    // vg_csr_speedup_vs_legacy_* below).
+    // tails take over (perfbench's vg.build_share tracks the whole
+    // build).
     const size_t vg_n = opt.quick ? 1024 : 4096;
     const Series vg_s = GaussianNoise(vg_n, 19);
     size_t vg_sink = 0;
@@ -565,60 +592,21 @@ int main(int argc, char** argv) {
                                      &tsplit, &best, &bin) +
                      bin;
       };
-      // Build and search are timed back to back in each repetition, and
-      // the gate is the median of the per-repetition ratios: a load spike
-      // on a shared host then moves both halves of one ratio instead of
-      // skewing a best-of-N minimum on one side only. The rows report
-      // each side's fastest repetition.
+      // The gate is TimePaired's median of back-to-back ratios.
       for (TailNode& nd : tnodes) nd.buf = build(nd);
-      const auto ns_per_call = [&](auto&& fn, size_t* iters) {
-        fn();  // warmup
-        WallTimer timer;
-        size_t it = 0;
-        do {
-          fn();
-          ++it;
-        } while (it < opt.min_iters || timer.Seconds() < opt.min_seconds);
-        *iters = it;
-        return timer.Seconds() * 1e9 / static_cast<double>(it);
-      };
-      const size_t tail_n = tail_rows + 64;
-      BenchResult tail_build{"gbt_tail_hist_build", tail_n, 0, 0.0};
-      BenchResult tail_search{"gbt_tail_split_search", tail_n, 0, 0.0};
-      std::vector<double> ratios;
-      const int tail_reps = 3 * opt.repetitions;
-      for (int rep = 0; rep < tail_reps; ++rep) {
-        size_t build_iters = 0, search_iters = 0;
-        const double b = ns_per_call(
-            [&] {
-              for (const TailNode& nd : tnodes) tpool.Release(build(nd));
-            },
-            &build_iters);
-        const double sr = ns_per_call(
-            [&] {
-              for (const TailNode& nd : tnodes) search(nd);
-            },
-            &search_iters);
-        if (tail_build.iters == 0 || b < tail_build.ns_per_iter) {
-          tail_build.ns_per_iter = b;
-          tail_build.iters = build_iters;
-        }
-        if (tail_search.iters == 0 || sr < tail_search.ns_per_iter) {
-          tail_search.ns_per_iter = sr;
-          tail_search.iters = search_iters;
-        }
-        if (sr > 0.0) ratios.push_back(b / sr);
-      }
+      const PairedTiming tail = TimePaired(
+          "gbt_tail_hist_build", "gbt_tail_split_search", tail_rows + 64,
+          opt,
+          [&] {
+            for (const TailNode& nd : tnodes) tpool.Release(build(nd));
+          },
+          [&] {
+            for (const TailNode& nd : tnodes) search(nd);
+          });
       if (tail_sink == static_cast<size_t>(-1)) std::puts("");  // defeat DCE
-      for (const BenchResult& r : {tail_build, tail_search}) {
-        std::printf("  %-34s n=%-6zu %12.0f ns/iter  (%zu iters)\n",
-                    r.name.c_str(), r.n, r.ns_per_iter, r.iters);
-        results.push_back(r);
-      }
-      if (!ratios.empty()) {
-        std::sort(ratios.begin(), ratios.end());
-        metrics["gbt_scan_over_split_search"] = ratios[ratios.size() / 2];
-      }
+      results.push_back(tail.a);
+      results.push_back(tail.b);
+      if (tail.ratio > 0.0) metrics["gbt_scan_over_split_search"] = tail.ratio;
     }
 
     // Single-series predict tail latency through the full kernel stack
@@ -656,14 +644,7 @@ int main(int argc, char** argv) {
     results.push_back(kp99);
   }
 
-  // --- FE pipeline: streaming extraction front-end + sketch binning ---
-  // fe_assembly_speedup gates the vectorized extraction front-end: the
-  // full per-series assembly (finite scan -> detrend -> multiscale
-  // construction) through the pooled ts_kernels scratch vs the frozen
-  // pre-SIMD spelling in bench/legacy_fe.h (sequential isfinite scan,
-  // allocating detrend, halve-and-copy multiscale chain). The ratio
-  // captures the lane kernels plus the zero-steady-state-allocation
-  // incremental construction in one number.
+  // --- FE pipeline: sketch binning + paged-fit memory ---
   // sketch_bin_build_speedup gates the one-pass sketch binning: cuts +
   // binned table via CutSketcher/InitFromCuts/BinRowInto vs the exact
   // FeatureTable::Build (full per-column sort) at a row count where the
@@ -674,38 +655,6 @@ int main(int argc, char** argv) {
   // number OPERATIONS.md's paged-training memory guidance is based on.
   std::printf("FE pipeline:\n");
   {
-    const size_t fe_len = opt.quick ? 1024 : 4096;
-    const Series fe_series = GaussianNoise(fe_len, 21);
-    const size_t tau = kDefaultTau;
-
-    ts_kernels::MultiscaleScratch scratch;
-    size_t fe_sink = 0;
-    const BenchResult fe_simd =
-        TimeIt("fe_assembly_kernels_pooled", fe_len, opt, [&] {
-          const ts_kernels::FiniteScan scan =
-              ts_kernels::ScanFinite(fe_series.data(), fe_series.size());
-          scratch.base.assign(fe_series.begin(), fe_series.end());
-          ts_kernels::DetrendInPlace(scratch.base.data(), scratch.base.size());
-          ts_kernels::BuildScalesInto(ScaleMode::kMultiscale, tau, &scratch);
-          fe_sink += scratch.view.size() + scan.finite;
-        });
-    const BenchResult fe_legacy =
-        TimeIt("fe_assembly_legacy_scalar", fe_len, opt, [&] {
-          const bench::LegacyFiniteScan scan =
-              bench::LegacyScanFinite(fe_series.data(), fe_series.size());
-          const Series detrended = bench::LegacyDetrendLinear(fe_series);
-          const std::vector<Series> scales =
-              bench::LegacyMultiscale(detrended, ScaleMode::kMultiscale, tau);
-          fe_sink += scales.size() + scan.finite;
-        });
-    if (fe_sink == static_cast<size_t>(-1)) std::puts("");  // defeat DCE
-    results.push_back(fe_simd);
-    results.push_back(fe_legacy);
-    if (fe_simd.ns_per_iter > 0.0) {
-      metrics["fe_assembly_speedup"] =
-          fe_legacy.ns_per_iter / fe_simd.ns_per_iter;
-    }
-
     // Sketch binning vs exact quantization, cuts + table end to end.
     const size_t bin_rows = opt.quick ? 4096 : 32768;
     const size_t bin_feats = 16;
@@ -793,36 +742,7 @@ int main(int argc, char** argv) {
 #endif
   }
 
-  // --- Visibility-graph construction: pooled CSR vs legacy baseline ---
-  // Quick mode shrinks the time budget, never the size sweep, so every
-  // gated metric exists in every mode. The serving/VG gates also hold in
-  // --quick; the training-speedup gates are calibrated for full-size
-  // Release runs (the CI perf lane) — quick-size fits are too small to
-  // reach them, so the tier-1 smoke runs --quick --json without --check.
-  std::printf("Visibility-graph construction:\n");
-  const std::vector<size_t> vg_sizes = {256, 1024, 4096};
   VgWorkspace ws;
-  for (size_t n : vg_sizes) {
-    const Series s = GaussianNoise(n, 7);
-    const BenchResult csr =
-        TimeIt("vg_build_csr_pooled", n, opt,
-               [&] { BuildVisibilityGraph(s, &ws); });
-    const BenchResult legacy =
-        TimeIt("vg_build_legacy_vecvec", n, opt,
-               [&] { bench::BuildLegacyVisibilityGraph(s); });
-    results.push_back(csr);
-    results.push_back(legacy);
-    if (csr.ns_per_iter > 0.0) {
-      metrics["vg_csr_speedup_vs_legacy_n" + std::to_string(n)] =
-          legacy.ns_per_iter / csr.ns_per_iter;
-    }
-  }
-  for (size_t n : vg_sizes) {
-    const Series s = GaussianNoise(n, 11);
-    results.push_back(TimeIt("hvg_build_csr_pooled", n, opt,
-                             [&] { BuildHorizontalVisibilityGraph(s, &ws); }));
-  }
-
   // --- Motif counting vs graph construction on the same graph ---
   // A within-run ratio, so no frozen copy of an older counter has to
   // live in bench/: building a random-walk VG (hub-heavy, the motif
@@ -865,10 +785,7 @@ int main(int argc, char** argv) {
                              [&] { fx.ExtractAll(ds, 1); }));
   }
 
-  // --- Serving runtime: persistence parity, latency, allocations ---
-  // Gated metrics (serve_predict_match, serve_pooled_build_alloc_free,
-  // serve_predict_alloc_free) are exact by construction, so they hold in --quick mode too; the latency
-  // rows are informational raw timings like every other row.
+  // --- Serving runtime: batch and streaming latency (informational) ---
   std::printf("Serving:\n");
   {
     const size_t train_n = opt.quick ? 16 : 24;
@@ -895,17 +812,6 @@ int main(int argc, char** argv) {
     for (size_t i = 0; i < batch_n; ++i) {
       batch.push_back(GaussianNoise(series_len, 2000 + i));
     }
-
-    // Parity gate: the loaded model must answer exactly like the fitted
-    // in-memory pipeline, series by series.
-    const std::vector<int> served =
-        session.PredictBatch(batch.data(), batch.size(), 1);
-    size_t matches = 0;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (served[i] == clf.Predict(batch[i])) ++matches;
-    }
-    metrics["serve_predict_match"] =
-        static_cast<double>(matches) / static_cast<double>(batch.size());
 
     // Batch latency distribution (single worker: per-call latency, not
     // parallel throughput, is what a tail-latency SLO cares about).
@@ -944,42 +850,9 @@ int main(int argc, char** argv) {
     results.push_back(TimeIt("serve_streaming_push", series_len, opt, [&] {
       stream.Push(feed[cursor++ % feed.size()]);
     }));
-
-    // Zero-steady-state-allocation gate on the pooled build-and-count
-    // path that PredictBatch's per-worker workspaces ride on: graph
-    // construction plus motif counting through the workspace's scratch.
-    VgWorkspace pooled;
-    const Series s = GaussianNoise(1024, 4000);
-    const auto build_and_count = [&] {
-      CountMotifs(BuildVisibilityGraph(s, &pooled), &pooled.motif);
-      CountMotifs(BuildHorizontalVisibilityGraph(s, &pooled), &pooled.motif);
-    };
-    for (int warm = 0; warm < 16; ++warm) build_and_count();
-    const uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
-    for (int iter = 0; iter < 64; ++iter) build_and_count();
-    const uint64_t allocs =
-        g_alloc_count.load(std::memory_order_relaxed) - before;
-    metrics["serve_pooled_build_alloc_free"] = allocs == 0 ? 1.0 : 0.0;
-
-    // Zero-allocation gate on the whole warm single prediction: the
-    // session's workspace pools the graph builds, the motif scratch and
-    // ranked CSR the statistics read, the feature row and the model's
-    // probability vector, so nothing on the path allocates.
-    for (int warm = 0; warm < 4; ++warm) session.Predict(batch[0]);
-    const uint64_t predict_before =
-        g_alloc_count.load(std::memory_order_relaxed);
-    for (int iter = 0; iter < 32; ++iter) session.Predict(batch[0]);
-    metrics["serve_predict_alloc_free"] =
-        g_alloc_count.load(std::memory_order_relaxed) == predict_before ? 1.0
-                                                                        : 0.0;
   }
 
-  // --- serving_async: executor dispatch + micro-batching front end ---
-  // pool_dispatch_speedup_small_n gates the tentpole's dispatch win: the
-  // same small-n cheap-body loop through the persistent pool vs the
-  // PR-1..4 spawn-per-call ParallelFor (bench/legacy_parallel.h). The
-  // loop is exactly the shape that used to pay worst-case overhead —
-  // n barely above 1, body far cheaper than a thread spawn.
+  // --- serving_async: micro-batching front end ---
   // serve_async_throughput_x gates the micro-batching front end: 8
   // concurrent producers of single-series requests against (a) the
   // synchronous single-client ServingSession serialized by a mutex — the
@@ -987,33 +860,9 @@ int main(int argc, char** argv) {
   // dispatcher coalesces the queue into batches fanned across the pool.
   // Calibrated for the multi-core CI perf lane; a single-core host runs
   // the async path at roughly parity (there is no parallelism for
-  // batching to unlock), which is why the tier-1 smoke runs --quick
-  // without --check.
+  // batching to unlock).
   std::printf("serving_async:\n");
   {
-    const size_t small_n = 8;
-    const size_t fan = 4;
-    std::vector<double> sink(small_n, 0.0);
-    const auto small_body = [&](size_t i) {
-      double acc = 0.0;
-      for (size_t k = 0; k < 64; ++k) {
-        acc += static_cast<double>(i * 64 + k) * 1e-9;
-      }
-      sink[i] = acc;
-    };
-    const BenchResult pooled =
-        TimeIt("parallel_for_small_n_pool", small_n, opt,
-               [&] { ParallelFor(small_n, fan, small_body); });
-    const BenchResult spawned =
-        TimeIt("parallel_for_small_n_spawn", small_n, opt,
-               [&] { bench::LegacySpawnParallelFor(small_n, fan, small_body); });
-    results.push_back(pooled);
-    results.push_back(spawned);
-    if (pooled.ns_per_iter > 0.0) {
-      metrics["pool_dispatch_speedup_small_n"] =
-          spawned.ns_per_iter / pooled.ns_per_iter;
-    }
-
     // Async micro-batching throughput under 8 concurrent producers.
     const size_t series_len = 128;
     const size_t train_n = opt.quick ? 16 : 24;
@@ -1119,92 +968,26 @@ int main(int argc, char** argv) {
     metrics["serve_async_mean_batch_size"] = stats.mean_batch_size;
   }
 
-  // --- Training: one engine at 1 vs 4 threads (informational) ---
-  // End-to-end fit speed is tracked by perfbench's fit_series_per_s; this
-  // section only reports the GridPreset::kSmall XGBoost fit at 1 and 4
-  // threads (training_seconds(), Table 3's "Clf" column) and the parallel
-  // feature-extraction share. Nothing here is gated.
-  std::printf("Training:\n");
-  {
-    SyntheticInfo info;
-    info.name = "train_bench";
-    info.family = "shapes";
-    info.num_classes = 3;  // multiclass: one boosting tree per class.
-    // Sized so a CV fold's training part exceeds 256 rows, where bins
-    // saturate at the uint8 cap.
-    info.train_size = opt.quick ? 45 : 390;
-    info.test_size = opt.quick ? 30 : 120;
-    info.length = 96;
-    const DatasetSplit split = MakeSynthetic(info, 77);
-
-    MvgClassifier::Config serial_cfg;
-    serial_cfg.grid = GridPreset::kSmall;
-    serial_cfg.num_threads = 1;
-    MvgClassifier::Config engine_cfg = serial_cfg;
-    engine_cfg.num_threads = 4;
-
-    MvgClassifier serial_clf(serial_cfg), engine_clf(engine_cfg);
-    serial_clf.Fit(split.train);
-    engine_clf.Fit(split.train);
-    BenchResult fit_serial{"fit_small_grid_hist_1t", info.train_size, 1,
-                           serial_clf.training_seconds() * 1e9};
-    BenchResult fit_engine{"fit_small_grid_hist_4t", info.train_size, 1,
-                           engine_clf.training_seconds() * 1e9};
-    std::printf("  %-34s n=%-6zu %12.0f ns/iter  (%zu iters)\n",
-                fit_serial.name.c_str(), fit_serial.n, fit_serial.ns_per_iter,
-                fit_serial.iters);
-    std::printf("  %-34s n=%-6zu %12.0f ns/iter  (%zu iters)\n",
-                fit_engine.name.c_str(), fit_engine.n, fit_engine.ns_per_iter,
-                fit_engine.iters);
-    results.push_back(fit_serial);
-    results.push_back(fit_engine);
-    metrics["fit_fe_speedup_4t"] =
-        engine_clf.feature_extraction_seconds() > 0.0
-            ? serial_clf.feature_extraction_seconds() /
-                  engine_clf.feature_extraction_seconds()
-            : 1.0;
-  }
-
-  // --- Out-of-core training + mmap serving (the v3 model format) ---
-  // paged_train_match and mmap_predict_match are exact contracts (gated
-  // at 1.0 in every mode): FitPaged must save a model file byte-identical
-  // to the in-RAM Fit's, and a zero-copy mmap session must answer
-  // exactly like a stream-loaded one. mmap_load_speedup gates the O(1)
-  // construction win of the v3 layout: the stream load reads the whole
-  // file, sweeps every payload CRC and decodes every tree node into owned
-  // storage, while the mapped load validates the section table (O(table))
-  // and builds views — payload pages fault in lazily on first use.
-  std::printf("Paged I/O + mmap:\n");
+  // --- mmap serving (the v3 model format) ---
+  // mmap_load_speedup gates the O(1) construction win of the v3 layout:
+  // the stream load reads the whole file, sweeps every payload CRC and
+  // decodes every tree node into owned storage, while the mapped load
+  // validates the section table (O(table)) and builds views — payload
+  // pages fault in lazily on first use.
+  std::printf("mmap load:\n");
   {
     const size_t rows = opt.quick ? 24 : 60;
     const size_t series_len = 96;
-    Dataset train("paged_bench");
+    Dataset train("mmap_bench");
     for (size_t i = 0; i < rows; ++i) {
       train.Add(GaussianNoise(series_len, 7100 + i), static_cast<int>(i % 2));
     }
-    const char* data_path = "BENCH_paged_train.csv";
-    WriteUcrFile(train, data_path);
-
     MvgClassifier::Config config;
     config.grid = GridPreset::kNone;
-    MvgClassifier in_ram(config);
-    in_ram.Fit(ReadUcrFile(data_path));
-
-    PagedUcrReader::Options popt;
-    popt.page_rows = 16;  // several pages plus a ragged final one
-    PagedUcrReader reader(data_path, popt);
-    MvgClassifier paged(config);
-    paged.FitPaged(&reader);
-    std::remove(data_path);
-
-    std::ostringstream in_ram_bytes, paged_bytes;
-    SaveModel(in_ram, in_ram_bytes);
-    SaveModel(paged, paged_bytes);
-    metrics["paged_train_match"] =
-        in_ram_bytes.str() == paged_bytes.str() ? 1.0 : 0.0;
-
+    MvgClassifier clf(config);
+    clf.Fit(train);
     const char* model_path = "BENCH_mmap_model.mvg";
-    SaveModel(in_ram, model_path);
+    SaveModel(clf, model_path);
 
     const BenchResult stream_load =
         TimeIt("model_load_stream", 1, opt, [&] { LoadModel(model_path); });
@@ -1219,20 +1002,7 @@ int main(int argc, char** argv) {
           stream_load.ns_per_iter / mmap_load.ns_per_iter;
     }
 
-    ServingSession mapped = ServingSession::FromFileMapped(model_path);
-    ServingSession streamed = ServingSession::FromFile(model_path);
     std::remove(model_path);
-    const size_t probes = opt.quick ? 16 : 48;
-    size_t matches = 0;
-    for (size_t i = 0; i < probes; ++i) {
-      const Series s = GaussianNoise(series_len, 8000 + i);
-      const int expect = streamed.Predict(s);
-      if (mapped.Predict(s) == expect && in_ram.Predict(s) == expect) {
-        ++matches;
-      }
-    }
-    metrics["mmap_predict_match"] =
-        static_cast<double>(matches) / static_cast<double>(probes);
 
 #if defined(__unix__) || defined(__APPLE__)
     // Informational (machine-dependent, not in the baseline): peak RSS of
@@ -1247,55 +1017,16 @@ int main(int argc, char** argv) {
 #endif
   }
 
-  // --- Distributed: histogram-merge determinism + shard serving scaling ---
-  // dist_train_match is an exact contract (gated at 1.0 in every mode):
-  // training with the int64-quantized histogram-merge seam must produce
-  // byte-identical GBT models for world size 1 and 3, on every rank. The
-  // in-process LocalReducerGroup is used so the bench stays fork-free for
-  // this half. shard_serving_scaling gates the router's throughput win:
-  // the same request batch through a 4-shard process fleet vs a single
-  // shard over the identical wire protocol (so framing overhead cancels
-  // and the ratio isolates the process-parallel serving win). Calibrated
-  // for 1-core CI runners, where the gain comes from pipelining overlap
+  // --- Distributed: shard serving scaling ---
+  // shard_serving_scaling gates the router's throughput win: the same
+  // request batch through a 4-shard process fleet vs a single shard over
+  // the identical wire protocol (so framing overhead cancels and the
+  // ratio isolates the process-parallel serving win). Calibrated for
+  // 1-core CI runners, where the gain comes from pipelining overlap
   // rather than true parallelism — multi-core hosts clear the floor with
   // a wide margin.
   std::printf("Distributed:\n");
   {
-    Matrix x;
-    std::vector<int> y;
-    Rng rng(91);
-    for (size_t c = 0; c < 3; ++c) {
-      for (size_t i = 0; i < (opt.quick ? 15u : 40u); ++i) {
-        x.push_back({3.0 * static_cast<double>(c) + rng.Gaussian(0, 0.6),
-                     rng.Gaussian(0, 0.6)});
-        y.push_back(static_cast<int>(c));
-      }
-    }
-    const auto fit_world = [&](size_t world) {
-      LocalReducerGroup group(world);
-      std::vector<std::string> bytes(world);
-      std::vector<std::thread> ranks;
-      for (size_t r = 0; r < world; ++r) {
-        ranks.emplace_back([&, r] {
-          GradientBoostingClassifier::Params params;
-          params.num_rounds = 10;
-          params.reducer = group.reducer(r);
-          GradientBoostingClassifier gbt(params);
-          gbt.Fit(x, y);
-          BinaryWriter w;
-          gbt.SaveBinary(&w);
-          bytes[r] = w.data();
-        });
-      }
-      for (std::thread& t : ranks) t.join();
-      return bytes;
-    };
-    const std::vector<std::string> world1 = fit_world(1);
-    const std::vector<std::string> world3 = fit_world(3);
-    bool match = !world1[0].empty();
-    for (const std::string& b : world3) match = match && b == world1[0];
-    metrics["dist_train_match"] = match ? 1.0 : 0.0;
-
     // Shard scaling: one model file, one batch, 1 vs 4 worker processes.
     const size_t series_len = 128;
     const size_t train_n = opt.quick ? 16 : 24;
@@ -1356,8 +1087,9 @@ int main(int argc, char** argv) {
 
   // --- Metrics overhead: the observability subsystem's <2% contract ---
   // The same hot-path workloads (serving PredictBatch, a small training
-  // fit) timed with instrumentation enabled vs obs::SetEnabled(false);
-  // the gated ratios are t_disabled / t_enabled, so 1.0 means free and
+  // fit) timed with instrumentation disabled (obs::SetEnabled(false)) and
+  // enabled, back to back per repetition (TimePaired); the gated ratios
+  // are the medians of t_disabled / t_enabled, so 1.0 means free and
   // 0.98 is the 2% budget from docs/OBSERVABILITY.md. metrics_overhead
   // (the gated key) is the worse of the two paths. The obs_* rows are
   // informational micro costs of one sharded-counter increment and one
@@ -1400,42 +1132,37 @@ int main(int argc, char** argv) {
     for (size_t i = 0; i < batch_n; ++i) {
       batch.push_back(GaussianNoise(series_len, 10500 + i));
     }
-    obs::SetEnabled(true);
-    const BenchResult serve_on =
-        TimeIt("serve_batch_obs_on", batch_n, opt,
-               [&] { session.PredictBatch(batch.data(), batch.size(), 1); });
-    obs::SetEnabled(false);
-    const BenchResult serve_off =
-        TimeIt("serve_batch_obs_off", batch_n, opt,
-               [&] { session.PredictBatch(batch.data(), batch.size(), 1); });
-    results.push_back(serve_on);
-    results.push_back(serve_off);
+    const auto serve_batch = [&](bool enabled) {
+      obs::SetEnabled(enabled);
+      session.PredictBatch(batch.data(), batch.size(), 1);
+    };
+    const PairedTiming serve = TimePaired(
+        "serve_batch_obs_off", "serve_batch_obs_on", batch_n, opt,
+        [&] { serve_batch(false); }, [&] { serve_batch(true); });
 
     // Training hot path: spans fire per GBT round, counters per node
     // build and split sweep — the densest instrumentation in the tree.
-    const auto fit_once = [&] {
+    const auto fit_once = [&](bool enabled) {
+      obs::SetEnabled(enabled);
       MvgClassifier::Config c;
       c.grid = GridPreset::kNone;
       c.num_threads = 1;
       MvgClassifier fresh(c);
       fresh.Fit(train);
     };
-    obs::SetEnabled(true);
-    const BenchResult fit_on = TimeIt("train_fit_obs_on", train_n, opt,
-                                      [&] { fit_once(); });
-    obs::SetEnabled(false);
-    const BenchResult fit_off = TimeIt("train_fit_obs_off", train_n, opt,
-                                       [&] { fit_once(); });
-    results.push_back(fit_on);
-    results.push_back(fit_off);
+    const PairedTiming fit = TimePaired(
+        "train_fit_obs_off", "train_fit_obs_on", train_n, opt,
+        [&] { fit_once(false); }, [&] { fit_once(true); });
     obs::SetEnabled(was_enabled);
+    for (const PairedTiming* p : {&serve, &fit}) {
+      results.push_back(p->a);
+      results.push_back(p->b);
+    }
 
-    if (serve_on.ns_per_iter > 0.0 && fit_on.ns_per_iter > 0.0) {
-      const double serving = serve_off.ns_per_iter / serve_on.ns_per_iter;
-      const double training = fit_off.ns_per_iter / fit_on.ns_per_iter;
-      metrics["metrics_overhead_serving"] = serving;
-      metrics["metrics_overhead_training"] = training;
-      metrics["metrics_overhead"] = std::min(serving, training);
+    if (serve.ratio > 0.0 && fit.ratio > 0.0) {
+      metrics["metrics_overhead_serving"] = serve.ratio;
+      metrics["metrics_overhead_training"] = fit.ratio;
+      metrics["metrics_overhead"] = std::min(serve.ratio, fit.ratio);
     }
   }
 

@@ -4,9 +4,8 @@
 // In-process HistogramReducer group: `world_size` reducers that allreduce
 // through a shared barrier. This is the test/bench implementation of the
 // seam — it runs N "workers" as plain threads in one process, which is
-// how tests/dist_test.cc and the perf_suite dist_train_match gate pin
-// the 1-vs-N bit-identity contract without forking. The multi-process
-// transport lives in dist/coordinator.h.
+// how tests/dist_test.cc pins the 1-vs-N bit-identity contract without
+// forking. The multi-process transport lives in dist/coordinator.h.
 
 #include <condition_variable>
 #include <cstdint>

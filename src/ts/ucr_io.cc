@@ -1,5 +1,6 @@
 #include "ts/ucr_io.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
@@ -12,6 +13,12 @@ namespace mvg {
 
 namespace {
 
+[[noreturn]] void ThrowBadToken(const std::string& token, size_t line_no,
+                                const char* what, const std::string& where) {
+  throw std::runtime_error(where + ": bad " + what + " '" + token +
+                           "' on line " + std::to_string(line_no));
+}
+
 /// Strict numeric token parse: the whole token must be consumed, so a
 /// partially-numeric token like "1.5abc" (which strtod happily accepts)
 /// fails loudly instead of silently truncating the value.
@@ -20,10 +27,24 @@ double ParseStrict(const std::string& token, size_t line_no, const char* what,
   char* end = nullptr;
   const double v = std::strtod(token.c_str(), &end);
   if (end == token.c_str() || end != token.c_str() + token.size()) {
-    throw std::runtime_error(where + ": bad " + what + " '" + token +
-                             "' on line " + std::to_string(line_no));
+    ThrowBadToken(token, line_no, what, where);
   }
   return v;
+}
+
+/// A class label is an integer in int range. Old UCR files write labels
+/// in float notation ("1.0000000e+00"), so an integral value is accepted
+/// in any spelling; NaN, infinities, fractions and out-of-range values
+/// are rejected rather than cast (a cast of those is undefined).
+int ParseLabel(const std::string& token, size_t line_no,
+               const std::string& where) {
+  const double v = ParseStrict(token, line_no, "label", where);
+  if (!(v >= std::numeric_limits<int>::min() &&
+        v <= std::numeric_limits<int>::max()) ||
+      v != std::trunc(v)) {
+    ThrowBadToken(token, line_no, "label", where);
+  }
+  return static_cast<int>(v);
 }
 
 }  // namespace
@@ -37,7 +58,7 @@ bool ParseUcrLine(const std::string& line, size_t line_no,
     throw std::runtime_error(where + ": line " + std::to_string(line_no) +
                              " has fewer than 2 fields");
   }
-  *label = static_cast<int>(ParseStrict(tokens[0], line_no, "label", where));
+  *label = ParseLabel(tokens[0], line_no, where);
   values->clear();
   values->reserve(tokens.size() - 1);
   for (size_t i = 1; i < tokens.size(); ++i) {

@@ -94,18 +94,36 @@ TEST(UcrIoTest, PartiallyParsedTokenRejectedWithLineNumber) {
 
 TEST(UcrIoTest, GarbageLabelRejected) {
   const std::string path = TempPath("ucr_badlabel.csv");
-  WriteText(path, "1x,0.5\n");
-  EXPECT_THROW(ReadUcrFile(path), std::runtime_error);
+  // Non-numeric, non-finite, fractional and out-of-int-range labels all
+  // fail, naming the offending line, in the whole-file and paged readers.
+  for (const char* label :
+       {"1x", "nan", "inf", "-inf", "1e10", "-3e9", "2.5", "-0.5"}) {
+    WriteText(path, std::string("1,0.5\n") + label + ",0.5\n");
+    try {
+      ReadUcrFile(path);
+      ADD_FAILURE() << "label '" << label << "' accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+    }
+    PagedUcrReader reader(path);
+    SeriesPage page;
+    EXPECT_THROW({ while (reader.NextPage(&page)) {} }, std::runtime_error)
+        << "label '" << label << "'";
+  }
 }
 
 TEST(UcrIoTest, ScientificNotationAndSignsAccepted) {
   const std::string path = TempPath("ucr_sci_ok.csv");
-  WriteText(path, "-1,+1.5e-3,-2E4,.5,5.\n");
+  // Old UCR files write labels in float notation.
+  WriteText(path, "-1,+1.5e-3,-2E4,.5,5.\n1.0000000e+00,0.25\n");
   const Dataset ds = ReadUcrFile(path);
-  ASSERT_EQ(ds.size(), 1u);
+  ASSERT_EQ(ds.size(), 2u);
   EXPECT_EQ(ds.label(0), -1);
   EXPECT_EQ(ds.series(0),
             (Series{1.5e-3, -2e4, 0.5, 5.0}));
+  EXPECT_EQ(ds.label(1), 1);
+  EXPECT_EQ(ds.series(1), (Series{0.25}));
 }
 
 // ---------------------------------------------------------------------------

@@ -89,12 +89,14 @@ Dataset TrainSet(size_t num_classes) {
 }
 
 /// Probes of every length class: the longest first (longer than any
-/// training series, so its row is truncated), then training-length and
-/// shorter ones (padded), and one with non-finite samples.
+/// training series, so its row is truncated; at 1024 points its VG and
+/// HVG builds and motif counts are the largest the workspace pools),
+/// then training-length and shorter ones (padded), and one with
+/// non-finite samples.
 std::vector<Series> Probes() {
-  std::vector<Series> probes = {GaussianNoise(160, 7), RandomWalk(80, 8),
-                                GaussianNoise(64, 9), RandomWalk(40, 10),
-                                LogisticMap(72, 3.9, 0.3)};
+  std::vector<Series> probes = {GaussianNoise(1024, 6), GaussianNoise(160, 7),
+                                RandomWalk(80, 8), GaussianNoise(64, 9),
+                                RandomWalk(40, 10), LogisticMap(72, 3.9, 0.3)};
   Series dirty = RandomWalk(70, 11);
   dirty[3] = std::numeric_limits<double>::quiet_NaN();
   dirty[30] = std::numeric_limits<double>::infinity();
