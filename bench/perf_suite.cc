@@ -404,29 +404,28 @@ int main(int argc, char** argv) {
       }
     };
     const size_t hist_elems = hist_rows * hist_feats;
-    const BenchResult hist_simd =
-        TimeIt("kernel_hist_class_scan", hist_elems, opt, [&] {
-          for (size_t f = 0; f < hist_feats; ++f) {
-            ClassScan(ft.column(f), stage, num_classes, hist.data(), &lo, &hi);
-            clear_span();
-          }
-        });
-    const BenchResult hist_legacy =
-        TimeIt("kernel_hist_legacy_scalar", hist_elems, opt, [&] {
+    // The gate is TimePaired's median of back-to-back ratios.
+    const PairedTiming hist_pair = TimePaired(
+        "kernel_hist_legacy_scalar", "kernel_hist_class_scan", hist_elems,
+        opt,
+        [&] {
           for (size_t f = 0; f < hist_feats; ++f) {
             bench::LegacyClassScan(ft.column(f), hrows, hy, 0, hist_rows,
                                    num_classes, hist.data(), &lo, &hi);
             clear_span();
           }
+        },
+        [&] {
+          for (size_t f = 0; f < hist_feats; ++f) {
+            ClassScan(ft.column(f), stage, num_classes, hist.data(), &lo, &hi);
+            clear_span();
+          }
         });
-    print_per_element("kernel_hist_class_scan", hist_simd);
-    print_per_element("kernel_hist_legacy_scalar", hist_legacy);
-    results.push_back(hist_simd);
-    results.push_back(hist_legacy);
-    if (hist_simd.ns_per_iter > 0.0) {
-      metrics["simd_hist_build_speedup"] =
-          hist_legacy.ns_per_iter / hist_simd.ns_per_iter;
-    }
+    print_per_element("kernel_hist_class_scan", hist_pair.b);
+    print_per_element("kernel_hist_legacy_scalar", hist_pair.a);
+    results.push_back(hist_pair.b);
+    results.push_back(hist_pair.a);
+    metrics["simd_hist_build_speedup"] = hist_pair.ratio;
 
     // Visibility scans: one range's stage of the divide & conquer build —
     // range argmax plus both slope scans — on the full top-level range,
@@ -888,67 +887,49 @@ int main(int argc, char** argv) {
 
     // (a) synchronous: one session, one mutex, one series at a time —
     // the documented way for concurrent clients to share ServingSession.
+    // (b) async micro-batching on the shared executor pool. Both sessions
+    // exist before any timing starts.
     ServingSession sync_session = ServingSession::FromFile(model_path);
-    sync_session.Predict(inputs[0][0]);  // warm the workspace pool
-    std::mutex session_mu;
-    WallTimer sync_timer;
-    {
-      std::vector<std::thread> threads;
-      for (size_t p = 0; p < producers; ++p) {
-        threads.emplace_back([&, p]() {
-          for (const Series& s : inputs[p]) {
-            std::lock_guard<std::mutex> lock(session_mu);
-            sync_session.PredictBatch(&s, 1, 1);
-          }
-        });
-      }
-      for (auto& t : threads) t.join();
-    }
-    const double t_sync = sync_timer.Seconds();
-
-    // (b) async micro-batching on the shared executor pool.
     AsyncServingSession::Options async_opt;
     async_opt.batch_max = 32;
     async_opt.batch_timeout_ms = 2.0;
     AsyncServingSession async_session =
         AsyncServingSession::FromFile(model_path, async_opt);
     std::remove(model_path);
-    // Warm up (first dispatch grows the per-worker workspaces).
-    async_session.Submit(inputs[0][0]).get();
-    WallTimer async_timer;
-    {
+    std::mutex session_mu;
+    const auto run_producers = [&](auto&& produce) {
       std::vector<std::thread> threads;
       for (size_t p = 0; p < producers; ++p) {
-        threads.emplace_back([&, p]() {
-          std::vector<std::future<int>> futures;
-          futures.reserve(inputs[p].size());
-          for (const Series& s : inputs[p]) {
-            futures.push_back(async_session.Submit(s));
-          }
-          for (auto& f : futures) f.get();
-        });
+        threads.emplace_back([&, p]() { produce(inputs[p]); });
       }
       for (auto& t : threads) t.join();
-    }
-    const double t_async = async_timer.Seconds();
-
-    const double total_requests =
-        static_cast<double>(producers * per_producer);
-    BenchResult sync_row{"serve_sync_8producers", producers, 1,
-                         t_sync * 1e9 / total_requests};
-    BenchResult async_row{"serve_async_8producers", producers, 1,
-                          t_async * 1e9 / total_requests};
-    std::printf("  %-34s n=%-6zu %12.0f ns/iter  (%zu iters)\n",
-                sync_row.name.c_str(), sync_row.n, sync_row.ns_per_iter,
-                sync_row.iters);
-    std::printf("  %-34s n=%-6zu %12.0f ns/iter  (%zu iters)\n",
-                async_row.name.c_str(), async_row.n, async_row.ns_per_iter,
-                async_row.iters);
-    results.push_back(sync_row);
-    results.push_back(async_row);
-    if (t_async > 0.0) {
-      metrics["serve_async_throughput_x"] = t_sync / t_async;
-    }
+    };
+    // One call serves every producer's requests; the gate is TimePaired's
+    // median of back-to-back sync / async ratios.
+    const PairedTiming serve = TimePaired(
+        "serve_sync_8producers", "serve_async_8producers",
+        producers * per_producer, opt,
+        [&] {
+          run_producers([&](const std::vector<Series>& requests) {
+            for (const Series& s : requests) {
+              std::lock_guard<std::mutex> lock(session_mu);
+              sync_session.PredictBatch(&s, 1, 1);
+            }
+          });
+        },
+        [&] {
+          run_producers([&](const std::vector<Series>& requests) {
+            std::vector<std::future<int>> futures;
+            futures.reserve(requests.size());
+            for (const Series& s : requests) {
+              futures.push_back(async_session.Submit(s));
+            }
+            for (auto& f : futures) f.get();
+          });
+        });
+    results.push_back(serve.a);
+    results.push_back(serve.b);
+    metrics["serve_async_throughput_x"] = serve.ratio;
 
     // Tail latency of the async path (enqueue -> completion), from the
     // session's own sliding latency window — informational rows.
@@ -1048,41 +1029,27 @@ int main(int argc, char** argv) {
       batch.push_back(GaussianNoise(series_len, 9500 + i));
     }
 
-    const auto route_seconds = [&](size_t shards) {
+    // Both fleets are spawned and warmed (every worker's workspace pool)
+    // before timing; the gate is TimePaired's median of back-to-back
+    // 1-shard / 4-shard ratios.
+    const auto spawn = [&](size_t shards) {
       ShardRouter::Options ropt;
       ropt.model_path = model_path;
       ropt.num_shards = shards;
       ShardRouter router = ShardRouter::SpawnLocal(ropt);
-      router.PredictBatch(batch);  // warm every worker's workspace pool
-      const int reps = opt.quick ? 1 : 3;
-      double best = 0.0;
-      for (int rep = 0; rep < reps; ++rep) {
-        WallTimer timer;
-        router.PredictBatch(batch);
-        const double seconds = timer.Seconds();
-        if (rep == 0 || seconds < best) best = seconds;
-      }
-      return best;
+      router.PredictBatch(batch);
+      return router;
     };
-    const double t_shard1 = route_seconds(1);
-    const double t_shard4 = route_seconds(4);
+    ShardRouter router1 = spawn(1);
+    ShardRouter router4 = spawn(4);
     std::remove(model_path);
-
-    BenchResult shard1_row{"route_batch_1shard", batch_n, 1,
-                           t_shard1 * 1e9 / static_cast<double>(batch_n)};
-    BenchResult shard4_row{"route_batch_4shards", batch_n, 1,
-                           t_shard4 * 1e9 / static_cast<double>(batch_n)};
-    std::printf("  %-34s n=%-6zu %12.0f ns/iter  (%zu iters)\n",
-                shard1_row.name.c_str(), shard1_row.n, shard1_row.ns_per_iter,
-                shard1_row.iters);
-    std::printf("  %-34s n=%-6zu %12.0f ns/iter  (%zu iters)\n",
-                shard4_row.name.c_str(), shard4_row.n, shard4_row.ns_per_iter,
-                shard4_row.iters);
-    results.push_back(shard1_row);
-    results.push_back(shard4_row);
-    if (t_shard4 > 0.0) {
-      metrics["shard_serving_scaling"] = t_shard1 / t_shard4;
-    }
+    const PairedTiming route = TimePaired(
+        "route_batch_1shard", "route_batch_4shards", batch_n, opt,
+        [&] { router1.PredictBatch(batch); },
+        [&] { router4.PredictBatch(batch); });
+    results.push_back(route.a);
+    results.push_back(route.b);
+    metrics["shard_serving_scaling"] = route.ratio;
   }
 
   // --- Metrics overhead: the observability subsystem's <2% contract ---

@@ -82,7 +82,7 @@ void MvgMultivariateClassifier::Fit(const MultivariateDataset& train) {
   rp.max_depth = 20;
   rp.seed = config_.seed;
   rp.num_threads = threads;
-  std::vector<ClassifierFactory> candidates = {
+  const std::vector<ClassifierFactory> candidates = {
       [gp]() { return std::make_unique<GradientBoostingClassifier>(gp); },
       [rp]() { return std::make_unique<RandomForestClassifier>(rp); },
   };
@@ -96,11 +96,7 @@ void MvgMultivariateClassifier::Fit(const MultivariateDataset& train) {
                       threads)
                .best_index;
   }
-  if (best == 0) {
-    model_ = std::make_unique<GradientBoostingClassifier>(gp);
-  } else {
-    model_ = std::make_unique<RandomForestClassifier>(rp);
-  }
+  model_ = candidates[best]();
   model_->Fit(x, y);
   train_seconds_ = train_timer.Seconds();
 }

@@ -298,14 +298,14 @@ void MvgClassifier::TrainBinnedTail(FeatureTable* ft,
 
   const std::vector<ClassifierFactory> candidates = BuildCandidates(threads);
   size_t best = 0;
-  if (candidates.size() > 1 && config_.grid != GridPreset::kNone) {
+  if (candidates.size() > 1) {
     const std::vector<FoldIndices> folds =
         StratifiedKFold(y_os, config_.cv_folds, config_.seed);
     best = GridSearchBinned(candidates, *ft, y_os, folds, threads).best_index;
   }
   std::vector<size_t> all(ft->num_rows());
   std::iota(all.begin(), all.end(), size_t{0});
-  model_ = BuildCandidates(threads)[best]();
+  model_ = candidates[best]();
   model_->FitBinned(*ft, y_os, all);
   train_seconds_ = train_timer.Seconds();
 }
@@ -347,12 +347,12 @@ void MvgClassifier::FitOnExtracted(Matrix x, std::vector<int> y) {
     // SVM: candidate x fold cells fan out across the thread budget.
     const std::vector<ClassifierFactory> candidates = BuildCandidates(threads);
     size_t best = 0;
-    if (candidates.size() > 1 && config_.grid != GridPreset::kNone) {
+    if (candidates.size() > 1) {
       best = GridSearch(candidates, x_used, y, config_.cv_folds, config_.seed,
                         threads)
                  .best_index;
     }
-    model_ = BuildCandidates(threads)[best]();
+    model_ = candidates[best]();
     model_->Fit(x_used, y);
   }
   train_seconds_ = train_timer.Seconds();

@@ -52,9 +52,10 @@ class Classifier {
   /// Trains on the row subset `rows` of X — semantically identical to
   /// Fit() on the gathered submatrix. The tree families override this to
   /// bin the row view directly, which is what lets cross-validation
-  /// (CrossVal*/GridSearch/stacking) share one feature matrix across folds
-  /// without materialising per-fold copies. The default implementation
-  /// gathers the rows and delegates to Fit(). `rows` must be non-empty.
+  /// (GridSearch, which stacking also scores through) share one feature
+  /// matrix across folds without materialising per-fold copies. The
+  /// default implementation gathers the rows and delegates to Fit().
+  /// `rows` must be non-empty.
   virtual void FitOnRows(const Matrix& x, const std::vector<int>& y,
                          const std::vector<size_t>& rows);
 

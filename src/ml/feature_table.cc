@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "ml/quantile_sketch.h"
+
 namespace mvg {
 
 void FeatureTable::Build(const Matrix& x, size_t max_bins) {
@@ -40,36 +42,15 @@ void FeatureTable::Build(const Matrix& x, const std::vector<size_t>& rows,
   cuts_.clear();
   cut_offset_.assign(num_features_ + 1, 0);
 
-  std::vector<double> column(num_rows_), sorted(num_rows_);
+  // A one-block sketch never compacts, so ComputeCuts sees the exact
+  // sorted column.
+  std::vector<double> column(num_rows_);
   for (size_t f = 0; f < num_features_; ++f) {
     for (size_t i = 0; i < num_rows_; ++i) column[i] = x[rows[i]][f];
-    sorted = column;
-    std::sort(sorted.begin(), sorted.end());
-
-    // Cut points: strictly increasing midpoints between consecutive
-    // distinct values — all of them when the feature has few distinct
-    // values (the histogram sweep is then exact), else at evenly spaced
-    // ranks (a quantile sketch in the XGBoost style).
-    const size_t cuts_begin = cuts_.size();
-    size_t distinct = 1;
-    for (size_t i = 1; i < num_rows_; ++i) {
-      if (sorted[i] != sorted[i - 1]) ++distinct;
-    }
-    if (distinct <= max_bins) {
-      for (size_t i = 1; i < num_rows_; ++i) {
-        if (sorted[i] != sorted[i - 1]) {
-          cuts_.push_back(0.5 * (sorted[i - 1] + sorted[i]));
-        }
-      }
-    } else {
-      for (size_t b = 1; b < max_bins; ++b) {
-        const size_t pos = b * num_rows_ / max_bins;
-        if (pos == 0 || sorted[pos] == sorted[pos - 1]) continue;
-        const double cut = 0.5 * (sorted[pos - 1] + sorted[pos]);
-        if (cuts_.size() > cuts_begin && cut <= cuts_.back()) continue;
-        cuts_.push_back(cut);
-      }
-    }
+    QuantileSketch sketch(std::max<size_t>(num_rows_, 2));
+    sketch.AddBulk(column.data(), num_rows_);
+    const std::vector<double> cuts = sketch.ComputeCuts(max_bins);
+    cuts_.insert(cuts_.end(), cuts.begin(), cuts.end());
     cut_offset_[f + 1] = cuts_.size();
 
     // Bin id: index of the first cut >= value, so `bin <= b` is exactly

@@ -20,7 +20,8 @@ namespace mvg {
 /// consecutive distinct values, so histogram split finding enumerates
 /// every distinct-value boundary an exact pre-sorted sweep would);
 /// otherwise cut points are taken at evenly spaced ranks of the sorted
-/// values (a quantile sketch).
+/// values. The cuts are QuantileSketch::ComputeCuts over a one-block
+/// sketch of the column, which holds the column exactly.
 ///
 /// Rows are addressed by *compact* index 0..num_rows()-1 in the order they
 /// were passed to Build(); source_row() maps back to the original Matrix

@@ -46,7 +46,9 @@ namespace {
 /// A fold is usable when both sides are non-empty and its training part
 /// covers every label occurring in its validation part (a class with
 /// fewer members than folds can leave a gap; such folds cannot score
-/// unseen labels and are skipped, as before).
+/// unseen labels and are skipped). For folds that partition the rows, as
+/// StratifiedKFold's do, this is exactly "the training part holds every
+/// class": a class missing from it lies wholly in the validation part.
 std::vector<char> UsableFolds(const std::vector<FoldIndices>& folds,
                               const std::vector<int>& y) {
   std::vector<char> usable(folds.size(), 0);
@@ -73,70 +75,67 @@ std::vector<char> UsableFolds(const std::vector<FoldIndices>& folds,
   return usable;
 }
 
-/// Score of one candidate x fold cell: fit on the fold's train rows (as a
-/// view — no matrix copy) and score the validation rows one by one.
-double ScoreCell(const ClassifierFactory& factory, const Matrix& x,
-                 const std::vector<int>& y, const FoldIndices& fold,
-                 bool use_log_loss) {
-  std::unique_ptr<Classifier> clf = factory();
-  clf->FitOnRows(x, y, fold.train);
-  std::vector<int> yval;
-  yval.reserve(fold.validation.size());
-  for (size_t i : fold.validation) yval.push_back(y[i]);
-  if (use_log_loss) {
-    Matrix proba;
-    proba.reserve(fold.validation.size());
-    for (size_t i : fold.validation) proba.push_back(clf->PredictProba(x[i]));
-    return LogLoss(yval, proba, clf->classes());
+/// The one cross-validation engine. Every candidate x usable fold cell is
+/// fitted exactly once: `fit(clf, rows)` trains a fresh candidate on the
+/// fold's train rows, and `row(i, &scratch)` yields validation row i's
+/// feature vector for PredictProba. The cells are independent, so they
+/// all fan out at once onto the executor pool (a cell's own tree-level
+/// parallelism submits nested tasks to the same pool rather than
+/// spawning); each candidate's score is then reduced in fold order on the
+/// calling thread, so scores are bit-identical for every thread count and
+/// pool size. `cell_probas`, when given, keeps every cell's validation
+/// probabilities (see the header).
+template <typename FitFn, typename RowFn>
+GridSearchResult CrossValidate(const std::vector<ClassifierFactory>& candidates,
+                               const std::vector<int>& y,
+                               const std::vector<FoldIndices>& folds,
+                               size_t num_threads, FitFn&& fit, RowFn&& row,
+                               std::vector<Matrix>* cell_probas) {
+  if (candidates.empty()) {
+    throw std::invalid_argument("GridSearch: no candidates");
   }
-  std::vector<int> pred;
-  pred.reserve(fold.validation.size());
-  for (size_t i : fold.validation) pred.push_back(clf->Predict(x[i]));
-  return ErrorRate(yval, pred);
-}
-
-/// ScoreCell on the binned path: fit on the fold's train rows straight
-/// from the table, score validation rows through their per-bin
-/// representative vectors (exact routing for histogram-trained trees).
-double ScoreCellBinned(const ClassifierFactory& factory,
-                       const FeatureTable& ft, const std::vector<int>& y,
-                       const FoldIndices& fold) {
-  std::unique_ptr<Classifier> clf = factory();
-  clf->FitBinned(ft, y, fold.train);
-  std::vector<int> yval;
-  yval.reserve(fold.validation.size());
-  for (size_t i : fold.validation) yval.push_back(y[i]);
-  Matrix proba;
-  proba.reserve(fold.validation.size());
-  std::vector<double> rep;
-  for (size_t i : fold.validation) {
-    ft.RepresentativeRowInto(i, &rep);
-    proba.push_back(clf->PredictProba(rep));
-  }
-  return LogLoss(yval, proba, clf->classes());
-}
-
-/// Shared CV loop over precomputed folds; `use_log_loss` picks the score.
-double CrossValScore(const ClassifierFactory& factory, const Matrix& x,
-                     const std::vector<int>& y,
-                     const std::vector<FoldIndices>& folds, bool use_log_loss,
-                     size_t num_threads) {
   const std::vector<char> usable = UsableFolds(folds, y);
-  std::vector<double> scores(folds.size(), 0.0);
-  ParallelFor(folds.size(), num_threads, [&](size_t f) {
-    if (usable[f]) scores[f] = ScoreCell(factory, x, y, folds[f], use_log_loss);
-  });
-  double total = 0.0;
-  size_t used = 0;
-  for (size_t f = 0; f < folds.size(); ++f) {
-    if (!usable[f]) continue;
-    total += scores[f];
-    ++used;
-  }
+  const size_t used = static_cast<size_t>(
+      std::count(usable.begin(), usable.end(), char{1}));
   if (used == 0) {
-    throw std::runtime_error("CrossValScore: no usable folds");
+    throw std::runtime_error("GridSearch: no usable folds");
   }
-  return total / static_cast<double>(used);
+  const size_t num_cells = candidates.size() * folds.size();
+  if (cell_probas != nullptr) cell_probas->assign(num_cells, Matrix());
+  std::vector<double> cell_scores(num_cells, 0.0);
+  ParallelFor(num_cells, num_threads, [&](size_t cell) {
+    const size_t f = cell % folds.size();
+    if (!usable[f]) return;
+    const FoldIndices& fold = folds[f];
+    std::unique_ptr<Classifier> clf = candidates[cell / folds.size()]();
+    fit(clf.get(), fold.train);
+    std::vector<int> yval;
+    Matrix proba;
+    std::vector<double> scratch;
+    yval.reserve(fold.validation.size());
+    proba.reserve(fold.validation.size());
+    for (size_t i : fold.validation) {
+      yval.push_back(y[i]);
+      proba.push_back(clf->PredictProba(row(i, &scratch)));
+    }
+    cell_scores[cell] = LogLoss(yval, proba, clf->classes());
+    if (cell_probas != nullptr) (*cell_probas)[cell] = std::move(proba);
+  });
+
+  GridSearchResult result;
+  result.scores.reserve(candidates.size());
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    double total = 0.0;
+    for (size_t f = 0; f < folds.size(); ++f) {
+      if (usable[f]) total += cell_scores[c * folds.size() + f];
+    }
+    result.scores.push_back(total / static_cast<double>(used));
+  }
+  result.best_index = static_cast<size_t>(
+      std::min_element(result.scores.begin(), result.scores.end()) -
+      result.scores.begin());
+  result.best_score = result.scores[result.best_index];
+  return result;
 }
 
 }  // namespace
@@ -144,29 +143,14 @@ double CrossValScore(const ClassifierFactory& factory, const Matrix& x,
 double CrossValLogLoss(const ClassifierFactory& factory, const Matrix& x,
                        const std::vector<int>& y, size_t num_folds,
                        uint64_t seed) {
-  return CrossValScore(factory, x, y, StratifiedKFold(y, num_folds, seed),
-                       true, 1);
+  return CrossValLogLoss(factory, x, y, StratifiedKFold(y, num_folds, seed));
 }
 
 double CrossValLogLoss(const ClassifierFactory& factory, const Matrix& x,
                        const std::vector<int>& y,
                        const std::vector<FoldIndices>& folds,
                        size_t num_threads) {
-  return CrossValScore(factory, x, y, folds, true, num_threads);
-}
-
-double CrossValError(const ClassifierFactory& factory, const Matrix& x,
-                     const std::vector<int>& y, size_t num_folds,
-                     uint64_t seed) {
-  return CrossValScore(factory, x, y, StratifiedKFold(y, num_folds, seed),
-                       false, 1);
-}
-
-double CrossValError(const ClassifierFactory& factory, const Matrix& x,
-                     const std::vector<int>& y,
-                     const std::vector<FoldIndices>& folds,
-                     size_t num_threads) {
-  return CrossValScore(factory, x, y, folds, false, num_threads);
+  return GridSearch({factory}, x, y, folds, num_threads).best_score;
 }
 
 GridSearchResult GridSearch(const std::vector<ClassifierFactory>& candidates,
@@ -180,87 +164,37 @@ GridSearchResult GridSearch(const std::vector<ClassifierFactory>& candidates,
 GridSearchResult GridSearch(const std::vector<ClassifierFactory>& candidates,
                             const Matrix& x, const std::vector<int>& y,
                             const std::vector<FoldIndices>& folds,
-                            size_t num_threads) {
-  if (candidates.empty()) {
-    throw std::invalid_argument("GridSearch: no candidates");
-  }
-  const std::vector<char> usable = UsableFolds(folds, y);
-  const size_t num_cells = candidates.size() * folds.size();
-
-  // Every candidate x fold cell is independent; fan them all out at once
-  // onto the executor pool — a cell's own tree-level parallelism submits
-  // nested tasks to the same pool rather than spawning — and reduce per
-  // candidate in fold order afterwards, so the scores are bit-identical
-  // for every thread count and pool size.
-  std::vector<double> cell_scores(num_cells, 0.0);
-  ParallelFor(num_cells, num_threads, [&](size_t cell) {
-    const size_t c = cell / folds.size();
-    const size_t f = cell % folds.size();
-    if (usable[f]) {
-      cell_scores[cell] = ScoreCell(candidates[c], x, y, folds[f], true);
-    }
-  });
-
-  GridSearchResult result;
-  result.scores.reserve(candidates.size());
-  size_t used = 0;
-  for (size_t f = 0; f < folds.size(); ++f) used += usable[f] ? 1 : 0;
-  if (used == 0) {
-    throw std::runtime_error("GridSearch: no usable folds");
-  }
-  for (size_t c = 0; c < candidates.size(); ++c) {
-    double total = 0.0;
-    for (size_t f = 0; f < folds.size(); ++f) {
-      if (usable[f]) total += cell_scores[c * folds.size() + f];
-    }
-    result.scores.push_back(total / static_cast<double>(used));
-  }
-  result.best_index = static_cast<size_t>(
-      std::min_element(result.scores.begin(), result.scores.end()) -
-      result.scores.begin());
-  result.best_score = result.scores[result.best_index];
-  return result;
+                            size_t num_threads,
+                            std::vector<Matrix>* cell_probas) {
+  // Train on row views (no per-fold matrix copies), score the rows as-is.
+  return CrossValidate(
+      candidates, y, folds, num_threads,
+      [&](Classifier* clf, const std::vector<size_t>& rows) {
+        clf->FitOnRows(x, y, rows);
+      },
+      [&](size_t i, std::vector<double>*) -> const std::vector<double>& {
+        return x[i];
+      },
+      cell_probas);
 }
 
 GridSearchResult GridSearchBinned(
     const std::vector<ClassifierFactory>& candidates, const FeatureTable& ft,
     const std::vector<int>& y, const std::vector<FoldIndices>& folds,
     size_t num_threads) {
-  if (candidates.empty()) {
-    throw std::invalid_argument("GridSearchBinned: no candidates");
-  }
-  // Same cell fan-out and fold-order reduction as GridSearch, so scores
-  // are bit-identical for every thread count and pool size.
-  const std::vector<char> usable = UsableFolds(folds, y);
-  const size_t num_cells = candidates.size() * folds.size();
-  std::vector<double> cell_scores(num_cells, 0.0);
-  ParallelFor(num_cells, num_threads, [&](size_t cell) {
-    const size_t c = cell / folds.size();
-    const size_t f = cell % folds.size();
-    if (usable[f]) {
-      cell_scores[cell] = ScoreCellBinned(candidates[c], ft, y, folds[f]);
-    }
-  });
-
-  GridSearchResult result;
-  result.scores.reserve(candidates.size());
-  size_t used = 0;
-  for (size_t f = 0; f < folds.size(); ++f) used += usable[f] ? 1 : 0;
-  if (used == 0) {
-    throw std::runtime_error("GridSearchBinned: no usable folds");
-  }
-  for (size_t c = 0; c < candidates.size(); ++c) {
-    double total = 0.0;
-    for (size_t f = 0; f < folds.size(); ++f) {
-      if (usable[f]) total += cell_scores[c * folds.size() + f];
-    }
-    result.scores.push_back(total / static_cast<double>(used));
-  }
-  result.best_index = static_cast<size_t>(
-      std::min_element(result.scores.begin(), result.scores.end()) -
-      result.scores.begin());
-  result.best_score = result.scores[result.best_index];
-  return result;
+  // Train straight from the table; score validation rows through their
+  // per-bin representative vectors (exact routing for histogram-trained
+  // trees).
+  return CrossValidate(
+      candidates, y, folds, num_threads,
+      [&](Classifier* clf, const std::vector<size_t>& rows) {
+        clf->FitBinned(ft, y, rows);
+      },
+      [&](size_t i, std::vector<double>* rep) -> const std::vector<double>& {
+        ft.RepresentativeRowInto(i, rep);
+        return *rep;
+      },
+      nullptr);
 }
 
 }  // namespace mvg

@@ -23,11 +23,8 @@ std::vector<FoldIndices> StratifiedKFold(const std::vector<int>& y,
                                          size_t num_folds, uint64_t seed);
 
 /// Cross-validated log loss (paper Eq. 5) of the classifier built by
-/// `factory`, averaged over stratified folds. Folds are computed once from
-/// (num_folds, seed); the overloads taking `folds` reuse a precomputed
-/// split (what GridSearch and StackingEnsemble do, so every candidate
-/// sees the identical folds without recomputing them). Training happens
-/// on row views via Classifier::FitOnRows — no per-fold matrix copies.
+/// `factory`, averaged over the usable stratified folds: GridSearch over
+/// one candidate. The overload taking `folds` reuses a precomputed split.
 double CrossValLogLoss(const ClassifierFactory& factory, const Matrix& x,
                        const std::vector<int>& y, size_t num_folds,
                        uint64_t seed);
@@ -35,15 +32,6 @@ double CrossValLogLoss(const ClassifierFactory& factory, const Matrix& x,
                        const std::vector<int>& y,
                        const std::vector<FoldIndices>& folds,
                        size_t num_threads = 1);
-
-/// Cross-validated error rate.
-double CrossValError(const ClassifierFactory& factory, const Matrix& x,
-                     const std::vector<int>& y, size_t num_folds,
-                     uint64_t seed);
-double CrossValError(const ClassifierFactory& factory, const Matrix& x,
-                     const std::vector<int>& y,
-                     const std::vector<FoldIndices>& folds,
-                     size_t num_threads = 1);
 
 /// Result of a grid search: scores per candidate plus the winner.
 struct GridSearchResult {
@@ -54,11 +42,22 @@ struct GridSearchResult {
 
 /// Evaluates every candidate factory by stratified-CV log loss and picks
 /// the best (the paper's hyper-parameter tuning protocol, §3.2/§4.2).
-/// The folds are computed once and shared by all candidates; the
-/// candidate x fold cells are embarrassingly parallel and fan out across
-/// `num_threads` workers with bit-identical scores for every thread count
-/// (each cell is independent and the per-candidate reduction runs in fold
-/// order on the calling thread).
+///
+/// GridSearch, GridSearchBinned and CrossValLogLoss share one engine,
+/// which fits every candidate x fold cell exactly once. A fold is used
+/// when both sides are non-empty and its train part holds every label of
+/// its validation part; each score is the mean log loss over the used
+/// folds, and the search throws when no fold is usable. The cells fan
+/// out across `num_threads` workers and each score is reduced in fold
+/// order on the calling thread, so scores are bit-identical for every
+/// thread count. The train rows are row views (Classifier::FitOnRows), so
+/// no fold copies the matrix.
+///
+/// `cell_probas`, when given, receives every cell's validation
+/// probabilities: entry c * folds.size() + f holds candidate c's
+/// PredictProba rows for folds[f].validation, in that order, and is empty
+/// when fold f is unused. StackingEnsemble builds its out-of-fold
+/// predictions from them instead of refitting.
 GridSearchResult GridSearch(const std::vector<ClassifierFactory>& candidates,
                             const Matrix& x, const std::vector<int>& y,
                             size_t num_folds, uint64_t seed,
@@ -66,13 +65,14 @@ GridSearchResult GridSearch(const std::vector<ClassifierFactory>& candidates,
 GridSearchResult GridSearch(const std::vector<ClassifierFactory>& candidates,
                             const Matrix& x, const std::vector<int>& y,
                             const std::vector<FoldIndices>& folds,
-                            size_t num_threads = 1);
+                            size_t num_threads = 1,
+                            std::vector<Matrix>* cell_probas = nullptr);
 
-/// GridSearch on the streaming path: candidates are trained per fold via
-/// Classifier::FitBinned on a shared pre-binned FeatureTable (indices in
-/// `folds` are table row ids) and validation rows are scored through
-/// FeatureTable::RepresentativeRowInto — a per-bin representative value
-/// that every histogram-trained tree routes exactly as the original
+/// GridSearch on the streaming path: the same engine, but each cell
+/// trains via Classifier::FitBinned on a shared pre-binned FeatureTable
+/// (indices in `folds` are table row ids) and validation rows are scored
+/// through FeatureTable::RepresentativeRowInto — a per-bin representative
+/// value that every histogram-trained tree routes exactly as the original
 /// feature vector, so fold scores match a fit on materialised features
 /// whenever the cuts do. No double feature matrix is ever built.
 GridSearchResult GridSearchBinned(

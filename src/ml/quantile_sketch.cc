@@ -174,8 +174,8 @@ std::vector<double> QuantileSketch::ComputeCuts(size_t max_bins) const {
   }
   if (distinct.size() <= max_bins) {
     // Few distinct values: midpoints between consecutive distinct values
-    // (identical to the exact path; when count() <= block the sketch is
-    // the raw column and this is bit-for-bit the exact computation).
+    // (when count() <= block the sketch is the raw column, so these are
+    // the exact cuts).
     for (size_t i = 0; i + 1 < distinct.size(); ++i) {
       cuts.push_back(0.5 * (distinct[i] + distinct[i + 1]));
     }
@@ -194,8 +194,8 @@ std::vector<double> QuantileSketch::ComputeCuts(size_t max_bins) const {
         std::upper_bound(cum.begin(), cum.end(), rank) - cum.begin());
   };
   // While every segment is still level 0 the sketch holds the raw stream
-  // (weights above 1 are true duplicate runs), and the exact sorted-column
-  // skip rule applies: a boundary inside a duplicate run yields no cut.
+  // (weights above 1 are true duplicate runs), and a boundary inside a
+  // duplicate run yields no cut.
   // Once compaction has run, a weight-w survivor stands for a *range* of
   // the original distribution, so a boundary inside its weight must still
   // produce a cut — we place it between the survivor and its successor
@@ -215,11 +215,11 @@ std::vector<double> QuantileSketch::ComputeCuts(size_t max_bins) const {
     const size_t lo = index_at(pos - 1);
     double cut;
     if (hi != lo) {
-      // Boundary between two adjacent distinct values — identical to the
-      // exact path's 0.5 * (sorted[pos - 1] + sorted[pos]).
+      // Boundary between two adjacent distinct values:
+      // 0.5 * (sorted[pos - 1] + sorted[pos]) of the raw column.
       cut = 0.5 * (distinct[lo] + distinct[hi]);
     } else if (!compacted) {
-      continue;  // duplicate run spans the boundary; the exact path skips
+      continue;  // a duplicate run spans the boundary
     } else {
       if (hi + 1 >= distinct.size()) continue;  // cannot cut above the max
       cut = 0.5 * (distinct[hi] + distinct[hi + 1]);

@@ -30,7 +30,8 @@
 // in the worst case, i.e. with block=1024 the relative rank error stays
 // well under 1% for any realistically sized training corpus; streams with
 // n <= block are represented exactly (the sketch degenerates to the raw
-// sorted column, and cuts equal the exact path's bit for bit).
+// sorted column), which is how FeatureTable::Build gets exact cuts from
+// the same ComputeCuts: it sketches each column as one block.
 //
 // Exact min/max/count are tracked on the side so downstream consumers
 // (MinMaxScaler bounds, bin-count decisions) never pay sketch error.
@@ -80,15 +81,15 @@ class QuantileSketch {
   size_t block() const { return block_; }
 
   /// The weighted value multiset: (value, weight) sorted by value, total
-  /// weight == count(). The exact-path quantile algorithm evaluated on
-  /// this multiset is the sketch-path cut computation.
+  /// weight == count(). ComputeCuts evaluates the quantile rule on it.
   std::vector<std::pair<double, uint64_t>> WeightedValues() const;
 
-  /// Bin cuts over the weighted multiset, mirroring the exact
-  /// FeatureTable algorithm: when the sketch holds <= max_bins distinct
-  /// values the cuts are midpoints between consecutive distinct values;
-  /// otherwise cut b splits at weighted rank b*count/max_bins, skipping
-  /// empty/duplicate splits. At most max_bins - 1 cuts.
+  /// Bin cuts over the weighted multiset, the one cut algorithm of both
+  /// the streaming and the in-RAM (FeatureTable::Build) binning: when the
+  /// sketch holds <= max_bins distinct values the cuts are midpoints
+  /// between consecutive distinct values; otherwise cut b splits at
+  /// weighted rank b*count/max_bins, skipping empty/duplicate splits. At
+  /// most max_bins - 1 cuts.
   std::vector<double> ComputeCuts(size_t max_bins) const;
 
  private:

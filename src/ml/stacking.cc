@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <stdexcept>
 
 #include "ml/metrics.h"
@@ -34,76 +33,52 @@ void StackingEnsemble::Fit(const Matrix& x, const std::vector<int>& y) {
         "are predict-only)");
   }
   const std::vector<size_t> encoded = PrepareFit(x, y);
-  const size_t k = encoder_.num_classes();
-  // One stratified split, shared by candidate scoring and the out-of-fold
-  // predictions (same seed always produced identical folds; now they are
-  // computed once instead of once per candidate).
   const auto folds = StratifiedKFold(y, params_.num_folds, params_.seed);
 
-  // Step 1-2: score every candidate by CV log loss; keep top-k per family.
-  // Candidates are independent, so they are scored concurrently; a
-  // candidate's own tree-level parallelism submits nested tasks onto the
-  // shared executor pool, which caps total concurrency instead of
-  // oversubscribing (scores are thread-count invariant either way).
-  std::vector<const ClassifierFactory*> all_candidates;
+  // Step 1: score every candidate by CV log loss. The candidate x fold
+  // cells fan out across the pool, and each cell keeps its validation
+  // probabilities for step 3.
+  std::vector<ClassifierFactory> all_candidates;
+  all_candidates.reserve(num_candidates);
   for (const auto& family : families_) {
-    for (const auto& factory : family) all_candidates.push_back(&factory);
+    all_candidates.insert(all_candidates.end(), family.begin(), family.end());
   }
-  std::vector<double> candidate_scores(all_candidates.size(), 0.0);
-  ParallelFor(all_candidates.size(), params_.num_threads, [&](size_t c) {
-    candidate_scores[c] = CrossValLogLoss(*all_candidates[c], x, y, folds);
-  });
+  std::vector<Matrix> cell_probas;
+  const std::vector<double> candidate_scores =
+      GridSearch(all_candidates, x, y, folds, params_.num_threads,
+                 &cell_probas)
+          .scores;
 
-  std::vector<ClassifierFactory> selected;
+  // Step 2: keep the top-k candidates per family.
+  std::vector<size_t> selected;
   size_t cursor = 0;
   for (const auto& family : families_) {
     std::vector<std::pair<double, size_t>> scored;
     for (size_t c = 0; c < family.size(); ++c) {
-      scored.emplace_back(candidate_scores[cursor + c], c);
+      scored.emplace_back(candidate_scores[cursor + c], cursor + c);
     }
     cursor += family.size();
     std::sort(scored.begin(), scored.end());
     const size_t take = std::min(params_.top_k_per_family, scored.size());
-    for (size_t i = 0; i < take; ++i) {
-      selected.push_back(family[scored[i].second]);
-    }
+    for (size_t i = 0; i < take; ++i) selected.push_back(scored[i].second);
   }
 
-  // Step 3: out-of-fold probability predictions per estimator. A fold is
-  // usable when its training part covers every class. Each estimator x
-  // fold cell trains an independent model on the fold's train rows (a
-  // view — no matrix copies) and writes a disjoint slice of oof, so the
-  // cells fan out across threads with identical results.
-  std::vector<char> fold_usable(folds.size(), 0);
-  for (size_t f = 0; f < folds.size(); ++f) {
-    const auto& fold = folds[f];
-    if (fold.train.empty() || fold.validation.empty()) continue;
-    std::vector<int> tc;
-    tc.reserve(fold.train.size());
-    for (size_t i : fold.train) tc.push_back(y[i]);
-    std::sort(tc.begin(), tc.end());
-    tc.erase(std::unique(tc.begin(), tc.end()), tc.end());
-    fold_usable[f] = tc.size() == k ? 1 : 0;
-  }
-
-  std::vector<Matrix> oof(selected.size(),
-                          Matrix(x.size(), std::vector<double>(k, 0.0)));
+  // Step 3: the selected estimators' out-of-fold probabilities are their
+  // scoring cells' validation probabilities. A fold the engine skipped
+  // (its train part misses a class) left its cells empty, so its rows get
+  // no out-of-fold prediction.
+  std::vector<Matrix> oof(selected.size(), Matrix(x.size()));
   std::vector<char> has_oof(x.size(), 0);
-  const size_t num_cells = selected.size() * folds.size();
-  ParallelFor(num_cells, params_.num_threads, [&](size_t cell) {
-    const size_t e = cell / folds.size();
-    const size_t f = cell % folds.size();
-    if (!fold_usable[f]) return;
-    std::unique_ptr<Classifier> clf = selected[e]();
-    clf->FitOnRows(x, y, folds[f].train);
-    for (size_t i : folds[f].validation) {
-      oof[e][i] = clf->PredictProba(x[i]);
+  for (size_t e = 0; e < selected.size(); ++e) {
+    for (size_t f = 0; f < folds.size(); ++f) {
+      Matrix& proba = cell_probas[selected[e] * folds.size() + f];
+      for (size_t j = 0; j < proba.size(); ++j) {
+        oof[e][folds[f].validation[j]] = std::move(proba[j]);
+        has_oof[folds[f].validation[j]] = 1;
+      }
     }
-  });
-  for (size_t f = 0; f < folds.size(); ++f) {
-    if (!fold_usable[f]) continue;
-    for (size_t i : folds[f].validation) has_oof[i] = 1;
   }
+  cell_probas.clear();
 
   // Step 4: one scalar weight per estimator + per-class bias.
   FitCombiner(oof, encoded, has_oof);
@@ -113,7 +88,7 @@ void StackingEnsemble::Fit(const Matrix& x, const std::vector<int>& y) {
   base_.clear();
   base_.resize(selected.size());
   ParallelFor(selected.size(), params_.num_threads, [&](size_t e) {
-    std::unique_ptr<Classifier> clf = selected[e]();
+    std::unique_ptr<Classifier> clf = all_candidates[selected[e]]();
     clf->Fit(x, y);
     base_[e] = std::move(clf);
   });

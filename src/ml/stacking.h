@@ -16,14 +16,22 @@ namespace mvg {
 /// Given one or more classifier *families* (vectors of candidate factories,
 /// e.g. an XGBoost grid, an RF grid, an SVM grid), the ensemble:
 ///  1. scores every candidate with stratified k-fold cross-validated log
-///     loss (Eq. 5),
+///     loss (Eq. 5) through GridSearch, which fits each candidate x fold
+///     cell once,
 ///  2. keeps the top-k candidates per family,
-///  3. collects their out-of-fold probability predictions,
+///  3. takes their out-of-fold probability predictions from those same
+///     scoring fits (no estimator is refitted per fold),
 ///  4. learns one scalar weight per estimator plus a per-class bias by
 ///     minimising the logistic (softmax) loss on those out-of-fold
 ///     predictions ("W <- ComputeEstimatorWeights(E) with logistic
 ///     regression; E = sum_i W_i E_i"),
 ///  5. refits the selected base estimators on the full training set.
+///
+/// A fit of C candidates over F folds with S selected estimators trains
+/// C*F + S models. The price is memory: until selection the ensemble
+/// holds every candidate's validation probabilities, C*n*k doubles for n
+/// rows and k classes, where refitting the selected ones per fold held
+/// S*n*k.
 ///
 /// Prediction is softmax(sum_e w_e * p_e(c) + b_c): a per-estimator
 /// weighted vote, exactly Algorithm 2's final line. Constraining the
@@ -35,8 +43,8 @@ class StackingEnsemble : public Classifier {
     size_t top_k_per_family = 5;  ///< paper: top five per family.
     size_t num_folds = 3;         ///< paper: 3-fold CV.
     uint64_t seed = 42;
-    /// Worker threads for candidate scoring, out-of-fold fits and the
-    /// final refits (each cell trains an independent estimator). Results
+    /// Worker threads for the candidate x fold scoring cells and the
+    /// final refits (each trains an independent estimator). Results
     /// are identical for every value. Runtime knob only — not serialized.
     size_t num_threads = 1;
   };

@@ -164,7 +164,7 @@ TEST(LogisticRegressionTest, WeightsExposedWithBias) {
   ASSERT_EQ(w[0].size(), 2u);  // feature + bias
 }
 
-TEST(ModelSelectionTest, CrossValErrorTracksSeparability) {
+TEST(ModelSelectionTest, CrossValLogLossTracksSeparability) {
   Rng rng(8);
   Matrix x_easy, x_hard;
   std::vector<int> y;
@@ -177,8 +177,8 @@ TEST(ModelSelectionTest, CrossValErrorTracksSeparability) {
   ClassifierFactory tree = []() {
     return std::make_unique<DecisionTreeClassifier>();
   };
-  EXPECT_LT(CrossValError(tree, x_easy, y, 3, 1),
-            CrossValError(tree, x_hard, y, 3, 1));
+  EXPECT_LT(CrossValLogLoss(tree, x_easy, y, 3, 1),
+            CrossValLogLoss(tree, x_hard, y, 3, 1));
 }
 
 TEST(MetricsTest, LogLossRejectsUnknownLabel) {

@@ -1,9 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <memory>
+#include <sstream>
+#include <string>
+
 #include "ml/gradient_boosting.h"
 #include "ml/metrics.h"
 #include "ml/linear_model.h"
 #include "ml/model_selection.h"
+#include "ml/random_forest.h"
 #include "ml/stacking.h"
 #include "ml/svm.h"
 #include "util/random.h"
@@ -72,7 +81,8 @@ TEST(CrossValidationTest, GoodModelScoresBetterThanBad) {
   const double loss_good = CrossValLogLoss(good, x, y, 3, 1);
   const double loss_bad = CrossValLogLoss(bad, x, y, 3, 1);
   EXPECT_LT(loss_good, loss_bad);
-  EXPECT_LE(CrossValError(good, x, y, 3, 1), 0.1);
+  // Far below ln 2, the loss of a coin flip on two classes.
+  EXPECT_LE(loss_good, 0.1);
 }
 
 TEST(GridSearchTest, PicksTheBetterCandidate) {
@@ -140,6 +150,131 @@ TEST(StackingTest, ProbabilitiesAreDistribution) {
   double sum = 0.0;
   for (double v : p) sum += v;
   EXPECT_NEAR(sum, 1.0, 1e-9);
+}
+
+/// The stacking ensemble pinned by tests/fixtures/stacking_ensemble.txt.
+/// Three 2-D blob classes of 24 rows plus a one-row class: the fold that
+/// validates that row trains without it, so the fit skips that fold.
+/// Three boosting, two forest and one logistic candidate, top two per
+/// family.
+void PinnedStackingData(Matrix* x, std::vector<int>* y, Matrix* probes) {
+  MakeBlobs(24, 3, 2.0, 61, x, y);
+  x->push_back({1.0, 3.0});
+  y->push_back(3);
+  std::vector<int> unused;
+  MakeBlobs(2, 3, 2.0, 62, probes, &unused);
+  probes->push_back({1.0, 3.0});
+}
+
+std::vector<std::vector<ClassifierFactory>> PinnedStackingFamilies() {
+  std::vector<std::vector<ClassifierFactory>> families(3);
+  for (size_t rounds : {size_t{8}, size_t{20}, size_t{40}}) {
+    families[0].push_back([rounds]() {
+      GradientBoostingClassifier::Params p;
+      p.num_rounds = rounds;
+      p.max_depth = 3;
+      return std::make_unique<GradientBoostingClassifier>(p);
+    });
+  }
+  for (size_t trees : {size_t{10}, size_t{25}}) {
+    families[1].push_back([trees]() {
+      RandomForestClassifier::Params p;
+      p.num_trees = trees;
+      return std::make_unique<RandomForestClassifier>(p);
+    });
+  }
+  families[2].push_back(
+      []() { return std::make_unique<LogisticRegressionClassifier>(); });
+  return families;
+}
+
+TEST(StackingTest, MatchesRecordedFixture) {
+  // tests/fixtures/stacking_ensemble.txt: EstimatorWeights() and probe
+  // probabilities recorded while the out-of-fold predictions still came
+  // from per-fold refits (see tests/fixtures/README.md). Every value must
+  // match bit for bit, for any thread count.
+  Matrix x, probes;
+  std::vector<int> y;
+  PinnedStackingData(&x, &y, &probes);
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    StackingEnsemble::Params params;
+    params.top_k_per_family = 2;
+    params.num_threads = threads;
+    StackingEnsemble ensemble(PinnedStackingFamilies(), params);
+    ensemble.Fit(x, y);
+    std::ifstream in(std::string(MVG_TEST_FIXTURE_DIR) +
+                     "/stacking_ensemble.txt");
+    ASSERT_TRUE(in.good());
+    std::string line;
+    size_t probes_seen = 0;
+    while (std::getline(in, line)) {
+      if (line.empty() || line[0] == '#') continue;
+      std::istringstream fields(line);
+      std::string kind;
+      size_t count = 0;
+      fields >> kind;
+      std::vector<double> got;
+      if (kind == "weights") {
+        got = ensemble.EstimatorWeights();
+      } else {
+        ASSERT_EQ(kind, "proba");
+        size_t probe = 0;
+        fields >> probe;
+        ASSERT_LT(probe, probes.size());
+        got = ensemble.PredictProba(probes[probe]);
+        ++probes_seen;
+      }
+      fields >> count;
+      ASSERT_FALSE(fields.fail()) << line.substr(0, 40);
+      ASSERT_EQ(got.size(), count) << kind;
+      for (size_t i = 0; i < count; ++i) {
+        std::string token;
+        fields >> token;
+        ASSERT_FALSE(fields.fail()) << kind << " value " << i;
+        const double want = std::strtod(token.c_str(), nullptr);
+        ASSERT_EQ(std::memcmp(&got[i], &want, sizeof want), 0)
+            << line.substr(0, 12) << " value " << i << " (threads "
+            << threads << "): got " << got[i] << ", want " << want;
+      }
+    }
+    EXPECT_EQ(probes_seen, probes.size());
+  }
+}
+
+TEST(StackingTest, FitsEachCandidateFoldCellOnce) {
+  // A fit trains every candidate once per fold (scoring, whose validation
+  // probabilities double as the out-of-fold predictions) and every
+  // selected estimator once more on all rows: C*F + S factory calls.
+  Matrix x;
+  std::vector<int> y;
+  MakeBlobs(20, 3, 3.0, 7, &x, &y);
+  auto calls = std::make_shared<std::atomic<size_t>>(0);
+  const auto counted = [calls](ClassifierFactory factory) {
+    return ClassifierFactory([calls, factory]() {
+      ++*calls;
+      return factory();
+    });
+  };
+  std::vector<std::vector<ClassifierFactory>> families(2);
+  for (size_t rounds : {size_t{3}, size_t{6}, size_t{9}}) {
+    families[0].push_back(counted([rounds]() {
+      GradientBoostingClassifier::Params p;
+      p.num_rounds = rounds;
+      return std::make_unique<GradientBoostingClassifier>(p);
+    }));
+  }
+  families[1].push_back(counted(
+      []() { return std::make_unique<LogisticRegressionClassifier>(); }));
+  StackingEnsemble::Params params;
+  params.top_k_per_family = 1;
+  params.num_threads = 4;
+  StackingEnsemble ensemble(std::move(families), params);
+  const size_t candidates = 4, folds = params.num_folds, selected = 2;
+  for (size_t fit = 1; fit <= 2; ++fit) {
+    ensemble.Fit(x, y);
+    ASSERT_EQ(ensemble.SelectedNames().size(), selected);
+    EXPECT_EQ(calls->load(), fit * (candidates * folds + selected));
+  }
 }
 
 }  // namespace
