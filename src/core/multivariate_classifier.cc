@@ -19,9 +19,14 @@ MvgMultivariateClassifier::MvgMultivariateClassifier(Config config)
 
 std::vector<double> MvgMultivariateClassifier::ExtractInstance(
     const MultiSeries& instance, VgWorkspace* ws) const {
+  // Channel c's block is zero-padded or truncated to the width of the
+  // longest training series of that channel, so every channel starts at
+  // the same column in every row, whatever the instance's lengths.
   std::vector<double> features;
-  for (const Series& channel : instance) {
-    const std::vector<double> f = extractor_.Extract(channel, ws);
+  for (size_t c = 0; c < instance.size(); ++c) {
+    std::vector<double> f = extractor_.Extract(instance[c], ws);
+    f.resize(extractor_.LayoutForLength(channel_lengths_[c]).feature_width,
+             0.0);
     features.insert(features.end(), f.begin(), f.end());
   }
   return features;
@@ -43,14 +48,10 @@ void MvgMultivariateClassifier::Fit(const MultivariateDataset& train) {
   WallTimer fe_timer;
   Matrix x;
   x.reserve(train.size());
-  size_t width = 0;
   VgWorkspace ws;  // pooled across every instance and channel
   for (size_t i = 0; i < train.size(); ++i) {
     x.push_back(ExtractInstance(train.instance(i), &ws));
-    width = std::max(width, x.back().size());
   }
-  for (auto& row : x) row.resize(width, 0.0);
-  feature_width_ = width;
   fe_seconds_ = fe_timer.Seconds();
 
   WallTimer train_timer;
@@ -62,7 +63,6 @@ void MvgMultivariateClassifier::Fit(const MultivariateDataset& train) {
     x = std::move(x_os);
     y = std::move(y_os);
   }
-  scaler_.Fit(x);
   // Delegate model selection to the same grids as the univariate pipeline
   // by borrowing an MvgClassifier's configuration: the simplest faithful
   // choice is a single-family model here (stacking works identically).
@@ -110,9 +110,7 @@ int MvgMultivariateClassifier::Predict(const MultiSeries& instance) const {
         "MvgMultivariateClassifier: channel count mismatch");
   }
   VgWorkspace ws;
-  std::vector<double> features = ExtractInstance(instance, &ws);
-  features.resize(feature_width_, 0.0);
-  return model_->Predict(features);
+  return model_->Predict(ExtractInstance(instance, &ws));
 }
 
 std::vector<int> MvgMultivariateClassifier::PredictAll(

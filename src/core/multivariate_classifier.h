@@ -42,17 +42,17 @@ class MvgMultivariateClassifier {
   size_t num_channels() const { return num_channels_; }
 
  private:
-  /// Concatenated per-channel features; all graph builds go through `ws`
-  /// (Fit pools one workspace across the whole instances x channels loop).
+  /// Concatenated per-channel features, channel c's block sized to
+  /// LayoutForLength(channel_lengths_[c]) so columns line up with
+  /// FeatureNames(); all graph builds go through `ws` (Fit pools one
+  /// workspace across the whole instances x channels loop).
   std::vector<double> ExtractInstance(const MultiSeries& instance,
                                       VgWorkspace* ws) const;
 
   Config config_;
   MvgFeatureExtractor extractor_;
-  MinMaxScaler scaler_;
   std::unique_ptr<Classifier> model_;
   size_t num_channels_ = 0;
-  size_t feature_width_ = 0;
   std::vector<size_t> channel_lengths_;
   double fe_seconds_ = 0.0;
   double train_seconds_ = 0.0;

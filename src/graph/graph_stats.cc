@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "graph/graph_kernels.h"
-#include "util/simd.h"
 
 namespace mvg {
 
@@ -18,31 +17,16 @@ double Density(const Graph& g) {
 }
 
 DegreeStats ComputeDegreeStats(const Graph& g) {
-  // Degrees are adjacent differences of the CSR offset array; one 4-lane
-  // sweep folds min and max (the degree sum is 2|E| by the handshake
-  // lemma). Integer min/max folds are order-insensitive, so the vector
-  // pass is exactly the scalar scan.
+  // Degrees are adjacent differences of the CSR offset array; one sweep
+  // folds min and max (the degree sum is 2|E| by the handshake lemma).
   DegreeStats st;
   const size_t n = g.num_vertices();
   if (n == 0) return st;
   const size_t* off = g.offset_data();
-  int64_t mn = static_cast<int64_t>(g.Degree(0));
-  int64_t mx = mn;
-  size_t v = 0;
-  if (n >= 4) {
-    simd::I64x4 vmn = simd::I64x4::Broadcast(mn);
-    simd::I64x4 vmx = vmn;
-    for (; v + 4 <= n; v += 4) {
-      const simd::I64x4 d =
-          simd::I64x4::Load(off + v + 1) - simd::I64x4::Load(off + v);
-      vmn = MinI64(vmn, d);
-      vmx = MaxI64(vmx, d);
-    }
-    mn = ReduceMinI64(vmn);
-    mx = ReduceMaxI64(vmx);
-  }
-  for (; v < n; ++v) {
-    const int64_t d = static_cast<int64_t>(off[v + 1] - off[v]);
+  size_t mn = off[1] - off[0];
+  size_t mx = mn;
+  for (size_t v = 1; v < n; ++v) {
+    const size_t d = off[v + 1] - off[v];
     mn = std::min(mn, d);
     mx = std::max(mx, d);
   }

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <limits>
 #include <numeric>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -71,6 +70,23 @@ std::vector<size_t> SampleFeatures(size_t d, size_t max_features, Rng* rng) {
   return features;
 }
 
+/// WalkTrees' node rules, with a split-feature bound, plus this model's
+/// leaf rule: every leaf carries a full in-bounds distribution.
+void ValidateLoadedTree(const DecisionTreeClassifier::Node* nodes,
+                        size_t count, size_t proba_total, size_t num_classes,
+                        size_t feature_bound) {
+  ValidateTreeNodes(
+      nodes, count, feature_bound, "DecisionTree",
+      [proba_total, num_classes](const DecisionTreeClassifier::Node& leaf) {
+        if (leaf.proba_begin < 0 ||
+            static_cast<size_t>(leaf.proba_begin) + num_classes >
+                proba_total) {
+          throw SerializationError(
+              "DecisionTree: leaf distribution out of bounds");
+        }
+      });
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -78,22 +94,11 @@ std::vector<size_t> SampleFeatures(size_t d, size_t max_features, Rng* rng) {
 //
 // One shared row-index buffer holds every node's rows as a contiguous
 // [begin, end) range and is partitioned in place at each split (stably,
-// through a scratch buffer, so results are order-deterministic). Two
-// regimes:
-//
-//  * All features per split (max_features disabled): node histograms —
-//    per feature, per bin, per class counts — live in a small free-list
-//    pool; a node scans only its *smaller* child and derives the other
-//    sibling by subtracting in place from its own histogram, so each tree
-//    level costs one pass over the smaller halves instead of re-sorting
-//    every feature at every node. At most depth+1 buffers are ever live.
-//
-//  * Per-node feature sampling (the Random Forest setting, mtry << d):
-//    sibling subtraction would force histogramming *all* d features at
-//    every node just to evaluate mtry of them, which costs more than it
-//    saves. Instead each node scans exactly its sampled features into one
-//    small reusable per-feature buffer — still sort-free and
-//    allocation-free, O(n_node * mtry) per node.
+// through a scratch buffer, so results are order-deterministic). Each node
+// scans its candidate features (all of them, or the per-node sample when
+// max_features < d — the Random Forest setting) straight from its own
+// rows into one small reusable per-feature buffer: sort-free and
+// allocation-free, O(n_node * candidates) per node.
 // ---------------------------------------------------------------------------
 
 struct DecisionTreeClassifier::HistBuilder {
@@ -106,14 +111,9 @@ struct DecisionTreeClassifier::HistBuilder {
   Rng* rng;
 
   size_t d = 0;
-  bool sampled = false;             ///< per-node feature sampling regime.
   std::vector<size_t> rows;         ///< the shared row-index buffer.
   std::vector<size_t> scratch;      ///< stable-partition staging.
-  /// Shared pool machinery (free list, all-zero invariant, dirty-span
-  /// bookkeeping, sibling subtraction); slot j = feature j. Unused in the
-  /// sampled regime.
-  std::optional<NodeHistogramPool> hpool;
-  std::vector<double> fbuf;         ///< single-feature histogram (sampled).
+  std::vector<double> fbuf;         ///< single-feature histogram.
   std::vector<double> totals;       ///< per-node class counts (k).
   std::vector<double> left, right;  ///< split-sweep scratch (k each).
   RowStage stage;                   ///< 32-bit staged rows for the scans.
@@ -134,16 +134,9 @@ struct DecisionTreeClassifier::HistBuilder {
       : ft(ft_in), y(y_in), k(k_in), params(params_in), nodes(nodes_in),
         leaf_proba(leaf_proba_in), rng(rng_in) {
     d = ft.num_features();
-    sampled = params.max_features > 0 && params.max_features < d;
-    if (sampled) {
-      size_t max_bins = 1;
-      for (size_t f = 0; f < d; ++f) max_bins = std::max(max_bins, ft.num_bins(f));
-      fbuf.resize(max_bins * k);
-    } else {
-      std::vector<size_t> all(d);
-      std::iota(all.begin(), all.end(), size_t{0});
-      hpool.emplace(ft, all, k);
-    }
+    size_t max_bins = 1;
+    for (size_t f = 0; f < d; ++f) max_bins = std::max(max_bins, ft.num_bins(f));
+    fbuf.resize(max_bins * k);
     totals.resize(k);
     left.resize(k);
     right.resize(k);
@@ -151,78 +144,18 @@ struct DecisionTreeClassifier::HistBuilder {
     if (red != nullptr) {
       own_begin = OwnedRowsBegin(ft.num_rows(), red->rank(), red->world_size());
       own_end = OwnedRowsEnd(ft.num_rows(), red->rank(), red->world_size());
-      ibuf.resize(sampled ? params.max_features * fbuf.size()
-                          : hpool->hist_size());
+      // One int64 histogram per candidate feature of a node.
+      const size_t candidates =
+          params.max_features > 0 ? std::min(params.max_features, d) : d;
+      ibuf.resize(candidates * fbuf.size());
       itotals.resize(k);
     }
   }
 
-  /// Accumulates the class histogram of rows[begin, end) into buffer
-  /// `buf` (all-zero by the pool invariant), recording the dirty spans.
-  void Scan(size_t begin, size_t end, size_t buf) {
-    obs::Count(obs::PipelineMetrics::Get().train_hist_node_builds);
-    if (red != nullptr) {
-      ScanReduced(begin, end, buf);
-      return;
-    }
-    double* h = hpool->hist(buf);
-    uint16_t* plo = hpool->lo(buf);
-    uint16_t* phi = hpool->hi(buf);
-    // Stage the rows once (32-bit ids, contiguity detection), then run the
-    // vector scan kernel per feature — see hist_kernels.h for why the
-    // result is bit-identical to the scalar row loop.
-    stage.Stage(rows, y, begin, end);
-    for (size_t f = 0; f < d; ++f) {
-      ClassScan(ft.column(f), stage, k, h + hpool->slot_offset(f), plo + f,
-                phi + f);
-    }
-  }
-
-  /// Distributed Scan: accumulate this rank's owned rows in int64, sum
-  /// across the group, descale into the pool buffer. Spans are set to
-  /// the full bin range instead of being allreduced — sweeps skip empty
-  /// bins anyway, and it keeps the reducer interface to a single
-  /// AllreduceSum. The collective makes Scan order-sensitive: every
-  /// rank must reach the same Scan calls in the same order (the engine
-  /// is forced single-threaded in distributed mode for exactly that).
-  void ScanReduced(size_t begin, size_t end, size_t buf) {
-    std::fill(ibuf.begin(), ibuf.end(), int64_t{0});
-    for (size_t f = 0; f < d; ++f) {
-      const uint8_t* col = ft.column(f);
-      int64_t* base = ibuf.data() + hpool->slot_offset(f);
-      for (size_t i = begin; i < end; ++i) {
-        const size_t r = rows[i];
-        if (r < own_begin || r >= own_end) continue;
-        base[static_cast<size_t>(col[r]) * k + y[r]] += 1;
-      }
-    }
-    red->AllreduceSum(ibuf.data(), ibuf.size());
-    double* h = hpool->hist(buf);
-    uint16_t* plo = hpool->lo(buf);
-    uint16_t* phi = hpool->hi(buf);
-    for (size_t f = 0; f < d; ++f) {
-      const int64_t* src = ibuf.data() + hpool->slot_offset(f);
-      double* base = h + hpool->slot_offset(f);
-      const size_t cells = ft.num_bins(f) * k;
-      for (size_t c = 0; c < cells; ++c) base[c] = static_cast<double>(src[c]);
-      plo[f] = 0;
-      phi[f] = static_cast<uint16_t>(ft.num_bins(f) - 1);
-    }
-  }
-
-  /// Sentinel for "no histogram yet": Build computes one lazily, and only
-  /// after the cheap leaf checks — children that terminate never pay for a
-  /// histogram at all.
-  static constexpr size_t kNoBuf = NodeHistogramPool::kNone;
-
   void Run(const std::vector<size_t>& node_rows) {
     rows = node_rows;
     scratch.resize(rows.size());
-    if (sampled) {
-      BuildSampled(0, rows.size(), 0);
-      return;
-    }
-    Build(0, rows.size(), 0, kNoBuf);
+    Build(0, rows.size(), 0);
   }
 
   /// Sweeps one feature's per-bin class histogram `fh` (num_bins(f) bins,
@@ -301,8 +234,7 @@ struct DecisionTreeClassifier::HistBuilder {
     for (size_t i = begin; i < end; ++i) totals[y[rows[i]]] += 1.0;
   }
 
-  /// Appends a leaf carrying the current `totals` distribution; shared by
-  /// both build regimes so the leaf policy cannot drift between them.
+  /// Appends a leaf carrying the current `totals` distribution.
   int32_t MakeLeaf(size_t n) {
     Node leaf;
     leaf.proba_begin = static_cast<int32_t>(leaf_proba->size());
@@ -320,9 +252,9 @@ struct DecisionTreeClassifier::HistBuilder {
     return depth >= params.max_depth || n < params.min_samples_split || pure;
   }
 
-  /// Per-node feature sampling regime: histogram only the sampled
-  /// features, directly from this node's rows.
-  int32_t BuildSampled(size_t begin, size_t end, size_t depth) {
+  /// Builds the subtree over rows[begin, end): histograms the node's
+  /// candidate features directly from its rows and sweeps each one.
+  int32_t Build(size_t begin, size_t end, size_t depth) {
     const size_t n = end - begin;
     ComputeTotals(begin, end);
     if (ShouldStop(n, depth)) return MakeLeaf(n);
@@ -336,9 +268,11 @@ struct DecisionTreeClassifier::HistBuilder {
     int best_feature = -1;
     size_t best_bin = 0;
     double best_threshold = 0.0;
-    obs::Count(obs::PipelineMetrics::Get().train_split_searches);
+    const obs::PipelineMetrics& pm = obs::PipelineMetrics::Get();
+    obs::Count(pm.train_hist_node_builds);
+    obs::Count(pm.train_split_searches);
     if (red != nullptr) {
-      // Distributed: batch all of this node's sampled features into one
+      // Distributed: batch all of this node's candidate features into one
       // int64 allreduce (feature sampling is seeded identically on every
       // rank, so the batch lines up), then sweep the reduced histograms.
       const size_t stride = fbuf.size();
@@ -396,71 +330,8 @@ struct DecisionTreeClassifier::HistBuilder {
     internal.threshold = best_threshold;
     nodes->push_back(internal);
     const int32_t id = static_cast<int32_t>(nodes->size() - 1);
-    const int32_t left_id = BuildSampled(begin, mid, depth + 1);
-    const int32_t right_id = BuildSampled(mid, end, depth + 1);
-    (*nodes)[id].left = left_id;
-    (*nodes)[id].right = right_id;
-    return id;
-  }
-
-  /// Builds the subtree over rows[begin, end); takes ownership of
-  /// histogram buffer `buf` (kNoBuf = compute lazily if a split search is
-  /// actually needed).
-  int32_t Build(size_t begin, size_t end, size_t depth, size_t buf) {
-    const size_t n = end - begin;
-    ComputeTotals(begin, end);
-
-    // Same leaf/stop policy as BuildSampled, plus buffer bookkeeping.
-    auto make_leaf = [&]() {
-      if (buf != kNoBuf) hpool->Release(buf);
-      return MakeLeaf(n);
-    };
-
-    if (ShouldStop(n, depth)) return make_leaf();
-    const double parent_imp =
-        Impurity(totals, static_cast<double>(n), params.use_entropy);
-
-    if (buf == kNoBuf) {
-      buf = hpool->Acquire();
-      Scan(begin, end, buf);
-    }
-    const double* hist = hpool->hist(buf);
-
-    // Best split: sweep every feature's bins left to right, accumulating
-    // the left class histogram; the right sibling is totals - left. A bin
-    // with no rows adds no new boundary (same partition as the previous
-    // one), just as equal values add none to a pre-sorted sweep.
-    double best_gain = 1e-12;
-    int best_feature = -1;
-    size_t best_bin = 0;
-    double best_threshold = 0.0;
-    obs::Count(obs::PipelineMetrics::Get().train_split_searches);
-    for (size_t f = 0; f < d; ++f) {
-      SweepFeature(f, hist + hpool->slot_offset(f), n, parent_imp,
-                   hpool->lo(buf)[f], hpool->hi(buf)[f], &best_gain,
-                   &best_feature, &best_bin, &best_threshold);
-    }
-
-    if (best_feature < 0) return make_leaf();
-    const size_t mid = StablePartitionRows(
-        rows, scratch, begin, end,
-        ft.column(static_cast<size_t>(best_feature)), best_bin);
-    if (mid == begin || mid == end) return make_leaf();
-
-    Node internal;
-    internal.feature = best_feature;
-    internal.threshold = best_threshold;
-    nodes->push_back(internal);
-    const int32_t id = static_cast<int32_t>(nodes->size() - 1);
-
-    // Scan only the smaller child and derive its sibling by subtraction
-    // (class counts are integers, so this is exact) when that beats
-    // rescanning; small nodes fall back to lazy per-child scans.
-    const auto child = hpool->PlanChildren(
-        buf, begin, mid, end, d,
-        [&](size_t b, size_t e, size_t t) { Scan(b, e, t); });
-    const int32_t left_id = Build(begin, mid, depth + 1, child.left);
-    const int32_t right_id = Build(mid, end, depth + 1, child.right);
+    const int32_t left_id = Build(begin, mid, depth + 1);
+    const int32_t right_id = Build(mid, end, depth + 1);
     (*nodes)[id].left = left_id;
     (*nodes)[id].right = right_id;
     return id;
@@ -587,39 +458,6 @@ void DecisionTreeClassifier::SaveBinary(BinaryWriter* w) const {
   }
 }
 
-void DecisionTreeClassifier::ValidateNodes(const Node* nodes, size_t count,
-                                           size_t proba_total,
-                                           size_t num_classes) {
-  // Structural well-formedness, so a crafted/corrupt file that slipped
-  // past the CRC still cannot make PredictProba follow -1 children, loop,
-  // or read out of the distribution array: internal nodes must point
-  // strictly forward (builders append children after their parent, so
-  // genuine trees always satisfy this and it rules out cycles), leaves
-  // must carry a full in-bounds distribution.
-  for (size_t i = 0; i < count; ++i) {
-    const Node& node = nodes[i];
-    if (node.feature >= 0) {
-      const auto forward = [count, i](int32_t child) {
-        return child > static_cast<int32_t>(i) &&
-               static_cast<size_t>(child) < count;
-      };
-      if (!forward(node.left) || !forward(node.right)) {
-        throw SerializationError(
-            "DecisionTree: internal node with invalid child index");
-      }
-    } else {
-      if (node.feature != -1 || node.left != -1 || node.right != -1) {
-        throw SerializationError("DecisionTree: malformed leaf node");
-      }
-      if (node.proba_begin < 0 ||
-          static_cast<size_t>(node.proba_begin) + num_classes > proba_total) {
-        throw SerializationError(
-            "DecisionTree: leaf distribution out of bounds");
-      }
-    }
-  }
-}
-
 void DecisionTreeClassifier::LoadBinary(BinaryReader* r) {
   params_.max_depth = r->ReadSize();
   params_.min_samples_leaf = r->ReadSize();
@@ -664,8 +502,8 @@ void DecisionTreeClassifier::LoadBinary(BinaryReader* r) {
       }
       nodes_.push_back(node);
     }
-    ValidateNodes(nodes_.data(), nodes_.size(), leaf_proba_.size(),
-                  num_classes_internal_);
+    ValidateLoadedTree(nodes_.data(), nodes_.size(), leaf_proba_.size(),
+                       num_classes_internal_, r->feature_bound());
     return;
   }
 
@@ -716,8 +554,8 @@ void DecisionTreeClassifier::LoadBinary(BinaryReader* r) {
       for (size_t i = 0; i < proba_total; ++i) leaf_proba_[i] = pr.ReadDouble();
     }
   }
-  ValidateNodes(node_data(), node_count(), proba_count(),
-                num_classes_internal_);
+  ValidateLoadedTree(node_data(), node_count(), proba_count(),
+                     num_classes_internal_, r->feature_bound());
 }
 
 }  // namespace mvg

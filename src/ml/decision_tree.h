@@ -19,12 +19,12 @@ class HistogramReducer;
 /// Random Forest base learner.
 ///
 /// Split finding runs on quantile-binned histograms: features are
-/// quantized once into <= 256 bins by a FeatureTable, each node scans
-/// per-bin class histograms instead of re-sorting raw values, rows are
-/// partitioned in place inside one shared index buffer, and a child's
-/// histogram is derived from its parent's by subtraction (only the smaller
-/// sibling is ever scanned). Fit/FitOnRows bin the matrix rows and train
-/// through FitBinned, so every entry point runs the same engine.
+/// quantized once into <= 256 bins by a FeatureTable, each node scans the
+/// per-bin class histograms of its candidate features (all of them, or
+/// its `max_features` sample) from its own rows instead of re-sorting raw
+/// values, and rows are partitioned in place inside one shared index
+/// buffer. Fit/FitOnRows bin the matrix rows and train through FitBinned,
+/// so every entry point runs the same engine.
 class DecisionTreeClassifier : public Classifier {
  public:
   struct Params {
@@ -114,11 +114,6 @@ class DecisionTreeClassifier : public Classifier {
 
  private:
   struct HistBuilder;  // histogram split engine; defined in the .cc.
-
-  /// Validates a decoded node array (forward-pointing children, leaves
-  /// carrying a full distribution); throws SerializationError.
-  static void ValidateNodes(const Node* nodes, size_t count,
-                            size_t proba_total, size_t num_classes);
 
   void ResetStorage() {
     nodes_.clear();

@@ -129,11 +129,10 @@ class FeatureTable {
   std::vector<size_t> src_rows_;    ///< compact index -> original row.
 };
 
-/// Free-list pool of flat per-node histograms for the tree builders. One
-/// histogram holds, for every tracked column slot, num_bins(col) bins of
-/// `width` doubles each (k class counts for classification trees, 2
-/// grad/hess sums for boosting). The pool owns the engine-critical
-/// invariants the two tree engines share:
+/// Free-list pool of flat per-node histograms for the boosting tree
+/// builder. One histogram holds, for every tracked column slot,
+/// num_bins(col) bins of `width` doubles each (2 grad/hess sums for
+/// boosting). The pool owns the engine-critical invariants:
 ///
 ///  * every free-listed (and freshly acquired) buffer is all-zero;
 ///    callers accumulate straight into an Acquire()d buffer and record
@@ -160,10 +159,9 @@ class FeatureTable {
 /// peak RSS climbed with every refit. The cache is per thread because a
 /// tree is built start to finish on one thread — the next tree on that
 /// thread reuses the slabs with no locking — and it is capped at
-/// kSlabCacheBytes (and 16 slabs) per thread: a plain all-features
-/// DecisionTree uses the same pool with k-wide slabs (about 2 MB at 138
-/// features x 256 bins x 7 classes), which an uncapped cache would pin
-/// for the thread's lifetime.
+/// kSlabCacheBytes (and 16 slabs) per thread, so a pool with wide slabs
+/// (a wider `width`, more columns) cannot pin an unbounded amount of
+/// memory for the thread's lifetime.
 class NodeHistogramPool {
  public:
   static constexpr size_t kNone = static_cast<size_t>(-1);

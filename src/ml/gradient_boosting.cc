@@ -38,10 +38,10 @@ double Sigmoid(double z) { return 1.0 / (1.0 + std::exp(-z)); }
 
 // ---------------------------------------------------------------------------
 // Histogram split engine for the regression trees: per (column, bin) sums
-// of gradients and hessians. Same machinery as the classification tree's —
-// one shared row-index buffer partitioned in place, a free-list pool of
-// node histograms, only the smaller child scanned and its sibling derived
-// by subtraction — restricted to the tree's `cols` subset (column sampling
+// of gradients and hessians. One shared row-index buffer is partitioned in
+// place (as in the classification tree), and node histograms come from a
+// free-list pool: only the smaller child is scanned and its sibling is
+// derived by subtraction, over the tree's `cols` subset (column sampling
 // is per tree, so the subset is consistent across parent and children and
 // the subtraction trick stays valid).
 // ---------------------------------------------------------------------------
@@ -548,39 +548,21 @@ void GradientBoostingClassifier::SaveBinary(BinaryWriter* w) const {
   }
 }
 
-void GradientBoostingClassifier::ValidateTrees() const {
-  // Same well-formedness rules as DecisionTree::ValidateNodes, applied
-  // per tree inside the flat storage: internal nodes split on a stored
-  // feature and point strictly forward within their tree (rules out -1
-  // children, cycles and OOB feature reads); leaves have no children.
+void GradientBoostingClassifier::ValidateTrees(size_t feature_bound) const {
+  // WalkTrees' node rules per tree inside the flat storage; a split may
+  // name neither a feature past the stored width nor one past the
+  // pipeline's.
   const TreeNode* base = node_data();
   const size_t num_trees = num_rounds_ * trees_per_round_;
+  const size_t bound = std::min(num_features_, feature_bound);
   for (size_t idx = 0; idx < num_trees; ++idx) {
-    const TreeNode* tree = base + tree_offsets_[idx];
     const size_t count =
         static_cast<size_t>(tree_offsets_[idx + 1] - tree_offsets_[idx]);
     if (count == 0) {
       throw SerializationError("GradientBoosting: empty tree");
     }
-    for (size_t i = 0; i < count; ++i) {
-      const TreeNode& node = tree[i];
-      if (node.feature >= 0) {
-        if (static_cast<size_t>(node.feature) >= num_features_) {
-          throw SerializationError(
-              "GradientBoosting: split feature out of range");
-        }
-        const auto forward = [count, i](int32_t child) {
-          return child > static_cast<int32_t>(i) &&
-                 static_cast<size_t>(child) < count;
-        };
-        if (!forward(node.left) || !forward(node.right)) {
-          throw SerializationError(
-              "GradientBoosting: internal node with invalid child index");
-        }
-      } else if (node.feature != -1 || node.left != -1 || node.right != -1) {
-        throw SerializationError("GradientBoosting: malformed leaf node");
-      }
-    }
+    ValidateTreeNodes(base + tree_offsets_[idx], count, bound,
+                      "GradientBoosting", [](const TreeNode&) {});
   }
 }
 
@@ -647,7 +629,7 @@ void GradientBoostingClassifier::LoadBinary(BinaryReader* r) {
     }
     num_rounds_ = rounds;
     trees_per_round_ = base_score_.size();
-    ValidateTrees();
+    ValidateTrees(r->feature_bound());
     return;
   }
 
@@ -711,7 +693,7 @@ void GradientBoostingClassifier::LoadBinary(BinaryReader* r) {
       }
     }
   }
-  ValidateTrees();
+  ValidateTrees(r->feature_bound());
 }
 
 }  // namespace mvg

@@ -164,9 +164,10 @@ class GradientBoostingClassifier : public Classifier {
     nodes_view_count_ = 0;
   }
 
-  /// Validates the flat node storage against tree_offsets_; throws
+  /// Validates the flat node storage against tree_offsets_, with split
+  /// features below both num_features_ and `feature_bound`; throws
   /// SerializationError.
-  void ValidateTrees() const;
+  void ValidateTrees(size_t feature_bound) const;
 
   Params params_;
   size_t num_features_ = 0;

@@ -141,17 +141,26 @@ void QuantileSketch::Merge(const QuantileSketch& right) {
 
 std::vector<std::pair<double, uint64_t>> QuantileSketch::WeightedValues()
     const {
-  std::vector<std::pair<double, uint64_t>> out;
+  // Only the raw head and tail (weight 1) need a sort. Each segment is
+  // sorted already and is merged into the sorted prefix, so a one-block
+  // sketch (FeatureTable::Build) is a plain copy. Equal values may keep
+  // any order: ComputeCuts collapses them before their order matters.
+  using Item = std::pair<double, uint64_t>;
+  const auto by_value = [](const Item& a, const Item& b) {
+    return a.first < b.first;
+  };
+  std::vector<Item> out;
   out.reserve(head_raw_.size() + tail_raw_.size() +
               segments_.size() * block_);
   for (double v : head_raw_) out.emplace_back(v, 1);
+  for (double v : tail_raw_) out.emplace_back(v, 1);
+  std::sort(out.begin(), out.end(), by_value);
   for (const Segment& seg : segments_) {
+    const auto mid = static_cast<std::ptrdiff_t>(out.size());
     const uint64_t w = uint64_t{1} << seg.level;
     for (double v : seg.values) out.emplace_back(v, w);
+    std::inplace_merge(out.begin(), out.begin() + mid, out.end(), by_value);
   }
-  for (double v : tail_raw_) out.emplace_back(v, 1);
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   return out;
 }
 

@@ -14,7 +14,7 @@
 // steps as its deepest leaf. The only branch is the loop exit, taken once
 // every tree in the group sits on a leaf. Leaves stay put, so the walker
 // never needs the trees' depth bound. It terminates because every loader
-// validates that children point strictly forward.
+// validates its trees with ValidateTreeNodes below.
 //
 // Bit identity: each tree still ends on the leaf the plain scalar descent
 // reaches, since go_right is that descent's comparison. Leaves are handed
@@ -25,7 +25,10 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <type_traits>
+
+#include "util/binary_io.h"
 
 namespace mvg {
 
@@ -84,6 +87,46 @@ inline void WalkTrees(size_t num_trees, const RootOf& root_of,
       }
     }
     for (size_t t = 0; t < count; ++t) visit(first + t, root[t][at[t]]);
+  }
+}
+
+/// The node rules WalkTrees relies on, checked over one loaded tree of
+/// `count` records (a crafted file that passes the CRCs must still fail
+/// here, not at predict time):
+/// - an internal node splits on a feature below `feature_bound`, so the
+///   row read stays inside the row, and both children point strictly
+///   forward inside the tree. Builders append children after their
+///   parent, so genuine trees always satisfy this; it rules out -1
+///   children and cycles, which is why the walk terminates.
+/// - a leaf has feature -1 and no children, and passes `leaf(node)`, the
+///   model's own check of what a leaf carries.
+/// Throws SerializationError, prefixed with `model`.
+template <typename Node, typename LeafCheck>
+inline void ValidateTreeNodes(const Node* nodes, size_t count,
+                              size_t feature_bound, const char* model,
+                              const LeafCheck& leaf) {
+  const auto fail = [model](const char* what) {
+    throw SerializationError(std::string(model) + ": " + what);
+  };
+  for (size_t i = 0; i < count; ++i) {
+    const Node& node = nodes[i];
+    if (node.feature >= 0) {
+      if (static_cast<size_t>(node.feature) >= feature_bound) {
+        fail("split feature out of range");
+      }
+      const auto forward = [count, i](int32_t child) {
+        return child > static_cast<int32_t>(i) &&
+               static_cast<size_t>(child) < count;
+      };
+      if (!forward(node.left) || !forward(node.right)) {
+        fail("internal node with invalid child index");
+      }
+    } else {
+      if (node.feature != -1 || node.left != -1 || node.right != -1) {
+        fail("malformed leaf node");
+      }
+      leaf(node);
+    }
   }
 }
 

@@ -49,8 +49,8 @@ PipelineMetrics& PipelineMetrics::Get() {
         "Wall time of one ServingSession::PredictBatch call", t);
     m->train_hist_node_builds = r.RegisterCounter(
         "mvg_train_hist_node_builds_total",
-        "Per-node gradient histogram builds (incl. sibling subtraction "
-        "parents)");
+        "Per-node histogram builds across all tree nodes (boosting: "
+        "incl. sibling subtraction parents)");
     m->train_split_searches = r.RegisterCounter(
         "mvg_train_split_searches_total",
         "Per-node best-split searches across all features");

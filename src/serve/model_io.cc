@@ -378,6 +378,9 @@ MvgClassifier MvgClassifier::FromSectionReaders(BinaryReader* pipeline,
   pipeline->ReadDouble();
 
   clf.scaler_.LoadBinary(scaler);
+  // Predict pads or truncates every row to feature_width_, so no split
+  // may name a feature at or past it.
+  model->set_feature_bound(clf.feature_width_);
   clf.model_ = LoadClassifierBinary(model);
   return clf;
 }

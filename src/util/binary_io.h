@@ -117,6 +117,13 @@ class BinaryReader {
   bool zero_copy() const { return zero_copy_; }
   void set_zero_copy(bool v) { zero_copy_ = v; }
 
+  /// Width of the rows the loaded model will be evaluated on (a model
+  /// file's pipeline feature width). Tree loaders reject a split on a
+  /// feature at or past it, so a crafted file cannot make prediction
+  /// read past the row. Unbounded unless the caller knows the width.
+  size_t feature_bound() const { return feature_bound_; }
+  void set_feature_bound(size_t v) { feature_bound_ = v; }
+
   size_t pos() const { return pos_; }
   size_t remaining() const { return size_ - pos_; }
   bool AtEnd() const { return pos_ == size_; }
@@ -132,6 +139,7 @@ class BinaryReader {
   size_t pos_ = 0;
   uint32_t format_version_ = kFormatCurrent;
   bool zero_copy_ = false;
+  size_t feature_bound_ = static_cast<size_t>(-1);
 };
 
 /// Reads a retired one-byte flag (the tree families' split-mode byte, the

@@ -24,9 +24,9 @@
 // including the MVG_SIMD_OFF scalar build — which is what the cross-build
 // byte-diff in CI pins.
 //
-// Types: F64x4 (the workhorse), F64x2 (grad/hess pair cells), F32x4,
-// I32x4 (bin-index math, gather-free u8 widening), I64x4 (CSR offset
-// folds; lanes must stay below 2^62), U8x16 (bin-span min/max sweeps).
+// Types: F64x4 (the workhorse), F64x2 (grad/hess pair cells), I32x4
+// (bin-index math, gather-free u8 widening), U8x16 (bin-span min/max
+// sweeps).
 // Loads are unaligned-safe; *Aligned variants assert/require cache-line
 // alignment (see util/aligned_buffer.h) and are split-free by layout.
 
@@ -121,7 +121,7 @@ inline int CountLanes(int mask) {
 }
 
 // ===========================================================================
-// x86 backends (SSE2 baseline; AVX2 widens F64x4/I64x4 to one register).
+// x86 backends (SSE2 baseline; AVX2 widens F64x4 to one register).
 // The 128-bit types are shared between the two.
 // ===========================================================================
 #if defined(MVG_SIMD_BACKEND_AVX2) || defined(MVG_SIMD_BACKEND_SSE2)
@@ -139,33 +139,6 @@ struct F64x2 {
 inline F64x2 operator+(F64x2 a, F64x2 b) { return {_mm_add_pd(a.v, b.v)}; }
 inline F64x2 operator-(F64x2 a, F64x2 b) { return {_mm_sub_pd(a.v, b.v)}; }
 inline F64x2 operator*(F64x2 a, F64x2 b) { return {_mm_mul_pd(a.v, b.v)}; }
-
-// ---- F32x4 ----------------------------------------------------------------
-struct F32x4 {
-  __m128 v;
-  static F32x4 Load(const float* p) { return {_mm_loadu_ps(p)}; }
-  static F32x4 Broadcast(float x) { return {_mm_set1_ps(x)}; }
-  static F32x4 Zero() { return {_mm_setzero_ps()}; }
-  void Store(float* p) const { _mm_storeu_ps(p, v); }
-  float Lane(int i) const {
-    alignas(16) float t[4];
-    _mm_store_ps(t, v);
-    return t[i];
-  }
-};
-inline F32x4 operator+(F32x4 a, F32x4 b) { return {_mm_add_ps(a.v, b.v)}; }
-inline F32x4 operator-(F32x4 a, F32x4 b) { return {_mm_sub_ps(a.v, b.v)}; }
-inline F32x4 operator*(F32x4 a, F32x4 b) { return {_mm_mul_ps(a.v, b.v)}; }
-inline F32x4 operator/(F32x4 a, F32x4 b) { return {_mm_div_ps(a.v, b.v)}; }
-/// std::min/std::max semantics (see header comment): native min/max_ps
-/// return the SECOND operand on NaN/ties, so swap the operands.
-inline F32x4 Min(F32x4 a, F32x4 b) { return {_mm_min_ps(b.v, a.v)}; }
-inline F32x4 Max(F32x4 a, F32x4 b) { return {_mm_max_ps(b.v, a.v)}; }
-inline float ReduceAddOrdered(F32x4 x) {
-  alignas(16) float t[4];
-  _mm_store_ps(t, x.v);
-  return ((t[0] + t[1]) + t[2]) + t[3];
-}
 
 // ---- I32x4 ----------------------------------------------------------------
 struct I32x4 {
@@ -323,40 +296,7 @@ inline F64x4 Blend(M64x4 m, F64x4 t, F64x4 f) {
 }
 inline int MoveMask(M64x4 m) { return _mm256_movemask_pd(m.m); }
 
-// ---- I64x4 (AVX2) ---------------------------------------------------------
-struct I64x4 {
-  __m256i v;
-  static I64x4 Load(const int64_t* p) {
-    return {_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p))};
-  }
-  static I64x4 Load(const uint64_t* p) {
-    return {_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p))};
-  }
-  static I64x4 Broadcast(int64_t x) { return {_mm256_set1_epi64x(x)}; }
-  static I64x4 Zero() { return {_mm256_setzero_si256()}; }
-  int64_t Lane(int i) const {
-    alignas(32) int64_t t[4];
-    _mm256_store_si256(reinterpret_cast<__m256i*>(t), v);
-    return t[i];
-  }
-};
-inline I64x4 operator+(I64x4 a, I64x4 b) {
-  return {_mm256_add_epi64(a.v, b.v)};
-}
-inline I64x4 operator-(I64x4 a, I64x4 b) {
-  return {_mm256_sub_epi64(a.v, b.v)};
-}
-inline I64x4 MinI64(I64x4 a, I64x4 b) {
-  const __m256i gt = _mm256_cmpgt_epi64(a.v, b.v);
-  return {_mm256_blendv_epi8(a.v, b.v, gt)};
-}
-inline I64x4 MaxI64(I64x4 a, I64x4 b) {
-  const __m256i gt = _mm256_cmpgt_epi64(a.v, b.v);
-  return {_mm256_blendv_epi8(b.v, a.v, gt)};
-}
-
-#else  // SSE2: F64x4 / I64x4 as two 128-bit halves (I64x4 folds scalar —
-       // SSE2 has no 64-bit compares; semantics are what matters here).
+#else  // SSE2: F64x4 as two 128-bit halves.
 
 struct F64x4 {
   __m128d lo, hi;
@@ -443,34 +383,6 @@ inline int MoveMask(M64x4 m) {
   return _mm_movemask_pd(m.lo) | (_mm_movemask_pd(m.hi) << 2);
 }
 
-struct I64x4 {
-  int64_t v[4];
-  static I64x4 Load(const int64_t* p) { return {{p[0], p[1], p[2], p[3]}}; }
-  static I64x4 Load(const uint64_t* p) {
-    return {{static_cast<int64_t>(p[0]), static_cast<int64_t>(p[1]),
-             static_cast<int64_t>(p[2]), static_cast<int64_t>(p[3])}};
-  }
-  static I64x4 Broadcast(int64_t x) { return {{x, x, x, x}}; }
-  static I64x4 Zero() { return {{0, 0, 0, 0}}; }
-  int64_t Lane(int i) const { return v[i]; }
-};
-inline I64x4 operator+(I64x4 a, I64x4 b) {
-  return {{a.v[0] + b.v[0], a.v[1] + b.v[1], a.v[2] + b.v[2],
-           a.v[3] + b.v[3]}};
-}
-inline I64x4 operator-(I64x4 a, I64x4 b) {
-  return {{a.v[0] - b.v[0], a.v[1] - b.v[1], a.v[2] - b.v[2],
-           a.v[3] - b.v[3]}};
-}
-inline I64x4 MinI64(I64x4 a, I64x4 b) {
-  return {{std::min(a.v[0], b.v[0]), std::min(a.v[1], b.v[1]),
-           std::min(a.v[2], b.v[2]), std::min(a.v[3], b.v[3])}};
-}
-inline I64x4 MaxI64(I64x4 a, I64x4 b) {
-  return {{std::max(a.v[0], b.v[0]), std::max(a.v[1], b.v[1]),
-           std::max(a.v[2], b.v[2]), std::max(a.v[3], b.v[3])}};
-}
-
 #endif  // AVX2 / SSE2 wide types
 
 #elif defined(MVG_SIMD_BACKEND_NEON)
@@ -490,36 +402,6 @@ struct F64x2 {
 inline F64x2 operator+(F64x2 a, F64x2 b) { return {vaddq_f64(a.v, b.v)}; }
 inline F64x2 operator-(F64x2 a, F64x2 b) { return {vsubq_f64(a.v, b.v)}; }
 inline F64x2 operator*(F64x2 a, F64x2 b) { return {vmulq_f64(a.v, b.v)}; }
-
-struct F32x4 {
-  float32x4_t v;
-  static F32x4 Load(const float* p) { return {vld1q_f32(p)}; }
-  static F32x4 Broadcast(float x) { return {vdupq_n_f32(x)}; }
-  static F32x4 Zero() { return {vdupq_n_f32(0.0f)}; }
-  void Store(float* p) const { vst1q_f32(p, v); }
-  float Lane(int i) const {
-    float t[4];
-    vst1q_f32(t, v);
-    return t[i];
-  }
-};
-inline F32x4 operator+(F32x4 a, F32x4 b) { return {vaddq_f32(a.v, b.v)}; }
-inline F32x4 operator-(F32x4 a, F32x4 b) { return {vsubq_f32(a.v, b.v)}; }
-inline F32x4 operator*(F32x4 a, F32x4 b) { return {vmulq_f32(a.v, b.v)}; }
-inline F32x4 operator/(F32x4 a, F32x4 b) { return {vdivq_f32(a.v, b.v)}; }
-/// Compare+select for std::min/std::max semantics (native vmin/vmax
-/// propagate NaN from either operand, which std::min/max do not).
-inline F32x4 Min(F32x4 a, F32x4 b) {
-  return {vbslq_f32(vcltq_f32(b.v, a.v), b.v, a.v)};
-}
-inline F32x4 Max(F32x4 a, F32x4 b) {
-  return {vbslq_f32(vcltq_f32(a.v, b.v), b.v, a.v)};
-}
-inline float ReduceAddOrdered(F32x4 x) {
-  float t[4];
-  vst1q_f32(t, x.v);
-  return ((t[0] + t[1]) + t[2]) + t[3];
-}
 
 struct I32x4 {
   int32x4_t v;
@@ -647,34 +529,6 @@ inline int MoveMask(M64x4 m) {
                           ((vgetq_lane_u64(m.hi, 1) & 1u) << 3));
 }
 
-struct I64x4 {
-  int64_t v[4];
-  static I64x4 Load(const int64_t* p) { return {{p[0], p[1], p[2], p[3]}}; }
-  static I64x4 Load(const uint64_t* p) {
-    return {{static_cast<int64_t>(p[0]), static_cast<int64_t>(p[1]),
-             static_cast<int64_t>(p[2]), static_cast<int64_t>(p[3])}};
-  }
-  static I64x4 Broadcast(int64_t x) { return {{x, x, x, x}}; }
-  static I64x4 Zero() { return {{0, 0, 0, 0}}; }
-  int64_t Lane(int i) const { return v[i]; }
-};
-inline I64x4 operator+(I64x4 a, I64x4 b) {
-  return {{a.v[0] + b.v[0], a.v[1] + b.v[1], a.v[2] + b.v[2],
-           a.v[3] + b.v[3]}};
-}
-inline I64x4 operator-(I64x4 a, I64x4 b) {
-  return {{a.v[0] - b.v[0], a.v[1] - b.v[1], a.v[2] - b.v[2],
-           a.v[3] - b.v[3]}};
-}
-inline I64x4 MinI64(I64x4 a, I64x4 b) {
-  return {{std::min(a.v[0], b.v[0]), std::min(a.v[1], b.v[1]),
-           std::min(a.v[2], b.v[2]), std::min(a.v[3], b.v[3])}};
-}
-inline I64x4 MaxI64(I64x4 a, I64x4 b) {
-  return {{std::max(a.v[0], b.v[0]), std::max(a.v[1], b.v[1]),
-           std::max(a.v[2], b.v[2]), std::max(a.v[3], b.v[3])}};
-}
-
 #else
 // ===========================================================================
 // Scalar backend — the parity reference. Everything is the literal scalar
@@ -703,44 +557,6 @@ inline F64x2 operator-(F64x2 a, F64x2 b) {
 }
 inline F64x2 operator*(F64x2 a, F64x2 b) {
   return {{a.v[0] * b.v[0], a.v[1] * b.v[1]}};
-}
-
-struct F32x4 {
-  float v[4];
-  static F32x4 Load(const float* p) { return {{p[0], p[1], p[2], p[3]}}; }
-  static F32x4 Broadcast(float x) { return {{x, x, x, x}}; }
-  static F32x4 Zero() { return {{0.0f, 0.0f, 0.0f, 0.0f}}; }
-  void Store(float* p) const {
-    for (int i = 0; i < 4; ++i) p[i] = v[i];
-  }
-  float Lane(int i) const { return v[i]; }
-};
-inline F32x4 operator+(F32x4 a, F32x4 b) {
-  return {{a.v[0] + b.v[0], a.v[1] + b.v[1], a.v[2] + b.v[2],
-           a.v[3] + b.v[3]}};
-}
-inline F32x4 operator-(F32x4 a, F32x4 b) {
-  return {{a.v[0] - b.v[0], a.v[1] - b.v[1], a.v[2] - b.v[2],
-           a.v[3] - b.v[3]}};
-}
-inline F32x4 operator*(F32x4 a, F32x4 b) {
-  return {{a.v[0] * b.v[0], a.v[1] * b.v[1], a.v[2] * b.v[2],
-           a.v[3] * b.v[3]}};
-}
-inline F32x4 operator/(F32x4 a, F32x4 b) {
-  return {{a.v[0] / b.v[0], a.v[1] / b.v[1], a.v[2] / b.v[2],
-           a.v[3] / b.v[3]}};
-}
-inline F32x4 Min(F32x4 a, F32x4 b) {
-  return {{std::min(a.v[0], b.v[0]), std::min(a.v[1], b.v[1]),
-           std::min(a.v[2], b.v[2]), std::min(a.v[3], b.v[3])}};
-}
-inline F32x4 Max(F32x4 a, F32x4 b) {
-  return {{std::max(a.v[0], b.v[0]), std::max(a.v[1], b.v[1]),
-           std::max(a.v[2], b.v[2]), std::max(a.v[3], b.v[3])}};
-}
-inline float ReduceAddOrdered(F32x4 x) {
-  return ((x.v[0] + x.v[1]) + x.v[2]) + x.v[3];
 }
 
 struct I32x4 {
@@ -915,34 +731,6 @@ inline int MoveMask(M64x4 m) {
          (m.m[3] ? 8 : 0);
 }
 
-struct I64x4 {
-  int64_t v[4];
-  static I64x4 Load(const int64_t* p) { return {{p[0], p[1], p[2], p[3]}}; }
-  static I64x4 Load(const uint64_t* p) {
-    return {{static_cast<int64_t>(p[0]), static_cast<int64_t>(p[1]),
-             static_cast<int64_t>(p[2]), static_cast<int64_t>(p[3])}};
-  }
-  static I64x4 Broadcast(int64_t x) { return {{x, x, x, x}}; }
-  static I64x4 Zero() { return {{0, 0, 0, 0}}; }
-  int64_t Lane(int i) const { return v[i]; }
-};
-inline I64x4 operator+(I64x4 a, I64x4 b) {
-  return {{a.v[0] + b.v[0], a.v[1] + b.v[1], a.v[2] + b.v[2],
-           a.v[3] + b.v[3]}};
-}
-inline I64x4 operator-(I64x4 a, I64x4 b) {
-  return {{a.v[0] - b.v[0], a.v[1] - b.v[1], a.v[2] - b.v[2],
-           a.v[3] - b.v[3]}};
-}
-inline I64x4 MinI64(I64x4 a, I64x4 b) {
-  return {{std::min(a.v[0], b.v[0]), std::min(a.v[1], b.v[1]),
-           std::min(a.v[2], b.v[2]), std::min(a.v[3], b.v[3])}};
-}
-inline I64x4 MaxI64(I64x4 a, I64x4 b) {
-  return {{std::max(a.v[0], b.v[0]), std::max(a.v[1], b.v[1]),
-           std::max(a.v[2], b.v[2]), std::max(a.v[3], b.v[3])}};
-}
-
 #endif  // backend sections
 
 // ===========================================================================
@@ -963,17 +751,6 @@ inline double ReduceMaxOrdered(F64x4 x) {
 }
 inline double ReduceMinOrdered(F64x4 x) {
   return std::min(std::min(std::min(x.Lane(0), x.Lane(1)), x.Lane(2)),
-                  x.Lane(3));
-}
-inline int64_t ReduceAddI64(I64x4 x) {
-  return ((x.Lane(0) + x.Lane(1)) + x.Lane(2)) + x.Lane(3);
-}
-inline int64_t ReduceMinI64(I64x4 x) {
-  return std::min(std::min(std::min(x.Lane(0), x.Lane(1)), x.Lane(2)),
-                  x.Lane(3));
-}
-inline int64_t ReduceMaxI64(I64x4 x) {
-  return std::max(std::max(std::max(x.Lane(0), x.Lane(1)), x.Lane(2)),
                   x.Lane(3));
 }
 

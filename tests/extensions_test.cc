@@ -232,6 +232,44 @@ TEST(MultivariateClassifierTest, LearnsCoupledChannels) {
   EXPECT_EQ(names.back().substr(0, 4), "ch2.");
 }
 
+// Channel 1 carries the class; channel 0 is one fixed noise series, so
+// its columns are constant in training and no split can use them. At
+// predict time channel 0 is cut to a length with fewer scales: channel 1
+// must still land on the columns the model was trained on, so every
+// prediction matches the one made with the full-length channel 0.
+TEST(MultivariateClassifierTest, ChannelColumnsDoNotMoveWithOtherLengths) {
+  using testutil::MakeFamilySeries;
+  using testutil::SeriesFamily;
+  const Series ch0 = MakeFamilySeries(SeriesFamily::kGaussian, 256, 1);
+  const auto ch1 = [](int label, uint64_t seed) {
+    return MakeFamilySeries(label == 0 ? SeriesFamily::kGaussian
+                                       : SeriesFamily::kRandomWalk,
+                            64, seed);
+  };
+  MultivariateDataset train("aligned");
+  for (uint64_t i = 0; i < 24; ++i) {
+    const int label = static_cast<int>(i % 2);
+    train.Add({ch0, ch1(label, 100 + i)}, label);
+  }
+  MvgClassifier::Config config;
+  config.grid = GridPreset::kNone;
+  MvgMultivariateClassifier clf(config);
+  clf.Fit(train);
+
+  const Series ch0_short(ch0.begin(), ch0.begin() + 32);
+  const MvgFeatureExtractor extractor(config.extractor);
+  ASSERT_LT(extractor.LayoutForLength(32).feature_width,
+            extractor.LayoutForLength(256).feature_width);
+  for (uint64_t i = 0; i < 12; ++i) {
+    const Series probe = ch1(static_cast<int>(i % 2), 500 + i);
+    EXPECT_EQ(clf.Predict({ch0_short, probe}), clf.Predict({ch0, probe}))
+        << "probe " << i;
+  }
+  EXPECT_EQ(clf.FeatureNames().size(),
+            extractor.LayoutForLength(256).feature_width +
+                extractor.LayoutForLength(64).feature_width);
+}
+
 TEST(MultivariateClassifierTest, RejectsChannelMismatch) {
   const MultivariateSplit split =
       MakeSyntheticMultivariate(2, 2, 10, 4, 64, 9);

@@ -3,6 +3,7 @@
 #include "ml/decision_tree.h"
 #include "ml/metrics.h"
 #include "ml/random_forest.h"
+#include "obs/obs.h"
 #include "util/random.h"
 
 namespace mvg {
@@ -90,6 +91,27 @@ TEST(RandomForest, SeparatesBlobs) {
   rf.Fit(x, y);
   EXPECT_EQ(rf.num_trees_fitted(), 30u);
   EXPECT_LE(ErrorRate(y, rf.PredictAll(x)), 0.02);
+}
+
+TEST(RandomForest, CountsOneHistogramBuildPerSearchedNode) {
+  // Every node that searches for a split histograms its candidate
+  // features once, so the two counters move together.
+  if (!obs::kCompiledIn) GTEST_SKIP() << "built with MVG_OBS_OFF";
+  Matrix x;
+  std::vector<int> y;
+  MakeBlobs(25, 3, 1.0, 6, &x, &y);
+  const obs::PipelineMetrics& pm = obs::PipelineMetrics::Get();
+  const bool was_enabled = obs::Enabled();
+  obs::SetEnabled(true);
+  const uint64_t builds = pm.train_hist_node_builds->Value();
+  const uint64_t searches = pm.train_split_searches->Value();
+  RandomForestClassifier::Params params;
+  params.num_trees = 5;
+  RandomForestClassifier(params).Fit(x, y);
+  obs::SetEnabled(was_enabled);
+  const uint64_t built = pm.train_hist_node_builds->Value() - builds;
+  EXPECT_GT(built, 0u);
+  EXPECT_EQ(built, pm.train_split_searches->Value() - searches);
 }
 
 TEST(RandomForest, GeneralizesToHeldOut) {

@@ -797,6 +797,126 @@ TEST_F(ZeroCopyTest, MappedFileSessionMatchesStreamSession) {
   EXPECT_EQ(moved.PredictBatch(train.all_series()), b);
 }
 
+/// Model files whose tree splits name a feature at or past the pipeline's
+/// feature width. The section and table CRCs are recomputed, so only the
+/// loaders' node validation stands between such a file and a read past
+/// the row at predict time.
+class SplitFeatureBoundTest : public V3FramingTest {
+ protected:
+  static constexpr size_t kModelEntry = 2;  // pipeline, scaler, model.
+
+  static MvgClassifier Fit(MvgModel model) {
+    MvgClassifier::Config config;
+    config.model = model;
+    config.grid = GridPreset::kNone;
+    MvgClassifier clf(config);
+    clf.Fit(MakeNoiseDataset("bound_train", {0, 1, 2}, 10, 64, 9));
+    return clf;
+  }
+
+  static std::string Serialize(const MvgClassifier& clf) {
+    std::ostringstream os(std::ios::binary);
+    SaveModel(clf, os);
+    return os.str();
+  }
+
+  static int32_t GetI32(const std::string& blob, size_t off) {
+    int32_t v = 0;
+    std::memcpy(&v, blob.data() + off, sizeof(v));
+    return v;
+  }
+
+  /// Blob offset of the first decision-tree root record in the model
+  /// section: an 8-aligned 24-byte node (threshold, feature, left, right,
+  /// proba_begin) that splits on a feature below `width` into children
+  /// 1 and > 1, followed by node 1, a leaf or a split whose left child
+  /// is node 2.
+  static size_t FindTreeRoot(const std::string& blob, size_t width) {
+    const size_t begin = GetU64(blob, Entry(kModelEntry, 8));
+    const size_t end = begin + GetU64(blob, Entry(kModelEntry, 16));
+    for (size_t p = begin; p + 48 <= end; p += 8) {
+      const int32_t feature = GetI32(blob, p + 8);
+      if (feature < 0 || static_cast<size_t>(feature) >= width ||
+          GetI32(blob, p + 12) != 1 || GetI32(blob, p + 16) <= 1) {
+        continue;
+      }
+      const bool next_leaf = GetI32(blob, p + 32) == -1 &&
+                             GetI32(blob, p + 36) == -1 &&
+                             GetI32(blob, p + 40) == -1;
+      const bool next_split =
+          GetI32(blob, p + 32) >= 0 && GetI32(blob, p + 36) == 2;
+      if (next_leaf || next_split) return p;
+    }
+    ADD_FAILURE() << "no tree root record in the model section";
+    return 0;
+  }
+
+  /// Re-seals section `entry`'s CRC and the table CRC after an edit.
+  static void FixCrcs(std::string* blob, size_t entry) {
+    const size_t payload = GetU64(*blob, Entry(entry, 8));
+    const size_t size = GetU64(*blob, Entry(entry, 16));
+    PutU32(blob, Entry(entry, 24), Crc32(blob->data() + payload, size));
+    FixTableCrc(blob);
+  }
+
+  static std::string WithSplitFeature(std::string blob, size_t node,
+                                      int32_t feature) {
+    std::memcpy(&blob[node + 8], &feature, sizeof(feature));
+    FixCrcs(&blob, kModelEntry);
+    return blob;
+  }
+
+  /// Both loaders refuse the file.
+  static void ExpectBothRejected(const std::string& blob) {
+    ExpectRejected(blob);
+    std::vector<uint64_t> buf((blob.size() + 7) / 8);
+    std::memcpy(buf.data(), blob.data(), blob.size());
+    EXPECT_THROW(LoadModelView(buf.data(), blob.size()), SerializationError);
+  }
+
+  /// A split on the last feature loads and predicts; one on the feature
+  /// width, or far past it, is rejected.
+  static void ExpectSplitBoundEnforced(MvgModel model) {
+    const MvgClassifier clf = Fit(model);
+    const std::string blob = Serialize(clf);
+    const size_t width = clf.feature_width();
+    const size_t root = FindTreeRoot(blob, width);
+    ASSERT_NE(root, 0u);
+
+    std::istringstream is(
+        WithSplitFeature(blob, root, static_cast<int32_t>(width - 1)),
+        std::ios::binary);
+    const MvgClassifier last = LoadModel(is);
+    const int label = last.Predict(FixtureProbe(0));
+    EXPECT_GE(label, 0);
+    EXPECT_LE(label, 2);
+
+    ExpectBothRejected(
+        WithSplitFeature(blob, root, static_cast<int32_t>(width)));
+    ExpectBothRejected(WithSplitFeature(blob, root, int32_t{1} << 28));
+  }
+};
+
+TEST_F(SplitFeatureBoundTest, ForestSplitPastFeatureWidthRejected) {
+  ExpectSplitBoundEnforced(MvgModel::kRandomForest);
+}
+
+TEST_F(SplitFeatureBoundTest, StackingMemberSplitPastFeatureWidthRejected) {
+  ExpectSplitBoundEnforced(MvgModel::kStacking);
+}
+
+// A boosted model checks its splits against its own stored width too, but
+// the pipeline's width is what Predict pads rows to: shrinking it must
+// reject the file. The width is the size field right after the retired
+// exact_splits byte (payload byte 40, see above).
+TEST_F(SplitFeatureBoundTest, BoostedSplitPastPipelineWidthRejected) {
+  const std::string blob = Serialize(Fit(MvgModel::kXgboost));
+  std::string narrowed = blob;
+  PutU64(&narrowed, GetU64(blob, Entry(0, 8)) + 41, 1);
+  FixCrcs(&narrowed, 0);
+  ExpectBothRejected(narrowed);
+}
+
 TEST_F(ZeroCopyTest, MappedFileBasics) {
   const std::string path = ::testing::TempDir() + "serve_io_test_raw.bin";
   {

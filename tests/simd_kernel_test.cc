@@ -209,22 +209,6 @@ TEST(SimdI32x4, WidenMulAddRotateEqMatchScalar) {
   EXPECT_EQ(0b1111, EqMask(a, a));
 }
 
-TEST(SimdI64x4, MinMaxAddReduceMatchScalar) {
-  const int64_t av[4] = {int64_t{1} << 40, -7, 0, 123456789};
-  const int64_t bv[4] = {int64_t{1} << 39, 7, -1, 123456789};
-  const simd::I64x4 a = simd::I64x4::Load(av);
-  const simd::I64x4 b = simd::I64x4::Load(bv);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(av[i] + bv[i], (a + b).Lane(i));
-    EXPECT_EQ(av[i] - bv[i], (a - b).Lane(i));
-    EXPECT_EQ(std::min(av[i], bv[i]), MinI64(a, b).Lane(i));
-    EXPECT_EQ(std::max(av[i], bv[i]), MaxI64(a, b).Lane(i));
-  }
-  EXPECT_EQ(((av[0] + av[1]) + av[2]) + av[3], simd::ReduceAddI64(a));
-  EXPECT_EQ(-7, simd::ReduceMinI64(a));
-  EXPECT_EQ(int64_t{1} << 40, simd::ReduceMaxI64(a));
-}
-
 TEST(SimdU8Span, MatchesScalarOnAllLengthsAndConstantRuns) {
   Rng rng(77);
   for (size_t n = 1; n <= 70; ++n) {
