@@ -438,8 +438,13 @@ int main(int argc, char** argv) {
     const size_t vg_n = opt.quick ? 1024 : 4096;
     const Series vg_s = GaussianNoise(vg_n, 19);
     size_t vg_sink = 0;
-    const BenchResult vg_simd =
-        TimeIt("kernel_vg_scan_stage", vg_n, opt, [&] {
+    // The gate is TimePaired's median of back-to-back ratios.
+    const PairedTiming vg_pair = TimePaired(
+        "kernel_vg_scan_scalar", "kernel_vg_scan_stage", vg_n, opt,
+        [&] {
+          vg_sink += bench::LegacyVisibilityScanStage(vg_s.data(), 0, vg_n - 1);
+        },
+        [&] {
           size_t edges = 0;
           const size_t k = RangeArgMax(vg_s.data(), 0, vg_n - 1);
           if (k < vg_n - 1) {
@@ -450,19 +455,12 @@ int main(int argc, char** argv) {
           }
           vg_sink += edges + k;
         });
-    const BenchResult vg_legacy =
-        TimeIt("kernel_vg_scan_scalar", vg_n, opt, [&] {
-          vg_sink += bench::LegacyVisibilityScanStage(vg_s.data(), 0, vg_n - 1);
-        });
     if (vg_sink == static_cast<size_t>(-1)) std::puts("");  // defeat DCE
-    print_per_element("kernel_vg_scan_stage", vg_simd);
-    print_per_element("kernel_vg_scan_scalar", vg_legacy);
-    results.push_back(vg_simd);
-    results.push_back(vg_legacy);
-    if (vg_simd.ns_per_iter > 0.0) {
-      metrics["simd_vg_build_speedup"] =
-          vg_legacy.ns_per_iter / vg_simd.ns_per_iter;
-    }
+    print_per_element("kernel_vg_scan_stage", vg_pair.b);
+    print_per_element("kernel_vg_scan_scalar", vg_pair.a);
+    results.push_back(vg_pair.b);
+    results.push_back(vg_pair.a);
+    metrics["simd_vg_build_speedup"] = vg_pair.ratio;
 
     // GBT histogram update: the grad/hess pair scan over the staged rows —
     // row-interleaved gh array + paired two-lane cell add vs the legacy
@@ -488,30 +486,28 @@ int main(int argc, char** argv) {
                   0.0);
       }
     };
-    const BenchResult gbt_simd =
-        TimeIt("kernel_gbt_pair_scan", hist_elems, opt, [&] {
+    // The gate is TimePaired's median of back-to-back ratios.
+    const PairedTiming gbt_pair = TimePaired(
+        "kernel_gbt_pair_legacy", "kernel_gbt_pair_scan", hist_elems, opt,
+        [&] {
+          for (size_t f = 0; f < hist_feats; ++f) {
+            bench::LegacyPairScan(ft.column(f), hrows, ggrad, ghess, 0,
+                                  hist_rows, pair_hist.data(), &lo, &hi);
+            clear_pair_span();
+          }
+        },
+        [&] {
           for (size_t f = 0; f < hist_feats; ++f) {
             PairScan(ft.column(f), stage, ggh.data(), pair_hist.data(), &lo,
                      &hi);
             clear_pair_span();
           }
         });
-    const BenchResult gbt_legacy =
-        TimeIt("kernel_gbt_pair_legacy", hist_elems, opt, [&] {
-          for (size_t f = 0; f < hist_feats; ++f) {
-            bench::LegacyPairScan(ft.column(f), hrows, ggrad, ghess, 0,
-                                  hist_rows, pair_hist.data(), &lo, &hi);
-            clear_pair_span();
-          }
-        });
-    print_per_element("kernel_gbt_pair_scan", gbt_simd);
-    print_per_element("kernel_gbt_pair_legacy", gbt_legacy);
-    results.push_back(gbt_simd);
-    results.push_back(gbt_legacy);
-    if (gbt_simd.ns_per_iter > 0.0) {
-      metrics["simd_gbt_update_speedup"] =
-          gbt_legacy.ns_per_iter / gbt_simd.ns_per_iter;
-    }
+    print_per_element("kernel_gbt_pair_scan", gbt_pair.b);
+    print_per_element("kernel_gbt_pair_legacy", gbt_pair.a);
+    results.push_back(gbt_pair.b);
+    results.push_back(gbt_pair.a);
+    metrics["simd_gbt_update_speedup"] = gbt_pair.ratio;
 
     // GBT training tail: building a node's grad/hess histogram (PairScan
     // over every column, plus the Release that re-zeroes its dirty span)
@@ -663,12 +659,12 @@ int main(int argc, char** argv) {
       for (auto& v : row) v = brng.Gaussian();
     }
     FeatureTable exact_ft;
-    const BenchResult bin_exact =
-        TimeIt("bin_build_exact_sort", bin_rows * bin_feats, opt,
-               [&] { exact_ft.Build(bx); });
     FeatureTable sketch_ft;
-    const BenchResult bin_sketch =
-        TimeIt("bin_build_sketch_stream", bin_rows * bin_feats, opt, [&] {
+    // The gate is TimePaired's median of back-to-back ratios.
+    const PairedTiming bin_pair = TimePaired(
+        "bin_build_exact_sort", "bin_build_sketch_stream",
+        bin_rows * bin_feats, opt, [&] { exact_ft.Build(bx); },
+        [&] {
           CutSketcher sketcher(FeatureTable::kMaxBins);
           sketcher.AddRows(bx, 1);
           CutSketcher::FeatureCuts fc = sketcher.Finish();
@@ -678,12 +674,9 @@ int main(int argc, char** argv) {
             sketch_ft.BinRowInto(bx[i].data(), bx[i].size(), i);
           }
         });
-    results.push_back(bin_exact);
-    results.push_back(bin_sketch);
-    if (bin_sketch.ns_per_iter > 0.0) {
-      metrics["sketch_bin_build_speedup"] =
-          bin_exact.ns_per_iter / bin_sketch.ns_per_iter;
-    }
+    results.push_back(bin_pair.a);
+    results.push_back(bin_pair.b);
+    metrics["sketch_bin_build_speedup"] = bin_pair.ratio;
 
 #if defined(__unix__)
     // Peak RSS of one out-of-core fit, isolated in a forked child so this
@@ -753,16 +746,14 @@ int main(int argc, char** argv) {
     const size_t n = 1024;
     const Series s = RandomWalk(n, 13);
     const Graph g = BuildVisibilityGraph(s);
-    const BenchResult build = TimeIt("motif_walk_vg_build", n, opt,
-                                     [&] { BuildVisibilityGraph(s, &ws); });
-    const BenchResult count = TimeIt("motif_walk_vg_count", n, opt,
-                                     [&] { CountMotifs(g, &ws.motif); });
-    results.push_back(build);
-    results.push_back(count);
-    if (count.ns_per_iter > 0.0) {
-      metrics["motif_walk_vg_build_over_count_n1024"] =
-          build.ns_per_iter / count.ns_per_iter;
-    }
+    // The gate is TimePaired's median of back-to-back ratios.
+    const PairedTiming motif = TimePaired(
+        "motif_walk_vg_build", "motif_walk_vg_count", n, opt,
+        [&] { BuildVisibilityGraph(s, &ws); },
+        [&] { CountMotifs(g, &ws.motif); });
+    results.push_back(motif.a);
+    results.push_back(motif.b);
+    metrics["motif_walk_vg_build_over_count_n1024"] = motif.ratio;
   }
 
   // --- End-to-end extraction (Algorithm 1, the paper's column G) ---
@@ -970,18 +961,17 @@ int main(int argc, char** argv) {
     const char* model_path = "BENCH_mmap_model.mvg";
     SaveModel(clf, model_path);
 
-    const BenchResult stream_load =
-        TimeIt("model_load_stream", 1, opt, [&] { LoadModel(model_path); });
-    const BenchResult mmap_load = TimeIt("model_load_mmap", 1, opt, [&] {
-      MappedFile map(model_path);
-      LoadModelView(map.data(), map.size());
-    });
-    results.push_back(stream_load);
-    results.push_back(mmap_load);
-    if (mmap_load.ns_per_iter > 0.0) {
-      metrics["mmap_load_speedup"] =
-          stream_load.ns_per_iter / mmap_load.ns_per_iter;
-    }
+    // The gate is TimePaired's median of back-to-back ratios.
+    const PairedTiming load = TimePaired(
+        "model_load_stream", "model_load_mmap", 1, opt,
+        [&] { LoadModel(model_path); },
+        [&] {
+          MappedFile map(model_path);
+          LoadModelView(map.data(), map.size());
+        });
+    results.push_back(load.a);
+    results.push_back(load.b);
+    metrics["mmap_load_speedup"] = load.ratio;
 
     std::remove(model_path);
 
@@ -1060,8 +1050,7 @@ int main(int argc, char** argv) {
   // 0.98 is the 2% budget from docs/OBSERVABILITY.md. metrics_overhead
   // (the gated key) is the worse of the two paths. The obs_* rows are
   // informational micro costs of one sharded-counter increment and one
-  // histogram observation. In an MVG_OBS_OFF build SetEnabled is a no-op
-  // and both ratios measure ~1.0 trivially.
+  // histogram observation.
   std::printf("Metrics overhead:\n");
   {
     const bool was_enabled = obs::Enabled();

@@ -98,16 +98,12 @@ class MvgClassifier : public SeriesClassifier {
   /// versioned binary model format of serve/model_io.h (current = v3).
   /// Requires Fit(); implemented in serve/model_io.cc.
   void SaveBinary(std::ostream& os) const;
-  /// Rebuilds a classifier from SaveBinary (v3) output or a legacy v2
-  /// file, copying everything out of the stream. Predictions of the
-  /// loaded pipeline are bit-identical to the saved one. Throws
-  /// SerializationError on corrupt, truncated or version-mismatched data.
+  /// Rebuilds a classifier from SaveBinary (v3) output, copying
+  /// everything out of the stream. Predictions of the loaded pipeline are
+  /// bit-identical to the saved one. Throws SerializationError on corrupt
+  /// or truncated data and on any format version but v3, v2 included.
+  /// LoadModelView in serve/model_io.h is the zero-copy variant.
   static MvgClassifier LoadBinary(std::istream& is);
-  /// Zero-copy load over a caller-owned buffer holding a whole v3 file.
-  /// Structural validation only (payload CRCs deferred, so construction
-  /// is O(1) in file size); see LoadModelView in serve/model_io.h for
-  /// the lifetime contract and the full-verification variant.
-  static MvgClassifier LoadBinaryView(const void* data, size_t size);
 
   /// Wall-clock split of the last Fit() or FitPaged() (Table 3's FE vs
   /// Clf columns); zero on a loaded model. The FE time counts feature
@@ -184,8 +180,8 @@ class MvgClassifier : public SeriesClassifier {
   /// Serializes the three model-file section payloads (current format).
   void BuildSections(std::string* pipeline, std::string* scaler,
                      std::string* model) const;
-  /// Rebuilds a classifier from section readers already configured with
-  /// the source format version (and zero-copy flag, for the mmap path).
+  /// Rebuilds a classifier from section readers (with the zero-copy flag
+  /// already set for the mmap path).
   static MvgClassifier FromSectionReaders(BinaryReader* pipeline,
                                           BinaryReader* scaler,
                                           BinaryReader* model);

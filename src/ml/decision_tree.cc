@@ -471,43 +471,7 @@ void DecisionTreeClassifier::LoadBinary(BinaryReader* r) {
   num_classes_internal_ = r->ReadSize();
   ResetStorage();
 
-  if (r->format_version() == 2) {
-    // v2 body: per-node records with inline leaf distributions; converted
-    // into the flat storage on load. The smallest record is i32 feature,
-    // f64 threshold, i32 left, i32 right, an empty distribution's u64
-    // length and the u64 depth.
-    constexpr size_t kV2MinNodeBytes = 4 + 8 + 4 + 4 + 8 + 8;
-    const size_t count = r->ReadSize();
-    if (count > r->remaining() / kV2MinNodeBytes) {
-      throw SerializationError("DecisionTree: node array exceeds section");
-    }
-    nodes_.reserve(count);
-    for (size_t i = 0; i < count; ++i) {
-      Node node;
-      node.feature = r->ReadI32();
-      node.threshold = r->ReadDouble();
-      node.left = r->ReadI32();
-      node.right = r->ReadI32();
-      const std::vector<double> proba = r->ReadDoubleVec();
-      r->ReadSize();  // depth: derived, no longer stored.
-      if (node.feature < 0) {
-        if (proba.size() != num_classes_internal_) {
-          throw SerializationError("DecisionTree: leaf distribution size " +
-                                   std::to_string(proba.size()) +
-                                   " != num_classes " +
-                                   std::to_string(num_classes_internal_));
-        }
-        node.proba_begin = static_cast<int32_t>(leaf_proba_.size());
-        leaf_proba_.insert(leaf_proba_.end(), proba.begin(), proba.end());
-      }
-      nodes_.push_back(node);
-    }
-    ValidateLoadedTree(nodes_.data(), nodes_.size(), leaf_proba_.size(),
-                       num_classes_internal_, r->feature_bound());
-    return;
-  }
-
-  // v3 body: flat aligned node/distribution arrays.
+  // Flat aligned node/distribution arrays.
   const size_t count = r->ReadSize();
   const size_t proba_total = r->ReadSize();
   r->AlignTo(8);

@@ -595,45 +595,7 @@ void GradientBoostingClassifier::LoadBinary(BinaryReader* r) {
   }
   ResetStorage();
 
-  if (r->format_version() == 2) {
-    // v2 body: nested round/tree/node records, converted into the flat
-    // storage on load. A node record is i32 feature, f64 threshold, f64
-    // weight, i32 left, i32 right.
-    constexpr size_t kV2NodeBytes = 4 + 8 + 8 + 4 + 4;
-    const size_t rounds = r->ReadSize();
-    for (size_t rd = 0; rd < rounds; ++rd) {
-      const size_t per_round = r->ReadSize();
-      if (per_round != base_score_.size()) {
-        throw SerializationError(
-            "GradientBoosting: round with " + std::to_string(per_round) +
-            " trees, expected " + std::to_string(base_score_.size()));
-      }
-      for (size_t t = 0; t < per_round; ++t) {
-        const size_t count = r->ReadSize();
-        if (count > r->remaining() / kV2NodeBytes) {
-          throw SerializationError("GradientBoosting: tree exceeds section");
-        }
-        Tree tree;
-        tree.reserve(count);
-        for (size_t n = 0; n < count; ++n) {
-          TreeNode node;
-          node.feature = r->ReadI32();
-          node.threshold = r->ReadDouble();
-          node.weight = r->ReadDouble();
-          node.left = r->ReadI32();
-          node.right = r->ReadI32();
-          tree.push_back(node);
-        }
-        AppendTree(tree);
-      }
-    }
-    num_rounds_ = rounds;
-    trees_per_round_ = base_score_.size();
-    ValidateTrees(r->feature_bound());
-    return;
-  }
-
-  // v3 body: tree index + flat aligned node array.
+  // Tree index + flat aligned node array.
   num_rounds_ = r->ReadSize();
   trees_per_round_ = r->ReadSize();
   const size_t total = r->ReadSize();

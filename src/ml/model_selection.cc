@@ -140,19 +140,6 @@ GridSearchResult CrossValidate(const std::vector<ClassifierFactory>& candidates,
 
 }  // namespace
 
-double CrossValLogLoss(const ClassifierFactory& factory, const Matrix& x,
-                       const std::vector<int>& y, size_t num_folds,
-                       uint64_t seed) {
-  return CrossValLogLoss(factory, x, y, StratifiedKFold(y, num_folds, seed));
-}
-
-double CrossValLogLoss(const ClassifierFactory& factory, const Matrix& x,
-                       const std::vector<int>& y,
-                       const std::vector<FoldIndices>& folds,
-                       size_t num_threads) {
-  return GridSearch({factory}, x, y, folds, num_threads).best_score;
-}
-
 GridSearchResult GridSearch(const std::vector<ClassifierFactory>& candidates,
                             const Matrix& x, const std::vector<int>& y,
                             size_t num_folds, uint64_t seed,

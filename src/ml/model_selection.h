@@ -22,17 +22,6 @@ struct FoldIndices {
 std::vector<FoldIndices> StratifiedKFold(const std::vector<int>& y,
                                          size_t num_folds, uint64_t seed);
 
-/// Cross-validated log loss (paper Eq. 5) of the classifier built by
-/// `factory`, averaged over the usable stratified folds: GridSearch over
-/// one candidate. The overload taking `folds` reuses a precomputed split.
-double CrossValLogLoss(const ClassifierFactory& factory, const Matrix& x,
-                       const std::vector<int>& y, size_t num_folds,
-                       uint64_t seed);
-double CrossValLogLoss(const ClassifierFactory& factory, const Matrix& x,
-                       const std::vector<int>& y,
-                       const std::vector<FoldIndices>& folds,
-                       size_t num_threads = 1);
-
 /// Result of a grid search: scores per candidate plus the winner.
 struct GridSearchResult {
   std::vector<double> scores;  ///< CV log loss per candidate.
@@ -43,15 +32,15 @@ struct GridSearchResult {
 /// Evaluates every candidate factory by stratified-CV log loss and picks
 /// the best (the paper's hyper-parameter tuning protocol, §3.2/§4.2).
 ///
-/// GridSearch, GridSearchBinned and CrossValLogLoss share one engine,
-/// which fits every candidate x fold cell exactly once. A fold is used
-/// when both sides are non-empty and its train part holds every label of
-/// its validation part; each score is the mean log loss over the used
-/// folds, and the search throws when no fold is usable. The cells fan
-/// out across `num_threads` workers and each score is reduced in fold
-/// order on the calling thread, so scores are bit-identical for every
-/// thread count. The train rows are row views (Classifier::FitOnRows), so
-/// no fold copies the matrix.
+/// GridSearch and GridSearchBinned share one engine, which fits every
+/// candidate x fold cell exactly once. A fold is used when both sides are
+/// non-empty and its train part holds every label of its validation part;
+/// each score is the mean log loss (paper Eq. 5) over the used folds, and
+/// the search throws when no fold is usable. The cells fan out across
+/// `num_threads` workers and each score is reduced in fold order on the
+/// calling thread, so scores are bit-identical for every thread count.
+/// The train rows are row views (Classifier::FitOnRows), so no fold
+/// copies the matrix.
 ///
 /// `cell_probas`, when given, receives every cell's validation
 /// probabilities: entry c * folds.size() + f holds candidate c's

@@ -1,7 +1,6 @@
 #include "ml/preprocessing.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <map>
 #include <numeric>
@@ -70,59 +69,6 @@ void MinMaxScaler::LoadBinary(BinaryReader* r) {
   ranges_ = r->ReadDoubleVec();
   if (mins_.size() != ranges_.size()) {
     throw SerializationError("MinMaxScaler: mins/ranges size mismatch");
-  }
-}
-
-void StandardScaler::Fit(const Matrix& x) {
-  if (x.empty()) throw std::invalid_argument("StandardScaler: empty matrix");
-  const size_t d = x[0].size();
-  const double n = static_cast<double>(x.size());
-  means_.assign(d, 0.0);
-  stds_.assign(d, 0.0);
-  for (const auto& row : x) {
-    for (size_t f = 0; f < d; ++f) means_[f] += row[f];
-  }
-  for (double& m : means_) m /= n;
-  for (const auto& row : x) {
-    for (size_t f = 0; f < d; ++f) {
-      const double dv = row[f] - means_[f];
-      stds_[f] += dv * dv;
-    }
-  }
-  for (double& s : stds_) s = std::sqrt(s / n);
-}
-
-std::vector<double> StandardScaler::Transform(
-    const std::vector<double>& x) const {
-  std::vector<double> out(x.size(), 0.0);
-  for (size_t f = 0; f < x.size() && f < means_.size(); ++f) {
-    out[f] = stds_[f] > 1e-12 ? (x[f] - means_[f]) / stds_[f] : 0.0;
-  }
-  return out;
-}
-
-Matrix StandardScaler::TransformAll(const Matrix& x) const {
-  Matrix out;
-  out.reserve(x.size());
-  for (const auto& row : x) out.push_back(Transform(row));
-  return out;
-}
-
-Matrix StandardScaler::FitTransform(const Matrix& x) {
-  Fit(x);
-  return TransformAll(x);
-}
-
-void StandardScaler::SaveBinary(BinaryWriter* w) const {
-  w->WriteDoubleVec(means_);
-  w->WriteDoubleVec(stds_);
-}
-
-void StandardScaler::LoadBinary(BinaryReader* r) {
-  means_ = r->ReadDoubleVec();
-  stds_ = r->ReadDoubleVec();
-  if (means_.size() != stds_.size()) {
-    throw SerializationError("StandardScaler: means/stds size mismatch");
   }
 }
 

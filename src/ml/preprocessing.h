@@ -33,22 +33,6 @@ class MinMaxScaler {
   std::vector<double> ranges_;
 };
 
-/// Standard (z-score) scaling; used by ablations.
-class StandardScaler {
- public:
-  void Fit(const Matrix& x);
-  std::vector<double> Transform(const std::vector<double>& x) const;
-  Matrix TransformAll(const Matrix& x) const;
-  Matrix FitTransform(const Matrix& x);
-
-  void SaveBinary(BinaryWriter* w) const;
-  void LoadBinary(BinaryReader* r);
-
- private:
-  std::vector<double> means_;
-  std::vector<double> stds_;
-};
-
 /// Random oversampling of minority classes up to the majority class size
 /// (paper §3.2: "apply random oversampling techniques over the minority
 /// class"). Returns resampled (X, y) with deterministic sampling.

@@ -6,11 +6,9 @@
 namespace mvg {
 namespace obs {
 
-#ifndef MVG_OBS_OFF
 namespace internal {
 std::atomic<bool> g_enabled{true};
 }  // namespace internal
-#endif
 
 std::vector<double> TimingBucketsSeconds() {
   return {1e-6,   2.5e-6, 6e-6,   1e-5,  2.5e-5, 6e-5,  1e-4,

@@ -1,13 +1,12 @@
-// Observability front end: the runtime enable toggle (with the
-// MVG_OBS_OFF compile-time escape hatch), RAII trace spans, the
-// catalog of pipeline instruments shared by the library layers, and
-// file dumping (one-shot and periodic) of a MetricsRegistry.
+// Observability front end: the runtime enable toggle, RAII trace
+// spans, the catalog of pipeline instruments shared by the library
+// layers, and file dumping (one-shot and periodic) of a MetricsRegistry.
 //
 // Gating policy: *pipeline* instrumentation (spans, executor/wire/
 // training counters) is guarded by Enabled() so `obs::SetEnabled(false)`
-// — or building with -DMVG_OBS_OFF=ON — strips its cost. *Session*
-// metrics (AsyncServingSession, ShardRouter latency) are always on:
-// they ARE the stats API those classes expose, not optional extras.
+// strips its cost. *Session* metrics (AsyncServingSession, ShardRouter
+// latency) are always on: they ARE the stats API those classes expose,
+// not optional extras.
 #ifndef MVG_OBS_OBS_H_
 #define MVG_OBS_OBS_H_
 
@@ -24,14 +23,6 @@
 namespace mvg {
 namespace obs {
 
-#ifdef MVG_OBS_OFF
-// Compile-time kill switch: Enabled() folds to false, every guarded
-// instrumentation site dead-code-eliminates.
-inline constexpr bool kCompiledIn = false;
-inline constexpr bool Enabled() { return false; }
-inline void SetEnabled(bool) {}
-#else
-inline constexpr bool kCompiledIn = true;
 namespace internal {
 extern std::atomic<bool> g_enabled;
 }
@@ -41,7 +32,6 @@ inline bool Enabled() {
 inline void SetEnabled(bool on) {
   internal::g_enabled.store(on, std::memory_order_relaxed);
 }
-#endif
 
 // Enabled-gated convenience wrappers for pipeline instruments.
 inline void Count(Counter* c, uint64_t n = 1) {

@@ -1,6 +1,7 @@
 #include "serve/async_serving.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <stdexcept>
 #include <utility>
@@ -10,6 +11,22 @@
 #include "util/parallel.h"
 
 namespace mvg {
+
+namespace {
+
+std::atomic<AsyncServingSession::ClockFn> g_latency_clock{nullptr};
+
+AsyncServingSession::Clock::time_point LatencyNow() {
+  const AsyncServingSession::ClockFn now =
+      g_latency_clock.load(std::memory_order_relaxed);
+  return now != nullptr ? now() : AsyncServingSession::Clock::now();
+}
+
+}  // namespace
+
+void AsyncServingSession::SetLatencyClockForTesting(ClockFn now) {
+  g_latency_clock.store(now, std::memory_order_relaxed);
+}
 
 AsyncServingSession::AsyncServingSession(MvgClassifier model, Options options)
     : AsyncServingSession(ServingSession(std::move(model)), options) {}
@@ -78,7 +95,7 @@ AsyncServingSession::~AsyncServingSession() { Shutdown(); }
 std::future<int> AsyncServingSession::Submit(Series series) {
   Request request;
   request.series = std::move(series);
-  request.enqueued = std::chrono::steady_clock::now();
+  request.enqueued = LatencyNow();
   std::future<int> future = request.promise.get_future();
   {
     std::unique_lock<std::mutex> lock(mu_);
@@ -161,7 +178,7 @@ void AsyncServingSession::RunBatch(std::vector<Request>* batch) {
     return;
   }
 
-  const auto done = std::chrono::steady_clock::now();
+  const auto done = LatencyNow();
   m_batches_->Inc();
   m_completed_->Inc(batch->size());
   for (const Request& request : *batch) {

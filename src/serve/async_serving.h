@@ -41,6 +41,16 @@ namespace mvg {
 /// the dispatcher exits.
 class AsyncServingSession {
  public:
+  /// The clock requests are stamped with at enqueue and at completion.
+  using Clock = std::chrono::steady_clock;
+  using ClockFn = Clock::time_point (*)();
+
+  /// Test seam: replaces the request clock for every session in the
+  /// process (nullptr restores Clock::now), so a test can script the
+  /// latencies the stats see instead of racing the host's scheduler. The
+  /// micro-batching deadline counts from the same enqueue stamp.
+  static void SetLatencyClockForTesting(ClockFn now);
+
   struct Options {
     /// Bound on queued (not yet dispatched) requests; Submit blocks while
     /// the queue is full. Must be >= 1.
@@ -123,7 +133,7 @@ class AsyncServingSession {
   struct Request {
     Series series;
     std::promise<int> promise;
-    std::chrono::steady_clock::time_point enqueued;
+    Clock::time_point enqueued;
   };
 
   void DispatcherMain();

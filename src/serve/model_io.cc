@@ -199,50 +199,6 @@ SectionMap ReadSectionTableV3(const uint8_t* buf, size_t size,
 }
 
 // ---------------------------------------------------------------------------
-// v2 framing (legacy read only): 16-byte header followed by sequential
-// `u32 tag | u64 size | u32 crc | payload` sections.
-// ---------------------------------------------------------------------------
-
-/// Validates the sequential v2 section framing of `buf` (magic/version
-/// already checked) and returns views into it.
-SectionMap ReadSectionsV2(const uint8_t* buf, size_t size) {
-  BinaryReader r(buf, size);
-  r.ViewBytes(sizeof(kModelMagic) + 4);  // magic + version.
-  const uint32_t section_count = r.ReadU32();
-  if (section_count > kMaxSections) {
-    throw SerializationError("model file: implausible section count " +
-                             std::to_string(section_count));
-  }
-
-  SectionMap sections;
-  for (uint32_t i = 0; i < section_count; ++i) {
-    const uint32_t tag = r.ReadU32();
-    const uint64_t size = r.ReadU64();
-    const uint32_t crc = r.ReadU32();
-    if (size > kMaxSectionBytes) {
-      throw SerializationError("model file: section " + std::to_string(tag) +
-                               " implausibly large");
-    }
-    if (size > r.remaining()) {
-      throw SerializationError("model file: truncated section " +
-                               std::to_string(tag));
-    }
-    const uint8_t* payload = r.ViewBytes(static_cast<size_t>(size));
-    if (Crc32(payload, static_cast<size_t>(size)) != crc) {
-      throw SerializationError("model file: checksum mismatch in section " +
-                               std::to_string(tag));
-    }
-    if (!sections
-             .emplace(tag, SectionView{payload, static_cast<size_t>(size)})
-             .second) {
-      throw SerializationError("model file: duplicate section " +
-                               std::to_string(tag));
-    }
-  }
-  return sections;
-}
-
-// ---------------------------------------------------------------------------
 // Shared entry points.
 // ---------------------------------------------------------------------------
 
@@ -267,41 +223,30 @@ const SectionView& RequireSection(const SectionMap& sections, uint32_t tag,
   return it->second;
 }
 
-/// The three mandatory sections plus the format version they were
-/// framed in, fully validated, still viewing the source buffer.
+/// The three mandatory sections, fully validated, still viewing the
+/// source buffer.
 struct OpenedModel {
   SectionView pipeline, scaler, model;
-  uint32_t version = 0;
 };
 
-/// Dispatches on the version embedded in `data` and validates the
-/// matching framing. `zero_copy` requires v3 (the only layout whose flat
-/// payloads can be viewed in place). `verify_payload_crc=false` keeps
-/// the open O(table) — see ModelVerify::kStructure.
-OpenedModel OpenModelBuffer(const void* data, size_t size, bool zero_copy,
+/// Checks that `data` holds the current format and validates its
+/// framing. `verify_payload_crc=false` keeps the open O(table) — see
+/// ModelVerify::kStructure.
+OpenedModel OpenModelBuffer(const void* data, size_t size,
                             bool verify_payload_crc) {
   const uint32_t version = CheckMagicReadVersion(data, size);
-  SectionMap sections;
-  if (version == kModelFormatVersion) {
-    sections = ReadSectionTableV3(static_cast<const uint8_t*>(data), size,
-                                  verify_payload_crc);
-  } else if (version == 2 && !zero_copy) {
-    sections = ReadSectionsV2(static_cast<const uint8_t*>(data), size);
-  } else {
+  if (version != kModelFormatVersion) {
     throw SerializationError(
         "model file: unsupported format version " + std::to_string(version) +
-        (zero_copy
-             ? " (zero-copy load requires v" +
-                   std::to_string(kModelFormatVersion) + ")"
-             : " (this build reads v" + std::to_string(kModelMinReadVersion) +
-                   "-v" + std::to_string(kModelFormatVersion) + ")"));
+        " (this build reads v" + std::to_string(kModelFormatVersion) + ")");
   }
+  const SectionMap sections = ReadSectionTableV3(
+      static_cast<const uint8_t*>(data), size, verify_payload_crc);
 
   OpenedModel opened;
   opened.pipeline = RequireSection(sections, kSectionPipeline, "pipeline");
   opened.scaler = RequireSection(sections, kSectionScaler, "scaler");
   opened.model = RequireSection(sections, kSectionModel, "model");
-  opened.version = version;
   return opened;
 }
 
@@ -394,7 +339,6 @@ MvgClassifier DecodeOpened(const OpenedModel& opened, bool zero_copy) {
   BinaryReader scaler(opened.scaler.data, opened.scaler.size);
   BinaryReader model(opened.model.data, opened.model.size);
   for (BinaryReader* r : {&pipeline, &scaler, &model}) {
-    r->set_format_version(opened.version);
     r->set_zero_copy(zero_copy);
   }
   return MvgClassifier::FromSectionReaders(&pipeline, &scaler, &model);
@@ -406,15 +350,9 @@ MvgClassifier MvgClassifier::LoadBinary(std::istream& is) {
   std::ostringstream raw;
   raw << is.rdbuf();
   const std::string buf = raw.str();
-  return DecodeOpened(OpenModelBuffer(buf.data(), buf.size(), false,
-                                      /*verify_payload_crc=*/true),
-                      /*zero_copy=*/false);
-}
-
-MvgClassifier MvgClassifier::LoadBinaryView(const void* data, size_t size) {
-  return DecodeOpened(OpenModelBuffer(data, size, true,
-                                      /*verify_payload_crc=*/false),
-                      /*zero_copy=*/true);
+  return DecodeOpened(
+      OpenModelBuffer(buf.data(), buf.size(), /*verify_payload_crc=*/true),
+      /*zero_copy=*/false);
 }
 
 void SaveModel(const MvgClassifier& model, std::ostream& os) {
@@ -449,7 +387,7 @@ MvgClassifier LoadModel(const std::string& path) {
 MvgClassifier LoadModelView(const void* data, size_t size,
                             ModelVerify verify) {
   return DecodeOpened(
-      OpenModelBuffer(data, size, /*zero_copy=*/true,
+      OpenModelBuffer(data, size,
                       /*verify_payload_crc=*/verify == ModelVerify::kFull),
       /*zero_copy=*/true);
 }

@@ -40,14 +40,14 @@ namespace mvg {
 ///   tag 3  model      type-tagged classifier body (SaveClassifierBinary)
 ///
 /// Versioning policy: any layout change bumps kModelFormatVersion. This
-/// build writes v3 and reads v3 plus the previous sequential v2 layout
-/// (`u32 tag | u64 size | u32 crc | payload` sections after a 16-byte
-/// header), so existing model files keep loading; anything else is
-/// rejected loudly — section bodies are not self-describing, so an
-/// unknown version must never be misparsed. Unknown *section* tags are
-/// ignored on read, so a newer writer may append sections without
-/// breaking old readers within one version. Corruption (bad magic,
-/// truncation, CRC mismatch, misaligned/overlapping/out-of-bounds
+/// build writes and reads v3 only. Any other version is rejected loudly
+/// — section bodies are not self-describing, so an unknown version must
+/// never be misparsed. That includes v2, the sequential layout written
+/// before v3: load such a file with an older build that still reads it
+/// and re-save it to migrate (docs/FORMATS.md §1.4). Unknown *section*
+/// tags are ignored on read, so a newer writer may append sections
+/// without breaking old readers within one version. Corruption (bad
+/// magic, truncation, CRC mismatch, misaligned/overlapping/out-of-bounds
 /// sections, out-of-range enums/indices) always throws
 /// SerializationError — a model never half-loads.
 ///
@@ -56,8 +56,6 @@ namespace mvg {
 /// tree-node storage + mmap framing above.
 inline constexpr char kModelMagic[8] = {'M', 'V', 'G', 'M', 'O', 'D', 'E', 'L'};
 inline constexpr uint32_t kModelFormatVersion = 3;
-/// Oldest version LoadModel still reads.
-inline constexpr uint32_t kModelMinReadVersion = 2;
 
 /// v3 geometry (part of the on-disk format).
 inline constexpr size_t kModelHeaderBytes = 64;
@@ -81,9 +79,8 @@ enum ModelSection : uint32_t {
 void SaveModel(const MvgClassifier& model, std::ostream& os);
 void SaveModel(const MvgClassifier& model, const std::string& path);
 
-/// Loads a model saved by SaveModel (v3) or by an older build's v2
-/// writer (checked-in fixtures under tests/fixtures pin that path).
-/// Predictions are bit-identical to the in-memory model that was saved.
+/// Loads a model saved by SaveModel (v3). Predictions are bit-identical
+/// to the in-memory model that was saved.
 /// This path copies every payload out of the stream (self-contained
 /// model, no lifetime ties). Throws SerializationError on corrupt input,
 /// std::runtime_error when `path` cannot be opened.
@@ -113,9 +110,9 @@ enum class ModelVerify {
 /// copies, so N processes mapping the same file share one physical copy
 /// of the model. The buffer must outlive the returned model — use
 /// ServingSession::FromFileMapped for the version that manages the
-/// mapping's lifetime. v2 buffers are rejected (their layout cannot be
-/// viewed in place); on big-endian hosts the load still works but
-/// decodes into owned storage.
+/// mapping's lifetime. Like LoadModel it rejects every version but v3;
+/// on big-endian hosts the load still works but decodes into owned
+/// storage.
 MvgClassifier LoadModelView(const void* data, size_t size,
                             ModelVerify verify = ModelVerify::kStructure);
 

@@ -38,8 +38,7 @@ class ServingSession {
   /// the upfront CRC sweep, and N processes serving the same file share
   /// one physical copy of the model. The session owns the mapping, so the
   /// views stay valid for the session's lifetime; moving the session
-  /// moves the mapping with it. Requires a v3 file — v2 files must go
-  /// through FromFile.
+  /// moves the mapping with it. Like FromFile, it reads v3 files only.
   static ServingSession FromFileMapped(const std::string& path);
 
   /// Single-sample prediction through the pooled workspace.

@@ -35,7 +35,8 @@ Series Paa(const Series& s, size_t segments) {
   if (segments == n) return s;
   Series out(segments, 0.0);
   // Fractional-weight PAA: point i contributes to segment(s) covering
-  // [i, i+1) under the mapping t -> t * segments / n.
+  // [i, i+1) under the mapping t -> t * segments / n. Each segment has
+  // width 1 in the scaled units, so its accumulated mass is its mean.
   const double scale = static_cast<double>(segments) / static_cast<double>(n);
   for (size_t i = 0; i < n; ++i) {
     const double lo = static_cast<double>(i) * scale;
@@ -52,9 +53,6 @@ Series Paa(const Series& s, size_t segments) {
       out[seg_hi] += s[i] * (hi - boundary);
     }
   }
-  // Each segment covers n/segments original points worth of mass; divide by
-  // the segment width (in scaled units each segment has width 1).
-  for (double& v : out) v /= 1.0;
   return out;
 }
 

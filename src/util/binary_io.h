@@ -18,11 +18,6 @@ class SerializationError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Sentinel for BinaryReader `format_version`: "the current model format"
-/// — components that branch on version treat anything other than an
-/// explicitly pinned legacy version as current.
-inline constexpr uint32_t kFormatCurrent = 0;
-
 /// True on little-endian hosts, where the endian-stable serialized layout
 /// of the flat node blobs coincides with the in-memory struct layout and
 /// can therefore be viewed zero-copy instead of decoded field by field.
@@ -104,12 +99,6 @@ class BinaryReader {
   /// if the padding would run past the end of the buffer.
   void AlignTo(size_t alignment);
 
-  /// Version context: which on-disk format the framing layer determined
-  /// this buffer to be. Components with version-dependent bodies branch
-  /// on this, so it propagates through nested LoadBinary calls for free.
-  uint32_t format_version() const { return format_version_; }
-  void set_format_version(uint32_t v) { format_version_ = v; }
-
   /// When true, the underlying buffer is guaranteed (by the caller, e.g.
   /// a model file mmap held alive by the serving session) to outlive the
   /// loaded objects, so loaders may keep ViewBytes pointers instead of
@@ -137,7 +126,6 @@ class BinaryReader {
   const uint8_t* data_;
   size_t size_;
   size_t pos_ = 0;
-  uint32_t format_version_ = kFormatCurrent;
   bool zero_copy_ = false;
   size_t feature_bound_ = static_cast<size_t>(-1);
 };

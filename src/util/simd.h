@@ -6,7 +6,7 @@
 //
 // Backend is selected once, at compile time:
 //
-//   MVG_SIMD_OFF           -> scalar   (kill switch, mirrors MVG_OBS_OFF)
+//   MVG_SIMD_OFF           -> scalar   (kill switch)
 //   __AVX2__               -> avx2     (256-bit f64 lanes)
 //   __SSE2__ / x86-64      -> sse2     (2 x 128-bit halves)
 //   __aarch64__ + NEON     -> neon     (2 x 128-bit halves)

@@ -104,7 +104,6 @@ TEST(MvgClassifierTest, PredictCountsDataQualityEvents) {
   // Rows shorter or longer than the model's width, and non-finite
   // samples, each bump their counter; a clean training-length series
   // touches none.
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with MVG_OBS_OFF";
   const DatasetSplit split = Easy(3);
   MvgClassifier clf(FastConfig(MvgModel::kXgboost));
   clf.Fit(split.train);

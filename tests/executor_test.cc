@@ -385,7 +385,6 @@ class ObsOnScope {
 };
 
 TEST(ExecutorObsTest, InlineLoopAndSubmitCountsAreExact) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with MVG_OBS_OFF";
   ObsOnScope on;
   obs::PipelineMetrics& pm = obs::PipelineMetrics::Get();
   Executor ex(1);  // no workers: every loop inlines, nothing dispatched
@@ -405,7 +404,6 @@ TEST(ExecutorObsTest, InlineLoopAndSubmitCountsAreExact) {
 }
 
 TEST(ExecutorObsTest, GrainInlinedAndDispatchedLoopsAreCounted) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with MVG_OBS_OFF";
   ObsOnScope on;
   obs::PipelineMetrics& pm = obs::PipelineMetrics::Get();
   Executor ex(4);
@@ -422,7 +420,6 @@ TEST(ExecutorObsTest, GrainInlinedAndDispatchedLoopsAreCounted) {
 }
 
 TEST(ExecutorObsTest, QueueDepthGaugeTracksBlockedSubmissions) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with MVG_OBS_OFF";
   ObsOnScope on;
   obs::PipelineMetrics& pm = obs::PipelineMetrics::Get();
   Executor ex(2);  // concurrency 2 = one background worker
@@ -448,7 +445,6 @@ TEST(ExecutorObsTest, QueueDepthGaugeTracksBlockedSubmissions) {
 }
 
 TEST(ExecutorObsTest, ProvokedStealsAreCounted) {
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with MVG_OBS_OFF";
   ObsOnScope on;
   obs::PipelineMetrics& pm = obs::PipelineMetrics::Get();
   Executor ex(4);

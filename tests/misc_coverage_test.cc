@@ -12,7 +12,6 @@
 #include "core/mvg_classifier.h"
 #include "ml/decision_tree.h"
 #include "ml/gradient_boosting.h"
-#include "ml/knn.h"
 #include "ml/linear_model.h"
 #include "ml/metrics.h"
 #include "ml/model_selection.h"
@@ -47,21 +46,6 @@ TEST(WallTimerTest, MeasuresElapsedTime) {
   EXPECT_GE(timer.Millis(), 10.0);
   timer.Restart();
   EXPECT_LT(timer.Millis(), 10.0);
-}
-
-TEST(KnnTest, CustomDistanceIsUsed) {
-  // A distance that inverts geometry: prefers the *farthest* Euclidean
-  // point. With it, the nearest neighbor of 0 becomes the 10-labeled far
-  // point.
-  Matrix x = {{0.0}, {10.0}};
-  std::vector<int> y = {0, 1};
-  KnnClassifier knn(KnnClassifier::Params{1},
-                    [](const std::vector<double>& a,
-                       const std::vector<double>& b) {
-                      return -std::abs(a[0] - b[0]);
-                    });
-  knn.Fit(x, y);
-  EXPECT_EQ(knn.Predict({1.0}), 1);  // far point "closest" under inversion
 }
 
 TEST(MultiscaleTest, FirstScaleIndexAndToString) {
@@ -177,8 +161,8 @@ TEST(ModelSelectionTest, CrossValLogLossTracksSeparability) {
   ClassifierFactory tree = []() {
     return std::make_unique<DecisionTreeClassifier>();
   };
-  EXPECT_LT(CrossValLogLoss(tree, x_easy, y, 3, 1),
-            CrossValLogLoss(tree, x_hard, y, 3, 1));
+  EXPECT_LT(GridSearch({tree}, x_easy, y, 3, 1).best_score,
+            GridSearch({tree}, x_hard, y, 3, 1).best_score);
 }
 
 TEST(MetricsTest, LogLossRejectsUnknownLabel) {

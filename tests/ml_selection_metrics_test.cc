@@ -78,8 +78,8 @@ TEST(CrossValidationTest, GoodModelScoresBetterThanBad) {
     p.learning_rate = 0.01;
     return std::make_unique<GradientBoostingClassifier>(p);
   };
-  const double loss_good = CrossValLogLoss(good, x, y, 3, 1);
-  const double loss_bad = CrossValLogLoss(bad, x, y, 3, 1);
+  const double loss_good = GridSearch({good}, x, y, 3, 1).best_score;
+  const double loss_bad = GridSearch({bad}, x, y, 3, 1).best_score;
   EXPECT_LT(loss_good, loss_bad);
   // Far below ln 2, the loss of a coin flip on two classes.
   EXPECT_LE(loss_good, 0.1);

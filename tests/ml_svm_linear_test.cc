@@ -1,7 +1,6 @@
 #include <cmath>
 #include <gtest/gtest.h>
 
-#include "ml/knn.h"
 #include "ml/linear_model.h"
 #include "ml/metrics.h"
 #include "ml/preprocessing.h"
@@ -90,26 +89,6 @@ TEST(LogisticRegressionTest, Multiclass) {
   EXPECT_LE(ErrorRate(y, lr.PredictAll(x)), 0.05);
 }
 
-TEST(KnnTest, OneNearestNeighborMemorizes) {
-  Matrix x;
-  std::vector<int> y;
-  MakeBlobs(20, 3, 2.0, 6, &x, &y);
-  KnnClassifier knn;
-  knn.Fit(x, y);
-  EXPECT_EQ(ErrorRate(y, knn.PredictAll(x)), 0.0);
-}
-
-TEST(KnnTest, KGreaterThanOneSmooths) {
-  Matrix x = {{0.0}, {0.1}, {0.2}, {10.0}};
-  std::vector<int> y = {0, 0, 0, 1};
-  KnnClassifier::Params p;
-  p.k = 3;
-  KnnClassifier knn(p);
-  knn.Fit(x, y);
-  // The lone outlier is outvoted by its 3 neighbors.
-  EXPECT_EQ(knn.Predict({9.0}), 0);
-}
-
 TEST(MinMaxScalerTest, ScalesIntoUnitRangeAndClamps) {
   Matrix x = {{0.0, 10.0}, {5.0, 20.0}, {10.0, 30.0}};
   MinMaxScaler scaler;
@@ -128,15 +107,6 @@ TEST(MinMaxScalerTest, ConstantFeatureMapsToZero) {
   MinMaxScaler scaler;
   const Matrix t = scaler.FitTransform(x);
   EXPECT_DOUBLE_EQ(t[0][0], 0.0);
-}
-
-TEST(StandardScalerTest, ZeroMeanUnitVar) {
-  Matrix x = {{1.0}, {2.0}, {3.0}, {4.0}};
-  StandardScaler scaler;
-  const Matrix t = scaler.FitTransform(x);
-  double mean = 0.0;
-  for (const auto& row : t) mean += row[0];
-  EXPECT_NEAR(mean / 4.0, 0.0, 1e-12);
 }
 
 TEST(RandomOversampleTest, BalancesClasses) {

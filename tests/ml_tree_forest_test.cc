@@ -96,7 +96,6 @@ TEST(RandomForest, SeparatesBlobs) {
 TEST(RandomForest, CountsOneHistogramBuildPerSearchedNode) {
   // Every node that searches for a split histograms its candidate
   // features once, so the two counters move together.
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with MVG_OBS_OFF";
   Matrix x;
   std::vector<int> y;
   MakeBlobs(25, 3, 1.0, 6, &x, &y);

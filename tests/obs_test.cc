@@ -297,7 +297,6 @@ TEST(FormatTest, MetricDoublesRoundTripShortest) {
 }
 
 TEST(ObsGateTest, SetEnabledGatesPipelineHelpers) {
-  if (!kCompiledIn) GTEST_SKIP() << "built with MVG_OBS_OFF";
   MetricsRegistry reg;
   Counter* c = reg.RegisterCounter("gated_total", "help");
   const bool was = Enabled();
@@ -319,7 +318,6 @@ TEST(ObsGateTest, SetEnabledGatesPipelineHelpers) {
 }
 
 TEST(ObsSpanTest, ObservesElapsedSeconds) {
-  if (!kCompiledIn) GTEST_SKIP() << "built with MVG_OBS_OFF";
   MetricsRegistry reg;
   Histogram* h = reg.RegisterHistogram("span_seconds", "help",
                                        TimingBucketsSeconds());

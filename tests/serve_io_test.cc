@@ -299,20 +299,6 @@ TEST(ScalerIoTest, MinMaxRoundTrip) {
   }
 }
 
-TEST(ScalerIoTest, StandardRoundTrip) {
-  const FamilyData d = MakeFamilyData();
-  StandardScaler scaler;
-  scaler.Fit(d.x);
-  BinaryWriter w;
-  scaler.SaveBinary(&w);
-  BinaryReader r(w.data());
-  StandardScaler loaded;
-  loaded.LoadBinary(&r);
-  for (const auto& probe : d.probes) {
-    EXPECT_EQ(loaded.Transform(probe), scaler.Transform(probe));
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Full MvgClassifier model files, all four MvgModel families
 // ---------------------------------------------------------------------------
@@ -588,11 +574,12 @@ TEST_F(V3FramingTest, TrailingGarbageRejected) {
   ExpectRejected(blob);
 }
 
-/// Legacy v2 model files checked in under tests/fixtures, written by the
-/// v2 writer of an older build (see tests/fixtures/README.md), with the
-/// predictions that build made on the probe series below.
-const char* const kV2Fixtures[] = {"v2_xgboost", "v2_random_forest",
-                                   "v2_svm"};
+/// Model files checked in under tests/fixtures, written by an older
+/// build's v2 writer and re-saved as v3 by the last build that read v2
+/// (see tests/fixtures/README.md), with the predictions the v2-writing
+/// build made on the probe series below.
+const char* const kRecordedFixtures[] = {"v3_xgboost", "v3_random_forest",
+                                         "v3_svm"};
 
 std::string ReadFixture(const std::string& name) {
   std::ifstream is(std::string(MVG_TEST_FIXTURE_DIR) + "/" + name,
@@ -633,33 +620,63 @@ void ExpectFixturePredictions(const MvgClassifier& clf,
   EXPECT_EQ(i, 16u) << name;
 }
 
-TEST_F(V3FramingTest, V2FileStillLoadsAndResavesAsV3) {
-  for (const char* name : kV2Fixtures) {
-    const std::string v2 = ReadFixture(std::string(name) + ".mvg");
+// The recorded predictions survive the v2 -> v3 migration bit for bit,
+// through both loaders, and the checked-in bytes are canonical: loading
+// and re-saving a fixture reproduces it exactly.
+TEST_F(V3FramingTest, MigratedFixturesReproduceRecordedPredictions) {
+  for (const char* name : kRecordedFixtures) {
+    const std::string blob = ReadFixture(std::string(name) + ".mvg");
     {
-      std::istringstream is(v2, std::ios::binary);
-      EXPECT_EQ(PeekModelVersion(is), 2u) << name;
+      std::istringstream is(blob, std::ios::binary);
+      EXPECT_EQ(PeekModelVersion(is), kModelFormatVersion) << name;
     }
-    std::istringstream is(v2, std::ios::binary);
-    const MvgClassifier migrated = LoadModel(is);
-    ExpectFixturePredictions(migrated, name);
+    std::istringstream is(blob, std::ios::binary);
+    const MvgClassifier loaded = LoadModel(is);
+    ExpectFixturePredictions(loaded, name);
 
-    // Re-saving a migrated model writes the current format, which loads
-    // back to the same predictions.
+    std::vector<uint64_t> buf((blob.size() + 7) / 8);
+    std::memcpy(buf.data(), blob.data(), blob.size());
+    ExpectFixturePredictions(
+        LoadModelView(buf.data(), blob.size(), ModelVerify::kFull), name);
+
     std::ostringstream resaved(std::ios::binary);
-    SaveModel(migrated, resaved);
-    std::istringstream peek(resaved.str(), std::ios::binary);
-    EXPECT_EQ(PeekModelVersion(peek), kModelFormatVersion) << name;
-    std::istringstream again(resaved.str(), std::ios::binary);
-    ExpectFixturePredictions(LoadModel(again), name);
+    SaveModel(loaded, resaved);
+    EXPECT_TRUE(resaved.str() == blob) << name;
+  }
+}
+
+// v2, the sequential layout before v3, is no longer read: a v2 image
+// (magic, version 2, section count, then the sections' payloads from
+// byte 16) fails every loader up front with the unsupported-version
+// error, before any section is looked at. `section_bytes` of 0x5A stand
+// in for a corrupt section.
+std::string V2Image(uint32_t sections, size_t section_bytes) {
+  BinaryWriter w;
+  w.WriteBytes(kModelMagic, sizeof(kModelMagic));
+  w.WriteU32(2);  // format version
+  w.WriteU32(sections);
+  return w.data() + std::string(section_bytes, '\x5A');
+}
+
+template <typename Load>
+void ExpectV2VersionError(Load&& load) {
+  try {
+    load();
+    ADD_FAILURE() << "v2 file loaded";
+  } catch (const SerializationError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported format version 2"),
+              std::string::npos)
+        << e.what();
   }
 }
 
 TEST_F(V3FramingTest, CorruptV2SectionStillRejected) {
-  std::string blob = ReadFixture("v2_svm.mvg");
-  ASSERT_GT(blob.size(), 40u);
-  blob[40] ^= 0x5A;  // v2 payloads start at byte 32; this hits section 1
-  ExpectRejected(blob);
+  for (const std::string& v2 : {V2Image(0, 0), V2Image(1, 32)}) {
+    ExpectV2VersionError([&] {
+      std::istringstream is(v2, std::ios::binary);
+      LoadModel(is);
+    });
+  }
 }
 
 // The pipeline section's retired exact_splits flag (byte 40 of the
@@ -733,10 +750,15 @@ TEST_F(ZeroCopyTest, ViewLoadMatchesStreamLoadRandomForest) {
 }
 
 TEST_F(ZeroCopyTest, ViewLoadRejectsV2) {
-  const std::string blob = ReadFixture("v2_svm.mvg");
-  std::vector<uint64_t> buf((blob.size() + 7) / 8);
-  std::memcpy(buf.data(), blob.data(), blob.size());
-  EXPECT_THROW(LoadModelView(buf.data(), blob.size()), SerializationError);
+  for (const std::string& v2 : {V2Image(0, 0), V2Image(1, 32)}) {
+    std::vector<uint64_t> buf((v2.size() + 7) / 8);
+    std::memcpy(buf.data(), v2.data(), v2.size());
+    for (const ModelVerify verify :
+         {ModelVerify::kStructure, ModelVerify::kFull}) {
+      ExpectV2VersionError(
+          [&] { LoadModelView(buf.data(), v2.size(), verify); });
+    }
+  }
 }
 
 // The view load is O(1) by deferring payload CRCs (ModelVerify::

@@ -124,7 +124,6 @@ TEST(StreamingFitTest, OnlyMultiPageTreeFitsExtractTwice) {
   // fits in one page) is extracted once for every family; a multi-page
   // file is extracted twice by the tree families (sketch pass, then bin
   // pass) and once by SVM and stacking, which keep their rows.
-  if (!obs::kCompiledIn) GTEST_SKIP() << "built with MVG_OBS_OFF";
   struct ObsOn {
     bool was = obs::Enabled();
     ObsOn() { obs::SetEnabled(true); }

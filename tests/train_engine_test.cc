@@ -340,9 +340,9 @@ TEST(ThreadInvariance, MvgClassifierEndToEnd) {
 // ---------------------------------------------------------------------------
 
 TEST(ModelSelection, GridSearchSharesFoldsAcrossCandidates) {
-  // The same stratified split must back every candidate: per-candidate
-  // CrossValLogLoss over the precomputed folds reproduces GridSearch's
-  // scores exactly.
+  // The same stratified split must back every candidate: a one-candidate
+  // GridSearch over the precomputed folds reproduces each of the full
+  // search's scores exactly.
   Matrix x;
   std::vector<int> y;
   MakeBlobs(24, 2, 2.0, 41, &x, &y);
@@ -359,7 +359,7 @@ TEST(ModelSelection, GridSearchSharesFoldsAcrossCandidates) {
   ASSERT_EQ(result.scores.size(), candidates.size());
   for (size_t c = 0; c < candidates.size(); ++c) {
     EXPECT_DOUBLE_EQ(result.scores[c],
-                     CrossValLogLoss(candidates[c], x, y, folds));
+                     GridSearch({candidates[c]}, x, y, folds).best_score);
   }
   // And the (num_folds, seed) overload is the same split.
   const GridSearchResult seeded = GridSearch(candidates, x, y, 3, 7);

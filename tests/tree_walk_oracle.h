@@ -140,7 +140,7 @@ inline void WriteGbtNodes(const std::vector<GbtNode>& nodes, BinaryWriter* w) {
 }
 
 /// GradientBoostingClassifier body up to the tree section (params,
-/// encoder, base scores, gains) — shared by the v2 and v3 layouts.
+/// encoder, base scores, gains), for tests that craft the tree section.
 inline void WriteGbtHeader(const GbtSpec& m, BinaryWriter* w) {
   w->WriteDouble(m.learning_rate);
   w->WriteSize(m.trees.size() / m.trees_per_round());  // params.num_rounds
@@ -155,7 +155,7 @@ inline void WriteGbtHeader(const GbtSpec& m, BinaryWriter* w) {
   w->WriteDoubleVec(std::vector<double>(m.num_features, 0.0));
 }
 
-/// GradientBoostingClassifier v3 body (the SaveBinary layout).
+/// GradientBoostingClassifier body (the SaveBinary layout).
 inline void WriteGbtBody(const GbtSpec& m, BinaryWriter* w) {
   WriteGbtHeader(m, w);
   w->WriteSize(m.trees.size() / m.trees_per_round());
@@ -168,11 +168,9 @@ inline void WriteGbtBody(const GbtSpec& m, BinaryWriter* w) {
   for (const auto& t : m.trees) WriteGbtNodes(t, w);
 }
 
-/// DecisionTreeClassifier body up to the node section — shared by the v2
-/// and v3 layouts. `with_encoder` is false for a forest's trees, which
-/// carry no encoder of their own.
-inline void WriteDtHeader(const DtSpec& t, bool with_encoder,
-                          BinaryWriter* w) {
+/// DecisionTreeClassifier body (the SaveBinary layout). `with_encoder`
+/// is false for a forest's trees, which carry no encoder of their own.
+inline void WriteDtBody(const DtSpec& t, bool with_encoder, BinaryWriter* w) {
   for (int i = 0; i < 4; ++i) w->WriteSize(1);  // depth, leaf, split, mtry
   w->WriteBool(false);
   w->WriteU64(7);
@@ -181,11 +179,6 @@ inline void WriteDtHeader(const DtSpec& t, bool with_encoder,
   w->WriteIntVec(with_encoder ? ClassLabels(t.num_classes)
                              : std::vector<int>{});
   w->WriteSize(t.num_classes);
-}
-
-/// DecisionTreeClassifier v3 body.
-inline void WriteDtBody(const DtSpec& t, bool with_encoder, BinaryWriter* w) {
-  WriteDtHeader(t, with_encoder, w);
   w->WriteSize(t.nodes.size());
   w->WriteSize(t.proba.size());
   w->AlignTo(8);

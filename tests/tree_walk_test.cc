@@ -430,9 +430,8 @@ GbtSpec OneLeafBinary() {
 }
 
 template <typename Model>
-void ExpectRejected(const std::string& bytes, uint32_t version = 0) {
+void ExpectRejected(const std::string& bytes) {
   BinaryReader r(bytes);
-  if (version != 0) r.set_format_version(version);
   Model model;
   EXPECT_THROW(model.LoadBinary(&r), SerializationError);
 }
@@ -472,23 +471,6 @@ TEST(TreeLoaderTest, GbtWrappingTreeIndexIsRejected) {
   GradientBoostingClassifier ok;
   testutil::LoadOwned(index({1}), &ok);
   EXPECT_EQ(ok.PredictProba({0.0}).size(), 2u);
-}
-
-TEST(TreeLoaderTest, V2GbtOversizedTreeCountIsRejected) {
-  BinaryWriter w;
-  testutil::WriteGbtHeader(OneLeafBinary(), &w);
-  w.WriteSize(1);                // rounds
-  w.WriteSize(1);                // trees in the round
-  w.WriteSize(size_t{1} << 59);  // nodes in the tree
-  ExpectRejected<GradientBoostingClassifier>(w.data(), 2);
-}
-
-TEST(TreeLoaderTest, V2DecisionTreeOversizedNodeCountIsRejected) {
-  DtSpec t;
-  BinaryWriter w;
-  testutil::WriteDtHeader(t, true, &w);
-  w.WriteSize(size_t{1} << 59);
-  ExpectRejected<DecisionTreeClassifier>(w.data(), 2);
 }
 
 TEST(TreeLoaderTest, RandomForestOversizedTreeCountIsRejected) {
