@@ -37,7 +37,8 @@
 //            [--window N] [--hop N]
 //       online monitoring: read one sample per line from stdin into a
 //       StreamingClassifier sliding window; on every completed window
-//       print "<sample-index> <label>"
+//       print "<sample-index> <label>". --window is in [0, 65536]
+//       (0 = the model's training length), --hop in [1, 2^30]
 //   mvg_serve route --model model.mvg --input <ucr-file> --shards N
 //            [--mmap] [--max-inflight W] [--drain K] [--out-preds FILE]
 //       sharded serving: fork N shard worker processes, each serving the
@@ -64,6 +65,7 @@
 #include "core/mvg_classifier.h"
 #include "dist/coordinator.h"
 #include "dist/shard_router.h"
+#include "graph/ranked_csr.h"
 #include "ml/histogram_reducer.h"
 #include "ml/metrics.h"
 #include "obs/metrics.h"
@@ -444,11 +446,11 @@ int CmdServe(int argc, char** argv) {
                 : ServingSession::FromFile(model_path);
   };
   if (HasFlag(argc, argv, 2, "--stream")) {
+    // A window longer than kMaxRankedVertices could never be classified.
+    const size_t window = CountFlag(argc, argv, 2, "--window", "0", 0,
+                                    static_cast<long>(kMaxRankedVertices));
+    const size_t hop = CountFlag(argc, argv, 2, "--hop", "1", 1, 1L << 30);
     ServingSession session = open_session();
-    const size_t window = static_cast<size_t>(
-        std::stoul(FlagValue(argc, argv, 2, "--window", "0")));
-    const size_t hop = static_cast<size_t>(
-        std::stoul(FlagValue(argc, argv, 2, "--hop", "1")));
     return CmdServeStream(session, window, hop);
   }
   const std::string input = FlagValue(argc, argv, 2, "--input", "");
@@ -458,14 +460,9 @@ int CmdServe(int argc, char** argv) {
   }
   const std::string out_preds = FlagValue(argc, argv, 2, "--out-preds", "");
   if (HasFlag(argc, argv, 2, "--async")) {
-    const std::string raw_max = FlagValue(argc, argv, 2, "--batch-max", "32");
+    const size_t batch_max =
+        CountFlag(argc, argv, 2, "--batch-max", "32", 1, 4096);
     char* end = nullptr;
-    const long batch_max = std::strtol(raw_max.c_str(), &end, 10);
-    if (end == nullptr || *end != '\0' || batch_max < 1 || batch_max > 4096) {
-      std::fprintf(stderr,
-                   "--batch-max expects an integer in [1, 4096]\n");
-      return 2;
-    }
     const std::string raw_timeout =
         FlagValue(argc, argv, 2, "--batch-timeout-ms", "2");
     const double batch_timeout_ms = std::strtod(raw_timeout.c_str(), &end);
@@ -474,7 +471,7 @@ int CmdServe(int argc, char** argv) {
       return 2;
     }
     return CmdServeAsync(model_path, mmap, input, threads, out_preds,
-                         static_cast<size_t>(batch_max), batch_timeout_ms);
+                         batch_max, batch_timeout_ms);
   }
   ServingSession session = open_session();
   return CmdServeBatch(session, input, threads, out_preds);

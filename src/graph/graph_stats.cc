@@ -93,31 +93,6 @@ bool IsConnected(const Graph& g) {
   return count == n;
 }
 
-size_t Diameter(const Graph& g) {
-  const size_t n = g.num_vertices();
-  if (n < 2) return 0;
-  size_t diameter = 0;
-  std::vector<int64_t> dist(n);
-  for (Graph::VertexId s = 0; s < n; ++s) {
-    std::fill(dist.begin(), dist.end(), -1);
-    std::queue<Graph::VertexId> q;
-    q.push(s);
-    dist[s] = 0;
-    while (!q.empty()) {
-      const Graph::VertexId u = q.front();
-      q.pop();
-      for (Graph::VertexId v : g.Neighbors(u)) {
-        if (dist[v] < 0) {
-          dist[v] = dist[u] + 1;
-          diameter = std::max(diameter, static_cast<size_t>(dist[v]));
-          q.push(v);
-        }
-      }
-    }
-  }
-  return diameter;
-}
-
 std::vector<double> BetweennessCentrality(const Graph& g) {
   // Brandes (2001): one BFS per source with dependency accumulation.
   const size_t n = g.num_vertices();

@@ -54,12 +54,6 @@ void WriteGraphStatistics(const Graph& g, const NewmanSums& newman,
 /// check). The empty graph counts as connected.
 bool IsConnected(const Graph& g);
 
-/// Exact diameter via BFS from every vertex; O(|V|(|V|+|E|)). Only used in
-/// tests (the paper explicitly excludes it from the feature set for cost
-/// reasons). Returns 0 for graphs with < 2 vertices; disconnected pairs
-/// are ignored.
-size_t Diameter(const Graph& g);
-
 /// Local clustering coefficient averaged over vertices (extension feature,
 /// paper §6 future work mentions richer structural features).
 double AverageClustering(const Graph& g);

@@ -58,13 +58,6 @@ std::vector<int> Classifier::PredictAll(const Matrix& x) const {
   return out;
 }
 
-Matrix Classifier::PredictProbaAll(const Matrix& x) const {
-  Matrix out;
-  out.reserve(x.size());
-  for (const auto& row : x) out.push_back(PredictProba(row));
-  return out;
-}
-
 void Classifier::FitOnRows(const Matrix& x, const std::vector<int>& y,
                            const std::vector<size_t>& rows) {
   if (x.size() != y.size()) {

@@ -88,7 +88,6 @@ class Classifier {
 
   /// Batch helpers.
   std::vector<int> PredictAll(const Matrix& x) const;
-  Matrix PredictProbaAll(const Matrix& x) const;
 
   /// Fresh unfitted copy with the same hyper-parameters (for CV/stacking).
   virtual std::unique_ptr<Classifier> Clone() const = 0;
@@ -99,8 +98,8 @@ class Classifier {
   /// Serializes the fitted model (params + learned state) into `w` in the
   /// endian-stable binary layout of util/binary_io.h, and restores it from
   /// `r`. Overridden by every model family the serving layer can persist
-  /// (trees, forests, boosting, SVM, logistic regression, stacking); the
-  /// default implementations throw std::runtime_error so families without
+  /// (trees, forests, boosting, SVM, stacking); the default
+  /// implementations throw std::runtime_error so families without
   /// persistence support fail loudly instead of writing garbage. Load on a
   /// corrupt buffer throws SerializationError. Framing (magic, version,
   /// checksums, type tags) is the job of serve/model_io.h — these methods

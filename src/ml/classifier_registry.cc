@@ -7,7 +7,6 @@
 #include "ml/classifier.h"
 #include "ml/decision_tree.h"
 #include "ml/gradient_boosting.h"
-#include "ml/linear_model.h"
 #include "ml/random_forest.h"
 #include "ml/stacking.h"
 #include "ml/svm.h"
@@ -22,7 +21,7 @@ enum ClassifierTag : uint32_t {
   kTagRandomForest = 2,
   kTagGradientBoosting = 3,
   kTagSvm = 4,
-  kTagLogisticRegression = 5,
+  // 5 was the retired logistic-regression classifier; never reuse it.
   kTagStacking = 6,
 };
 
@@ -38,9 +37,6 @@ void SaveClassifierBinary(const Classifier& c, BinaryWriter* w) {
     tag = kTagDecisionTree;
   } else if (dynamic_cast<const SvmClassifier*>(&c) != nullptr) {
     tag = kTagSvm;
-  } else if (dynamic_cast<const LogisticRegressionClassifier*>(&c) !=
-             nullptr) {
-    tag = kTagLogisticRegression;
   } else if (dynamic_cast<const StackingEnsemble*>(&c) != nullptr) {
     tag = kTagStacking;
   } else {
@@ -66,9 +62,6 @@ std::unique_ptr<Classifier> LoadClassifierBinary(BinaryReader* r) {
       break;
     case kTagSvm:
       c = std::make_unique<SvmClassifier>();
-      break;
-    case kTagLogisticRegression:
-      c = std::make_unique<LogisticRegressionClassifier>();
       break;
     case kTagStacking:
       c = std::make_unique<StackingEnsemble>();

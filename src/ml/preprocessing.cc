@@ -54,11 +54,6 @@ Matrix MinMaxScaler::TransformAll(const Matrix& x) const {
   return out;
 }
 
-Matrix MinMaxScaler::FitTransform(const Matrix& x) {
-  Fit(x);
-  return TransformAll(x);
-}
-
 void MinMaxScaler::SaveBinary(BinaryWriter* w) const {
   w->WriteDoubleVec(mins_);
   w->WriteDoubleVec(ranges_);

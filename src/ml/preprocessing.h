@@ -21,7 +21,6 @@ class MinMaxScaler {
                      const std::vector<double>& maxs);
   std::vector<double> Transform(const std::vector<double>& x) const;
   Matrix TransformAll(const Matrix& x) const;
-  Matrix FitTransform(const Matrix& x);
 
   void SaveBinary(BinaryWriter* w) const;
   void LoadBinary(BinaryReader* r);

@@ -166,41 +166,39 @@ std::vector<std::pair<double, uint64_t>> QuantileSketch::WeightedValues()
 
 std::vector<double> QuantileSketch::ComputeCuts(size_t max_bins) const {
   std::vector<double> cuts;
-  const auto weighted = WeightedValues();
-  if (weighted.empty() || max_bins < 2) return cuts;
-  // Collapse duplicates: distinct values with accumulated weights.
-  std::vector<double> distinct;
-  std::vector<uint64_t> weight;
-  distinct.reserve(weighted.size());
-  weight.reserve(weighted.size());
-  for (const auto& [v, w] : weighted) {
-    if (!distinct.empty() && distinct.back() == v) {
-      weight.back() += w;
-    } else {
-      distinct.push_back(v);
-      weight.push_back(w);
+  // Collapse duplicates in place: item i becomes (distinct value i,
+  // cumulative weight of distinct values 0..i).
+  auto cum = WeightedValues();
+  if (cum.empty() || max_bins < 2) return cuts;
+  size_t distinct = 0;
+  uint64_t total = 0;
+  for (size_t i = 0; i < cum.size(); ++i) {
+    const auto [v, w] = cum[i];
+    total += w;
+    if (distinct == 0 || cum[distinct - 1].first != v) {
+      cum[distinct++].first = v;
     }
+    cum[distinct - 1].second = total;
   }
-  if (distinct.size() <= max_bins) {
+  cum.resize(distinct);
+  if (distinct <= max_bins) {
     // Few distinct values: midpoints between consecutive distinct values
     // (when count() <= block the sketch is the raw column, so these are
     // the exact cuts).
-    for (size_t i = 0; i + 1 < distinct.size(); ++i) {
-      cuts.push_back(0.5 * (distinct[i] + distinct[i + 1]));
+    for (size_t i = 0; i + 1 < distinct; ++i) {
+      cuts.push_back(0.5 * (cum[i].first + cum[i + 1].first));
     }
     return cuts;
   }
-  // Weighted ranks: cum[i] = total weight of distinct[0..i]. value_at(r)
-  // is the value whose cumulative range contains rank r.
-  std::vector<uint64_t> cum(distinct.size());
-  uint64_t total = 0;
-  for (size_t i = 0; i < distinct.size(); ++i) {
-    total += weight[i];
-    cum[i] = total;
-  }
+  // index_at(r) is the index of the distinct value whose cumulative
+  // range contains rank r.
   auto index_at = [&](uint64_t rank) {
     return static_cast<size_t>(
-        std::upper_bound(cum.begin(), cum.end(), rank) - cum.begin());
+        std::upper_bound(cum.begin(), cum.end(), rank,
+                         [](uint64_t r, const std::pair<double, uint64_t>& e) {
+                           return r < e.second;
+                         }) -
+        cum.begin());
   };
   // While every segment is still level 0 the sketch holds the raw stream
   // (weights above 1 are true duplicate runs), and a boundary inside a
@@ -226,12 +224,12 @@ std::vector<double> QuantileSketch::ComputeCuts(size_t max_bins) const {
     if (hi != lo) {
       // Boundary between two adjacent distinct values:
       // 0.5 * (sorted[pos - 1] + sorted[pos]) of the raw column.
-      cut = 0.5 * (distinct[lo] + distinct[hi]);
+      cut = 0.5 * (cum[lo].first + cum[hi].first);
     } else if (!compacted) {
       continue;  // a duplicate run spans the boundary
     } else {
-      if (hi + 1 >= distinct.size()) continue;  // cannot cut above the max
-      cut = 0.5 * (distinct[hi] + distinct[hi + 1]);
+      if (hi + 1 >= distinct) continue;  // cannot cut above the max
+      cut = 0.5 * (cum[hi].first + cum[hi + 1].first);
     }
     if (!cuts.empty() && cut <= cuts.back()) continue;
     cuts.push_back(cut);

@@ -238,11 +238,4 @@ std::string StackingEnsemble::Name() const {
          ",top_k=" + std::to_string(params_.top_k_per_family) + ")";
 }
 
-std::vector<std::string> StackingEnsemble::SelectedNames() const {
-  std::vector<std::string> names;
-  names.reserve(base_.size());
-  for (const auto& clf : base_) names.push_back(clf->Name());
-  return names;
-}
-
 }  // namespace mvg

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "ml/classifier.h"
-#include "ml/linear_model.h"
 
 namespace mvg {
 
@@ -67,9 +66,6 @@ class StackingEnsemble : public Classifier {
   /// factories cannot be serialized, so a loaded ensemble is predict-only.
   void SaveBinary(BinaryWriter* w) const override;
   void LoadBinary(BinaryReader* r) override;
-
-  /// Names of the selected base estimators (after Fit).
-  std::vector<std::string> SelectedNames() const;
 
   /// The learned W_i of Algorithm 2 (one scalar per selected estimator).
   std::vector<double> EstimatorWeights() const { return weights_; }

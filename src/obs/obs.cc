@@ -61,12 +61,6 @@ PipelineMetrics& PipelineMetrics::Get() {
     m->executor_chunks_stolen = r.RegisterCounter(
         "mvg_executor_chunks_stolen_total",
         "Loop chunks stolen from another worker's range");
-    m->executor_jobs_submitted = r.RegisterCounter(
-        "mvg_executor_jobs_submitted_total",
-        "Fire-and-forget jobs submitted to the executor");
-    m->executor_job_queue_depth = r.RegisterGauge(
-        "mvg_executor_job_queue_depth",
-        "Jobs waiting in the executor submit queue");
     m->serve_predictions = r.RegisterCounter(
         "mvg_serve_predictions_total", "Series classified by ServingSession");
     m->extract_nonfinite_samples = r.RegisterCounter(

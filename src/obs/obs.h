@@ -37,9 +37,6 @@ inline void SetEnabled(bool on) {
 inline void Count(Counter* c, uint64_t n = 1) {
   if (Enabled()) c->Inc(n);
 }
-inline void SetGauge(Gauge* g, int64_t v) {
-  if (Enabled()) g->Set(v);
-}
 
 // RAII trace timer: observes the enclosed scope's wall time (seconds)
 // into a histogram on destruction. When observability is disabled (or
@@ -88,8 +85,6 @@ struct PipelineMetrics {
   Counter* executor_loops_dispatched;
   Counter* executor_loops_inline;
   Counter* executor_chunks_stolen;
-  Counter* executor_jobs_submitted;
-  Gauge* executor_job_queue_depth;
   // Serving.
   Counter* serve_predictions;
   // Data quality (counted on the rare path only).

@@ -16,12 +16,6 @@ std::vector<int> Dataset::ClassLabels() const {
   return std::vector<int>(s.begin(), s.end());
 }
 
-std::map<int, size_t> Dataset::ClassCounts() const {
-  std::map<int, size_t> counts;
-  for (int l : labels_) ++counts[l];
-  return counts;
-}
-
 size_t Dataset::MaxLength() const {
   size_t m = 0;
   for (const auto& s : series_) m = std::max(m, s.size());

@@ -1,7 +1,6 @@
 #ifndef MVG_TS_DATASET_H_
 #define MVG_TS_DATASET_H_
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -38,9 +37,6 @@ class Dataset {
 
   /// Number of distinct classes.
   size_t NumClasses() const { return ClassLabels().size(); }
-
-  /// label -> number of instances.
-  std::map<int, size_t> ClassCounts() const;
 
   /// Length of the longest series (0 when empty).
   size_t MaxLength() const;

@@ -358,12 +358,6 @@ DatasetSplit MakeSyntheticByName(const std::string& name, uint64_t seed) {
   throw std::invalid_argument("unknown synthetic dataset: " + name);
 }
 
-std::vector<std::string> SyntheticDatasetNames() {
-  std::vector<std::string> names;
-  for (const auto& info : SyntheticRegistry()) names.push_back(info.name);
-  return names;
-}
-
 Series GaussianNoise(size_t n, uint64_t seed, double stddev) {
   Rng rng(seed);
   Series s(n);

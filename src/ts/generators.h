@@ -35,9 +35,6 @@ DatasetSplit MakeSynthetic(const SyntheticInfo& info, uint64_t seed = 42);
 /// Lookup by name; throws std::invalid_argument for unknown names.
 DatasetSplit MakeSyntheticByName(const std::string& name, uint64_t seed = 42);
 
-/// Lists the registry names in order.
-std::vector<std::string> SyntheticDatasetNames();
-
 /// --- Primitive generators (exposed for tests and examples) ---
 
 /// White Gaussian noise of length n.

@@ -64,26 +64,4 @@ Series HalveByPaa(const Series& s) {
   return out;
 }
 
-Series MovingAverage(const Series& s, size_t window) {
-  if (window <= 1 || s.empty()) return s;
-  const size_t n = s.size();
-  const size_t half = window / 2;
-  Series out(n);
-  for (size_t i = 0; i < n; ++i) {
-    const size_t lo = i >= half ? i - half : 0;
-    const size_t hi = std::min(n - 1, i + half);
-    double acc = 0.0;
-    for (size_t j = lo; j <= hi; ++j) acc += s[j];
-    out[i] = acc / static_cast<double>(hi - lo + 1);
-  }
-  return out;
-}
-
-Series FirstDifference(const Series& s) {
-  if (s.size() < 2) return {};
-  Series out(s.size() - 1);
-  for (size_t i = 0; i + 1 < s.size(); ++i) out[i] = s[i + 1] - s[i];
-  return out;
-}
-
 }  // namespace mvg

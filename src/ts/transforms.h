@@ -27,12 +27,6 @@ Series Paa(const Series& s, size_t segments);
 /// is floor(|s|/2); equivalent to Paa(s, |s|/2) for even |s|.
 Series HalveByPaa(const Series& s);
 
-/// Centered moving average with the given odd window (ends truncated).
-Series MovingAverage(const Series& s, size_t window);
-
-/// First difference: out[i] = s[i+1] - s[i]; length |s|-1.
-Series FirstDifference(const Series& s);
-
 }  // namespace mvg
 
 #endif  // MVG_TS_TRANSFORMS_H_

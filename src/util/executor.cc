@@ -53,9 +53,7 @@ void Executor::SetGlobalConcurrency(size_t concurrency) {
   g_global_concurrency.store(concurrency, std::memory_order_relaxed);
   // If the pool already exists at a different size, rebuild its worker
   // set in place (a pool lazily constructed just now — the common CLI
-  // startup path — already matches and is left alone). The old workers
-  // drain queued jobs before exiting (stop_ semantics), so no submitted
-  // work is lost across a resize.
+  // startup path — already matches and is left alone).
   Executor& global = Global();
   const size_t total = concurrency == 0 ? DefaultThreads() : concurrency;
   if (global.concurrency() == total) return;
@@ -150,8 +148,6 @@ void Executor::Run(internal::ParallelTask* task, size_t n, size_t max_par,
 void Executor::WorkerMain() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    // Open parallel loops take priority over queued jobs: a loop's caller
-    // is blocked until it completes, while a job's submitter is not.
     internal::ParallelTask* task = nullptr;
     size_t slot = 0;
     for (internal::ParallelTask* candidate : active_) {
@@ -171,16 +167,6 @@ void Executor::WorkerMain() {
       // finished == granted it may destroy the task, so the notify must
       // not touch it after unlocking.
       task->done_cv.notify_all();
-      continue;
-    }
-    if (!jobs_.empty()) {
-      std::function<void()> job = std::move(jobs_.front());
-      jobs_.pop_front();
-      obs::SetGauge(obs::PipelineMetrics::Get().executor_job_queue_depth,
-                    static_cast<int64_t>(jobs_.size()));
-      lock.unlock();
-      job();
-      lock.lock();
       continue;
     }
     if (stop_) return;

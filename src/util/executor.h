@@ -6,15 +6,9 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
-#include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "obs/obs.h"
@@ -129,8 +123,8 @@ struct ParallelTask {
 /// Concurrency model
 ///  - `Executor(c)` runs `c - 1` background workers; the thread calling
 ///    `ParallelFor` is always the c-th participant. `Executor(1)` has no
-///    workers and runs every loop and submitted job inline, which makes
-///    it bit-and-order-identical to the plain serial loop.
+///    workers and runs every loop inline, which makes it
+///    bit-and-order-identical to the plain serial loop.
 ///  - A loop over n items is split into one contiguous range per
 ///    participant slot (at most `MaxWorkers(n, max_par)` slots, matching
 ///    the historical ParallelForWorker bound). Participants claim chunks
@@ -138,7 +132,7 @@ struct ParallelTask {
 ///    slots' ranges when theirs drains, so imbalanced bodies rebalance
 ///    without any per-item locking.
 ///  - A participant waiting for a nested loop to finish only executes
-///    chunks of *that* loop, never unrelated queued work. This keeps
+///    chunks of *that* loop, never another loop's. This keeps
 ///    per-slot state (e.g. a pooled VgWorkspace) single-owner for the
 ///    whole loop — a slot is touched by exactly one OS thread — at the
 ///    cost of a little idle time, and bounds total live parallelism by
@@ -160,8 +154,7 @@ class Executor {
   /// hardware concurrency. Spawns `concurrency - 1` background threads.
   explicit Executor(size_t concurrency = 0);
 
-  /// Joins all workers. Jobs already queued via Submit() are drained
-  /// first (their futures complete); new submissions are rejected.
+  /// Joins all workers.
   ~Executor();
 
   Executor(const Executor&) = delete;
@@ -238,37 +231,6 @@ class Executor {
     }
   }
 
-  /// Queues `fn` to run on a pool worker and returns its future. On a
-  /// concurrency-1 executor the job runs inline. Safe to call from inside
-  /// a task body (nested submission) — but do not *block* on the future
-  /// from inside a task: parallel loops have priority over jobs, so a
-  /// body waiting for a job can deadlock a fully busy pool. Queued jobs
-  /// are drained (not dropped) on shutdown.
-  template <typename F>
-  auto Submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> future = task->get_future();
-    if (obs::Enabled()) {
-      obs::PipelineMetrics::Get().executor_jobs_submitted->Inc();
-    }
-    if (workers_.empty()) {
-      (*task)();
-      return future;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stop_) {
-        throw std::runtime_error("Executor: Submit after shutdown");
-      }
-      jobs_.emplace_back([task]() { (*task)(); });
-      obs::SetGauge(obs::PipelineMetrics::Get().executor_job_queue_depth,
-                    static_cast<int64_t>(jobs_.size()));
-    }
-    work_cv_.notify_one();
-    return future;
-  }
-
  private:
   /// Non-template orchestration: partition, list the task, participate as
   /// slot 0, wait out stragglers, unlist, rethrow.
@@ -278,7 +240,6 @@ class Executor {
   /// Launches `concurrency - 1` worker threads (0 = hardware).
   void SpawnWorkers(size_t concurrency);
   /// Signals stop, wakes everyone, joins and clears the worker set.
-  /// Queued jobs are drained by the exiting workers first.
   void StopAndJoinWorkers();
 
   /// Claim-and-execute loop for one participant slot.
@@ -291,7 +252,6 @@ class Executor {
   std::mutex mu_;
   std::condition_variable work_cv_;
   std::vector<internal::ParallelTask*> active_;  ///< tasks open for helpers.
-  std::deque<std::function<void()>> jobs_;       ///< Submit() queue.
   std::vector<std::thread> workers_;
   bool stop_ = false;
 };

@@ -21,15 +21,6 @@ double Variance(const std::vector<double>& v) {
 
 double StdDev(const std::vector<double>& v) { return std::sqrt(Variance(v)); }
 
-double SampleStdDev(const std::vector<double>& v) {
-  const size_t n = v.size();
-  if (n < 2) return 0.0;
-  const double m = Mean(v);
-  double acc = 0.0;
-  for (double x : v) acc += (x - m) * (x - m);
-  return std::sqrt(acc / static_cast<double>(n - 1));
-}
-
 double Min(const std::vector<double>& v) {
   if (v.empty()) return 0.0;
   return *std::min_element(v.begin(), v.end());

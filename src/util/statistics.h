@@ -17,9 +17,6 @@ double Variance(const std::vector<double>& v);
 /// Population standard deviation.
 double StdDev(const std::vector<double>& v);
 
-/// Sample standard deviation (divides by n-1); 0 when n < 2.
-double SampleStdDev(const std::vector<double>& v);
-
 double Min(const std::vector<double>& v);
 double Max(const std::vector<double>& v);
 

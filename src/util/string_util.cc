@@ -19,15 +19,6 @@ std::vector<std::string> Split(const std::string& s, const std::string& delims) 
   return out;
 }
 
-std::string Join(const std::vector<std::string>& tokens, const std::string& sep) {
-  std::string out;
-  for (size_t i = 0; i < tokens.size(); ++i) {
-    if (i > 0) out += sep;
-    out += tokens[i];
-  }
-  return out;
-}
-
 std::string Trim(const std::string& s) {
   size_t b = s.find_first_not_of(" \t\r\n");
   if (b == std::string::npos) return "";

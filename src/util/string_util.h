@@ -9,9 +9,6 @@ namespace mvg {
 /// Splits `s` on any character in `delims`, dropping empty tokens.
 std::vector<std::string> Split(const std::string& s, const std::string& delims);
 
-/// Joins tokens with a separator.
-std::string Join(const std::vector<std::string>& tokens, const std::string& sep);
-
 /// Strips leading/trailing whitespace.
 std::string Trim(const std::string& s);
 

@@ -1,14 +1,12 @@
 // Edge-case coverage for the persistent work-stealing executor
 // (src/util/executor.h): serial equivalence at concurrency 1, the
 // inline-below-grain-size path, exception propagation from stolen chunks,
-// nested parallel regions and nested job submission from inside a task,
-// shutdown with queued work, and re-pins of the training-engine
+// nested parallel regions, and re-pins of the training-engine
 // determinism contract on explicitly-sized pools (results bit-identical
 // for every pool size and thread budget).
 
 #include <atomic>
 #include <chrono>
-#include <future>
 #include <map>
 #include <numeric>
 #include <set>
@@ -227,58 +225,6 @@ TEST(ExecutorTest, DeeplyNestedRegionsStayCorrect) {
   EXPECT_EQ(leaves.load(), 27u);
 }
 
-TEST(ExecutorTest, NestedSubmitFromInsideTask) {
-  // Fire-and-forget submission from inside a running task is supported;
-  // the futures are awaited *outside* the parallel region (blocking on a
-  // job from inside a task could idle the whole pool, see executor.h).
-  Executor ex(4);
-  std::mutex mu;
-  std::vector<std::future<size_t>> futures;
-  ex.ParallelFor(8, 4, [&](size_t i) {
-    std::future<size_t> f = ex.Submit([i]() { return i * i; });
-    std::lock_guard<std::mutex> lock(mu);
-    futures.push_back(std::move(f));
-  });
-  ASSERT_EQ(futures.size(), 8u);
-  size_t total = 0;
-  for (auto& f : futures) total += f.get();
-  EXPECT_EQ(total, 0u + 1 + 4 + 9 + 16 + 25 + 36 + 49);
-}
-
-TEST(ExecutorTest, ShutdownDrainsQueuedJobs) {
-  std::vector<std::future<int>> futures;
-  {
-    Executor ex(2);
-    for (int j = 0; j < 16; ++j) {
-      futures.push_back(ex.Submit([j]() {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        return j;
-      }));
-    }
-    // Destructor: queued jobs are drained, not dropped.
-  }
-  for (int j = 0; j < 16; ++j) {
-    ASSERT_EQ(futures[static_cast<size_t>(j)].wait_for(std::chrono::seconds(0)),
-              std::future_status::ready)
-        << "job " << j << " dropped on shutdown";
-    EXPECT_EQ(futures[static_cast<size_t>(j)].get(), j);
-  }
-}
-
-TEST(ExecutorTest, SubmitRunsInlineWithoutWorkers) {
-  Executor ex(1);
-  std::future<int> f = ex.Submit([]() { return 41 + 1; });
-  ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ExecutorTest, SubmittedJobExceptionReachesFuture) {
-  Executor ex(2);
-  std::future<int> f =
-      ex.Submit([]() -> int { throw std::runtime_error("job boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
-
 // ---------------------------------------------------------------------------
 // Determinism re-pins on explicitly-sized pools: the PR-4 invariance
 // contract (pre-assigned seeds/draws => bit-identical results for every
@@ -384,22 +330,18 @@ class ObsOnScope {
   bool was_;
 };
 
-TEST(ExecutorObsTest, InlineLoopAndSubmitCountsAreExact) {
+TEST(ExecutorObsTest, InlineLoopCountsAreExact) {
   ObsOnScope on;
   obs::PipelineMetrics& pm = obs::PipelineMetrics::Get();
   Executor ex(1);  // no workers: every loop inlines, nothing dispatched
   const uint64_t inline0 = pm.executor_loops_inline->Value();
   const uint64_t dispatched0 = pm.executor_loops_dispatched->Value();
-  const uint64_t submitted0 = pm.executor_jobs_submitted->Value();
   const uint64_t stolen0 = pm.executor_chunks_stolen->Value();
   for (int rep = 0; rep < 5; ++rep) {
     ex.ParallelFor(64, 4, [](size_t) {});
   }
-  std::future<int> f = ex.Submit([]() { return 7; });
-  EXPECT_EQ(f.get(), 7);
   EXPECT_EQ(pm.executor_loops_inline->Value() - inline0, 5u);
   EXPECT_EQ(pm.executor_loops_dispatched->Value() - dispatched0, 0u);
-  EXPECT_EQ(pm.executor_jobs_submitted->Value() - submitted0, 1u);
   EXPECT_EQ(pm.executor_chunks_stolen->Value() - stolen0, 0u);
 }
 
@@ -417,31 +359,6 @@ TEST(ExecutorObsTest, GrainInlinedAndDispatchedLoopsAreCounted) {
   }
   EXPECT_EQ(pm.executor_loops_inline->Value() - inline0, 1u);
   EXPECT_EQ(pm.executor_loops_dispatched->Value() - dispatched0, 3u);
-}
-
-TEST(ExecutorObsTest, QueueDepthGaugeTracksBlockedSubmissions) {
-  ObsOnScope on;
-  obs::PipelineMetrics& pm = obs::PipelineMetrics::Get();
-  Executor ex(2);  // concurrency 2 = one background worker
-  // Park the worker on a job that blocks until released, then queue 3
-  // more: the gauge must read exactly the queued (unpopped) jobs.
-  std::promise<void> release;
-  std::shared_future<void> gate(release.get_future());
-  std::atomic<int> running{0};
-  std::future<void> parked = ex.Submit([gate, &running]() {
-    running.fetch_add(1);
-    gate.wait();
-  });
-  while (running.load() < 1) std::this_thread::yield();
-  std::vector<std::future<void>> queued;
-  for (int i = 0; i < 3; ++i) {
-    queued.push_back(ex.Submit([]() {}));
-  }
-  EXPECT_EQ(pm.executor_job_queue_depth->Value(), 3);
-  release.set_value();
-  parked.get();
-  for (auto& f : queued) f.get();
-  EXPECT_EQ(pm.executor_job_queue_depth->Value(), 0);
 }
 
 TEST(ExecutorObsTest, ProvokedStealsAreCounted) {

@@ -180,11 +180,6 @@ TEST(GraphStats, Connectivity) {
   EXPECT_TRUE(IsConnected(Graph(0)));
 }
 
-TEST(GraphStats, DiameterOfPathAndClique) {
-  EXPECT_EQ(Diameter(MakePath(7)), 6u);
-  EXPECT_EQ(Diameter(MakeComplete(7)), 1u);
-}
-
 TEST(GraphStats, ClusteringCliqueIsOne) {
   EXPECT_NEAR(AverageClustering(MakeComplete(6)), 1.0, 1e-12);
   EXPECT_NEAR(AverageClustering(MakePath(6)), 0.0, 1e-12);

@@ -46,7 +46,11 @@ TEST_P(PipelineTest, EndToEndOnRegistryDataset) {
 
 INSTANTIATE_TEST_SUITE_P(
     Registry, PipelineTest,
-    ::testing::ValuesIn(SyntheticDatasetNames()),
+    ::testing::ValuesIn([] {
+      std::vector<std::string> names;
+      for (const auto& info : SyntheticRegistry()) names.push_back(info.name);
+      return names;
+    }()),
     [](const ::testing::TestParamInfo<std::string>& info) {
       return info.param;
     });

@@ -12,7 +12,6 @@
 #include "core/mvg_classifier.h"
 #include "ml/decision_tree.h"
 #include "ml/gradient_boosting.h"
-#include "ml/linear_model.h"
 #include "ml/metrics.h"
 #include "ml/model_selection.h"
 #include "ml/random_forest.h"
@@ -136,16 +135,6 @@ TEST(SvmTest, DecisionFunctionSignMatchesPrediction) {
     const int pred = svm.Predict(row);
     EXPECT_EQ(pred, scores[1] > scores[0] ? 1 : 0);
   }
-}
-
-TEST(LogisticRegressionTest, WeightsExposedWithBias) {
-  Matrix x = {{0.0}, {1.0}, {2.0}, {3.0}};
-  std::vector<int> y = {0, 0, 1, 1};
-  LogisticRegressionClassifier lr;
-  lr.Fit(x, y);
-  const Matrix& w = lr.weights();
-  ASSERT_EQ(w.size(), 2u);     // one row per class
-  ASSERT_EQ(w[0].size(), 2u);  // feature + bias
 }
 
 TEST(ModelSelectionTest, CrossValLogLossTracksSeparability) {

@@ -88,8 +88,13 @@ TEST(GradientBoosting, MoreRoundsReduceTrainingLoss) {
   GradientBoostingClassifier small(p_small), large(p_large);
   small.Fit(x, y);
   large.Fit(x, y);
-  const double loss_small = LogLoss(y, small.PredictProbaAll(x), small.classes());
-  const double loss_large = LogLoss(y, large.PredictProbaAll(x), large.classes());
+  Matrix proba_small, proba_large;
+  for (const auto& row : x) {
+    proba_small.push_back(small.PredictProba(row));
+    proba_large.push_back(large.PredictProba(row));
+  }
+  const double loss_small = LogLoss(y, proba_small, small.classes());
+  const double loss_large = LogLoss(y, proba_large, large.classes());
   EXPECT_LT(loss_large, loss_small);
 }
 

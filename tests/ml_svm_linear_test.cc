@@ -1,7 +1,6 @@
 #include <cmath>
 #include <gtest/gtest.h>
 
-#include "ml/linear_model.h"
 #include "ml/metrics.h"
 #include "ml/preprocessing.h"
 #include "ml/svm.h"
@@ -69,30 +68,11 @@ TEST(SvmTest, MulticlassOneVsRest) {
   EXPECT_NEAR(sum, 1.0, 1e-9);
 }
 
-TEST(LogisticRegressionTest, SeparableAndProbabilistic) {
-  Matrix x;
-  std::vector<int> y;
-  MakeBlobs(40, 2, 3.0, 4, &x, &y);
-  LogisticRegressionClassifier lr;
-  lr.Fit(x, y);
-  EXPECT_LE(ErrorRate(y, lr.PredictAll(x)), 0.05);
-  const auto p = lr.PredictProba(x[0]);
-  EXPECT_NEAR(p[0] + p[1], 1.0, 1e-9);
-}
-
-TEST(LogisticRegressionTest, Multiclass) {
-  Matrix x;
-  std::vector<int> y;
-  MakeBlobs(30, 3, 4.0, 5, &x, &y);
-  LogisticRegressionClassifier lr;
-  lr.Fit(x, y);
-  EXPECT_LE(ErrorRate(y, lr.PredictAll(x)), 0.05);
-}
-
 TEST(MinMaxScalerTest, ScalesIntoUnitRangeAndClamps) {
   Matrix x = {{0.0, 10.0}, {5.0, 20.0}, {10.0, 30.0}};
   MinMaxScaler scaler;
-  const Matrix t = scaler.FitTransform(x);
+  scaler.Fit(x);
+  const Matrix t = scaler.TransformAll(x);
   EXPECT_DOUBLE_EQ(t[0][0], 0.0);
   EXPECT_DOUBLE_EQ(t[2][0], 1.0);
   EXPECT_DOUBLE_EQ(t[1][1], 0.5);
@@ -105,7 +85,8 @@ TEST(MinMaxScalerTest, ScalesIntoUnitRangeAndClamps) {
 TEST(MinMaxScalerTest, ConstantFeatureMapsToZero) {
   Matrix x = {{3.0}, {3.0}};
   MinMaxScaler scaler;
-  const Matrix t = scaler.FitTransform(x);
+  scaler.Fit(x);
+  const Matrix t = scaler.TransformAll(x);
   EXPECT_DOUBLE_EQ(t[0][0], 0.0);
 }
 

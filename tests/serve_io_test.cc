@@ -15,7 +15,6 @@
 #include "core/mvg_classifier.h"
 #include "ml/decision_tree.h"
 #include "ml/gradient_boosting.h"
-#include "ml/linear_model.h"
 #include "ml/preprocessing.h"
 #include "ml/random_forest.h"
 #include "ml/stacking.h"
@@ -193,11 +192,6 @@ TEST(ClassifierRegistryTest, LinearSvmRoundTrip) {
   ExpectRegistryRoundTrip(&clf);
 }
 
-TEST(ClassifierRegistryTest, LogisticRegressionRoundTrip) {
-  LogisticRegressionClassifier clf;
-  ExpectRegistryRoundTrip(&clf);
-}
-
 TEST(ClassifierRegistryTest, StackingRoundTrip) {
   std::vector<std::vector<ClassifierFactory>> families;
   families.push_back({[] {
@@ -205,10 +199,7 @@ TEST(ClassifierRegistryTest, StackingRoundTrip) {
     p.max_depth = 5;
     return std::make_unique<DecisionTreeClassifier>(p);
   }});
-  families.push_back({[] {
-    LogisticRegressionClassifier::Params p;
-    return std::make_unique<LogisticRegressionClassifier>(p);
-  }});
+  families.push_back({[] { return std::make_unique<SvmClassifier>(); }});
   StackingEnsemble clf(families);
   ExpectRegistryRoundTrip(&clf);
 }
@@ -937,6 +928,58 @@ TEST_F(SplitFeatureBoundTest, BoostedSplitPastPipelineWidthRejected) {
   PutU64(&narrowed, GetU64(blob, Entry(0, 8)) + 41, 1);
   FixCrcs(&narrowed, 0);
   ExpectBothRejected(narrowed);
+}
+
+/// Model files whose classifier type tag is 5, the retired logistic
+/// regression's. The CRCs are resealed, so the tag alone must fail them.
+class RetiredTypeTagTest : public SplitFeatureBoundTest {
+ protected:
+  /// Writes tag 5 at `offset` and expects both loaders to refuse the
+  /// file with an error naming the tag.
+  static void ExpectTagRejected(std::string blob, size_t offset) {
+    PutU32(&blob, offset, 5);
+    FixCrcs(&blob, kModelEntry);
+    const std::string want = "unknown type tag 5";
+    try {
+      std::istringstream is(blob, std::ios::binary);
+      LoadModel(is);
+      ADD_FAILURE() << "LoadModel accepted type tag 5";
+    } catch (const SerializationError& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
+    std::vector<uint64_t> buf((blob.size() + 7) / 8);
+    std::memcpy(buf.data(), blob.data(), blob.size());
+    try {
+      LoadModelView(buf.data(), blob.size(), ModelVerify::kFull);
+      ADD_FAILURE() << "LoadModelView accepted type tag 5";
+    } catch (const SerializationError& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
+  }
+};
+
+TEST_F(RetiredTypeTagTest, TopLevelModelRejected) {
+  const std::string blob = Serialize(Fit(MvgModel::kSvm));
+  ExpectTagRejected(blob, GetU64(blob, Entry(kModelEntry, 8)));
+}
+
+TEST_F(RetiredTypeTagTest, StackingMemberRejected) {
+  const std::string blob = Serialize(Fit(MvgModel::kStacking));
+  // Walk the stacking body (docs/FORMATS.md) up to its first member's tag.
+  const size_t payload = GetU64(blob, Entry(kModelEntry, 8));
+  BinaryReader r(blob.data() + payload, GetU64(blob, Entry(kModelEntry, 16)));
+  ASSERT_EQ(r.ReadU32(), 6u);  // stacking
+  r.ReadSize();                // top_k_per_family
+  r.ReadSize();                // num_folds
+  r.ReadU64();                 // seed
+  r.ReadSize();                // families
+  r.ReadIntVec();              // classes
+  r.ReadDoubleVec();           // weights
+  r.ReadDoubleVec();           // bias
+  ASSERT_GT(r.ReadSize(), 0u);  // members
+  ExpectTagRejected(blob, payload + r.pos());
 }
 
 TEST_F(ZeroCopyTest, MappedFileBasics) {

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <map>
 #include <fstream>
 #include <cstdio>
@@ -46,7 +47,8 @@ TEST(Registry, UnknownNameThrows) {
 
 TEST(Registry, WaferIsImbalanced) {
   const DatasetSplit split = MakeSyntheticByName("SynWafer", 3);
-  const auto counts = split.train.ClassCounts();
+  std::map<int, size_t> counts;
+  for (int label : split.train.labels()) ++counts[label];
   ASSERT_EQ(counts.size(), 2u);
   EXPECT_GT(counts.at(0), 3 * counts.at(1));
 }
@@ -132,7 +134,7 @@ TEST(DatasetTest, SubsetAndCounts) {
   ds.Add({3, 4}, 1);
   ds.Add({5, 6}, 1);
   EXPECT_EQ(ds.NumClasses(), 2u);
-  EXPECT_EQ(ds.ClassCounts().at(1), 2u);
+  EXPECT_EQ(std::count(ds.labels().begin(), ds.labels().end(), 1), 2);
   EXPECT_EQ(ds.MaxLength(), 2u);
   const Dataset sub = ds.Subset({2, 0});
   ASSERT_EQ(sub.size(), 2u);

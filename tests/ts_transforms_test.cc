@@ -79,21 +79,6 @@ TEST(HalveByPaa, PairwiseMeans) {
   EXPECT_EQ(h[1], 6.0);
 }
 
-TEST(MovingAverage, SmoothsAndPreservesLength) {
-  const Series s = GaussianNoise(64, 9);
-  const Series sm = MovingAverage(s, 5);
-  EXPECT_EQ(sm.size(), s.size());
-  EXPECT_LT(StdDev(sm), StdDev(s));
-}
-
-TEST(FirstDifference, Basics) {
-  const Series s = {1, 4, 9, 16};
-  const Series d = FirstDifference(s);
-  ASSERT_EQ(d.size(), 3u);
-  EXPECT_EQ(d[0], 3.0);
-  EXPECT_EQ(d[2], 7.0);
-}
-
 // --- multiscale (paper Definitions 3.1-3.3) ---
 
 TEST(Multiscale, MvgContainsOriginalAndHalvedScales) {

@@ -76,7 +76,6 @@ TEST(Statistics, MeanVarianceBasics) {
   EXPECT_DOUBLE_EQ(Mean(v), 2.5);
   EXPECT_DOUBLE_EQ(Variance(v), 1.25);
   EXPECT_DOUBLE_EQ(StdDev(v), std::sqrt(1.25));
-  EXPECT_NEAR(SampleStdDev(v), std::sqrt(5.0 / 3.0), 1e-12);
 }
 
 TEST(Statistics, EmptyInputsAreZero) {
@@ -144,12 +143,11 @@ TEST(Rng, UniformBounds) {
   }
 }
 
-TEST(StringUtil, SplitJoinTrim) {
+TEST(StringUtil, SplitTrim) {
   const auto tokens = Split("a, b\tc  d", ", \t");
   ASSERT_EQ(tokens.size(), 4u);
   EXPECT_EQ(tokens[0], "a");
   EXPECT_EQ(tokens[3], "d");
-  EXPECT_EQ(Join({"x", "y"}, "-"), "x-y");
   EXPECT_EQ(Trim("  hi \n"), "hi");
   EXPECT_EQ(Trim("   "), "");
 }
