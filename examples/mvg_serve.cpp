@@ -38,7 +38,10 @@
 //       online monitoring: read one sample per line from stdin into a
 //       StreamingClassifier sliding window; on every completed window
 //       print "<sample-index> <label>". --window is in [0, 65536]
-//       (0 = the model's training length), --hop in [1, 2^30]
+//       (0 = the model's training length), --hop in [1, 2^30]. Each
+//       non-blank line, trimmed, must be one number (nan and inf
+//       included); any other line ends the stream with exit 2, after
+//       the windows completed before it are printed
 //   mvg_serve route --model model.mvg --input <ucr-file> --shards N
 //            [--mmap] [--max-inflight W] [--drain K] [--out-preds FILE]
 //       sharded serving: fork N shard worker processes, each serving the
@@ -54,10 +57,12 @@
 //   mvg_serve serve --model /tmp/chaos.mvg --input /tmp/chaos_TEST
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -77,6 +82,7 @@
 #include "ts/ucr_io.h"
 #include "util/executor.h"
 #include "util/parallel.h"
+#include "util/string_util.h"
 #include "util/timer.h"
 
 namespace {
@@ -124,6 +130,14 @@ bool HasFlag(int argc, char** argv, int from, const char* flag) {
     if (std::strcmp(argv[i], flag) == 0) return true;
   }
   return false;
+}
+
+/// True when `text` parses in full as one number by strtod (nan and inf
+/// included); "12abc" and "" do not.
+bool ParseNumber(const std::string& text, double* value) {
+  char* end = nullptr;
+  *value = std::strtod(text.c_str(), &end);
+  return end != text.c_str() && end == text.c_str() + text.size();
 }
 
 /// Bounded integer flag in [lo, hi]; exits with a usage error otherwise.
@@ -403,9 +417,19 @@ int CmdServeStream(ServingSession& session, size_t window, size_t hop) {
                stream.window(), stream.hop());
   std::string line;
   size_t index = 0;
+  size_t line_no = 0;
   while (std::getline(std::cin, line)) {
-    if (line.empty()) continue;
-    const double sample = std::stod(line);
+    ++line_no;
+    const std::string text = Trim(line);
+    if (text.empty()) continue;
+    // nan and inf pass: the extractor sanitizes non-finite samples.
+    double sample = 0.0;
+    if (!ParseNumber(text, &sample)) {
+      std::fflush(stdout);
+      std::fprintf(stderr, "serve --stream: bad sample '%s' on line %zu\n",
+                   text.c_str(), line_no);
+      return 2;
+    }
     if (const std::optional<int> label = stream.Push(sample)) {
       std::printf("%zu %d\n", index, *label);
     }
@@ -430,11 +454,10 @@ int CmdServe(int argc, char** argv) {
                                             "--metrics-out", "");
   std::unique_ptr<obs::MetricsDumper> dumper;
   if (!metrics_out.empty()) {
-    char* end = nullptr;
-    const std::string raw_interval =
-        FlagValue(argc, argv, 2, "--metrics-interval-s", "0");
-    const double interval = std::strtod(raw_interval.c_str(), &end);
-    if (end == nullptr || *end != '\0' || !(interval >= 0.0)) {
+    double interval = 0.0;
+    if (!ParseNumber(FlagValue(argc, argv, 2, "--metrics-interval-s", "0"),
+                     &interval) ||
+        !(interval >= 0.0)) {
       std::fprintf(stderr, "--metrics-interval-s expects a number >= 0\n");
       return 2;
     }
@@ -462,11 +485,10 @@ int CmdServe(int argc, char** argv) {
   if (HasFlag(argc, argv, 2, "--async")) {
     const size_t batch_max =
         CountFlag(argc, argv, 2, "--batch-max", "32", 1, 4096);
-    char* end = nullptr;
-    const std::string raw_timeout =
-        FlagValue(argc, argv, 2, "--batch-timeout-ms", "2");
-    const double batch_timeout_ms = std::strtod(raw_timeout.c_str(), &end);
-    if (end == nullptr || *end != '\0' || !(batch_timeout_ms >= 0.0)) {
+    double batch_timeout_ms = 0.0;
+    if (!ParseNumber(FlagValue(argc, argv, 2, "--batch-timeout-ms", "2"),
+                     &batch_timeout_ms) ||
+        !(batch_timeout_ms >= 0.0)) {
       std::fprintf(stderr, "--batch-timeout-ms expects a number >= 0\n");
       return 2;
     }

@@ -55,14 +55,10 @@ void MvgMultivariateClassifier::Fit(const MultivariateDataset& train) {
   fe_seconds_ = fe_timer.Seconds();
 
   WallTimer train_timer;
-  std::vector<int> y = train.labels();
-  if (config_.oversample) {
-    Matrix x_os;
-    std::vector<int> y_os;
-    RandomOversample(x, y, config_.seed, &x_os, &y_os);
-    x = std::move(x_os);
-    y = std::move(y_os);
-  }
+  Matrix x_os;
+  std::vector<int> y;
+  RandomOversample(x, train.labels(), config_.seed, &x_os, &y);
+  x = std::move(x_os);
   // Delegate model selection to the same grids as the univariate pipeline
   // by borrowing an MvgClassifier's configuration: the simplest faithful
   // choice is a single-family model here (stacking works identically).
@@ -92,7 +88,7 @@ void MvgMultivariateClassifier::Fit(const MultivariateDataset& train) {
     // each cell's tree fits submit nested tasks onto the same pool (total
     // concurrency is capped by the pool size, and results are
     // thread-count invariant either way).
-    best = GridSearch(candidates, x, y, config_.cv_folds, config_.seed,
+    best = GridSearch(candidates, x, y, MvgClassifier::kCvFolds, config_.seed,
                       threads)
                .best_index;
   }

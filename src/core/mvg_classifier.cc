@@ -104,18 +104,17 @@ std::vector<ClassifierFactory> RfGrid(GridPreset preset, uint64_t seed,
 
 std::vector<ClassifierFactory> SvmGrid(GridPreset preset, uint64_t seed) {
   std::vector<SvmClassifier::Params> grid;
-  auto base = [&](double c, SvmClassifier::Kernel kernel) {
+  auto base = [&](double c) {
     SvmClassifier::Params p;
     p.c = c;
-    p.kernel = kernel;
     p.seed = seed;
     return p;
   };
   if (preset == GridPreset::kNone) {
-    grid.push_back(base(10.0, SvmClassifier::Kernel::kRbf));
+    grid.push_back(base(10.0));
   } else {
-    grid.push_back(base(1.0, SvmClassifier::Kernel::kRbf));
-    grid.push_back(base(10.0, SvmClassifier::Kernel::kRbf));
+    grid.push_back(base(1.0));
+    grid.push_back(base(10.0));
   }
   std::vector<ClassifierFactory> out;
   for (const auto& p : grid) {
@@ -243,13 +242,7 @@ void MvgClassifier::FitChunks(const std::function<const Dataset*()>& next,
   // the duplicates are copied bin-wise after the originals are binned.
   const CutSketcher::FeatureCuts fc = sketcher.Finish();
   const size_t n = y.size();
-  std::vector<size_t> os;
-  if (config_.oversample) {
-    os = OversampleIndices(y, config_.seed);
-  } else {
-    os.resize(n);
-    std::iota(os.begin(), os.end(), size_t{0});
-  }
+  const std::vector<size_t> os = OversampleIndices(y, config_.seed);
   std::vector<int> y_os;
   y_os.reserve(os.size());
   for (size_t i : os) y_os.push_back(y[i]);
@@ -300,7 +293,7 @@ void MvgClassifier::TrainBinnedTail(FeatureTable* ft,
   size_t best = 0;
   if (candidates.size() > 1) {
     const std::vector<FoldIndices> folds =
-        StratifiedKFold(y_os, config_.cv_folds, config_.seed);
+        StratifiedKFold(y_os, kCvFolds, config_.seed);
     best = GridSearchBinned(candidates, *ft, y_os, folds, threads).best_index;
   }
   std::vector<size_t> all(ft->num_rows());
@@ -319,13 +312,11 @@ void MvgClassifier::FitOnExtracted(Matrix x, std::vector<int> y) {
   feature_width_ = x[0].size();
 
   WallTimer train_timer;
-  if (config_.oversample) {
-    Matrix x_os;
-    std::vector<int> y_os;
-    RandomOversample(x, y, config_.seed, &x_os, &y_os);
-    x = std::move(x_os);
-    y = std::move(y_os);
-  }
+  Matrix x_os;
+  std::vector<int> y_os;
+  RandomOversample(x, y, config_.seed, &x_os, &y_os);
+  x = std::move(x_os);
+  y = std::move(y_os);
   // SVM kernels need comparable feature magnitudes (paper §4.3), and the
   // stacked ensemble contains an SVM family, so this tail always scales.
   scaler_.Fit(x);
@@ -337,7 +328,7 @@ void MvgClassifier::FitOnExtracted(Matrix x, std::vector<int> y) {
     // caps total concurrency instead of oversubscribing (pre-pool, base
     // candidates had to stay single-threaded to avoid spawn explosions).
     StackingEnsemble::Params sp;
-    sp.num_folds = config_.cv_folds;
+    sp.num_folds = kCvFolds;
     sp.seed = config_.seed;
     sp.top_k_per_family = config_.stacking_top_k;
     sp.num_threads = threads;
@@ -348,9 +339,9 @@ void MvgClassifier::FitOnExtracted(Matrix x, std::vector<int> y) {
     const std::vector<ClassifierFactory> candidates = BuildCandidates(threads);
     size_t best = 0;
     if (candidates.size() > 1) {
-      best = GridSearch(candidates, x_used, y, config_.cv_folds, config_.seed,
-                        threads)
-                 .best_index;
+      best =
+          GridSearch(candidates, x_used, y, kCvFolds, config_.seed, threads)
+              .best_index;
     }
     model_ = candidates[best]();
     model_->Fit(x_used, y);

@@ -38,7 +38,8 @@ enum class GridPreset {
 
 /// End-to-end MVG pipeline (paper §3 + §4): multiscale visibility-graph
 /// feature extraction -> random oversampling of minority classes ->
-/// (min-max scaling for SVM) -> grid-searched generic classifier.
+/// (min-max scaling for SVM) -> generic classifier, grid-searched over
+/// stratified kCvFolds-fold cross-validation.
 ///
 /// Feature-extraction and training wall times of the last Fit are kept
 /// in memory, matching Table 3's "FE" and "Clf" runtime columns. They are
@@ -46,12 +47,14 @@ enum class GridPreset {
 /// training data and the config.
 class MvgClassifier : public SeriesClassifier {
  public:
+  /// Folds of the stratified cross-validation behind the grid search and
+  /// the stacked ensemble's out-of-fold predictions (paper §4.2).
+  static constexpr size_t kCvFolds = 3;
+
   struct Config {
     MvgConfig extractor;
     MvgModel model = MvgModel::kXgboost;
     GridPreset grid = GridPreset::kSmall;
-    bool oversample = true;
-    size_t cv_folds = 3;
     /// Base estimators kept per family in the stacked ensemble (paper
     /// Algorithm 2 keeps the top five; small grids need fewer).
     size_t stacking_top_k = 1;

@@ -1,7 +1,6 @@
 #include "ml/decision_tree.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <limits>
 #include <numeric>
@@ -20,26 +19,14 @@ namespace mvg {
 
 namespace {
 
-/// Impurity of a class histogram with `total` samples.
+/// Gini impurity of a class histogram with `total` samples.
 ///
-/// The Gini branch runs 4 classes per iteration: p*p is per-element IEEE,
-/// and the lanes are subtracted from `imp` in class order, so bits match
-/// the scalar spelling exactly — an empty class contributes p*p == 0.0 and
-/// x - 0.0 == x, which is why the scalar path's `c <= 0` skip can be
-/// dropped. Entropy stays scalar: there the skip is semantic
-/// (0 * log2(0) would be NaN).
-double Impurity(const std::vector<double>& hist, double total,
-                bool use_entropy) {
+/// Runs 4 classes per iteration: p*p is per-element IEEE, and the lanes
+/// are subtracted from `imp` in class order, so bits match the scalar
+/// spelling exactly — an empty class contributes p*p == 0.0 and
+/// x - 0.0 == x.
+double Impurity(const std::vector<double>& hist, double total) {
   if (total <= 0.0) return 0.0;
-  if (use_entropy) {
-    double imp = 0.0;
-    for (double c : hist) {
-      if (c <= 0.0) continue;
-      const double p = c / total;
-      imp -= p * std::log2(p);
-    }
-    return imp;
-  }
   double imp = 1.0;
   const size_t k = hist.size();
   const double* h = hist.data();
@@ -167,7 +154,6 @@ struct DecisionTreeClassifier::HistBuilder {
                     size_t* best_bin, double* best_threshold) {
     const size_t nb = ft.num_bins(f);
     if (nb < 2) return;  // constant feature in this table.
-    const double min_leaf = static_cast<double>(params.min_samples_leaf);
     std::fill(left.begin(), left.end(), 0.0);
     double nl = 0.0;
     double* lp = left.data();
@@ -191,20 +177,18 @@ struct DecisionTreeClassifier::HistBuilder {
       nl += bin_total;
       const double nr = static_cast<double>(n) - nl;
       // Counts are integral, so nr == 0 exactly once the node's rows are
-      // exhausted; every later boundary is empty too.
+      // exhausted; every later boundary is empty too. A boundary after a
+      // non-empty bin leaves at least one row on each side.
       if (nr <= 0.0) break;
       if (bin_total == 0.0) continue;
-      if (nl < min_leaf || nr < min_leaf) continue;
       for (c = 0; c + 4 <= k; c += 4) {
         (simd::F64x4::Load(tp + c) - simd::F64x4::Load(lp + c)).Store(rp + c);
       }
       for (; c < k; ++c) rp[c] = tp[c] - lp[c];
       const double gain =
           parent_imp -
-          (nl / static_cast<double>(n)) *
-              Impurity(left, nl, params.use_entropy) -
-          (nr / static_cast<double>(n)) *
-              Impurity(right, nr, params.use_entropy);
+          (nl / static_cast<double>(n)) * Impurity(left, nl) -
+          (nr / static_cast<double>(n)) * Impurity(right, nr);
       if (gain > *best_gain) {
         *best_gain = gain;
         *best_feature = static_cast<int>(f);
@@ -245,11 +229,11 @@ struct DecisionTreeClassifier::HistBuilder {
     return static_cast<int32_t>(nodes->size() - 1);
   }
 
-  /// Stopping rule on the current `totals`.
-  bool ShouldStop(size_t n, size_t depth) const {
+  /// Stopping rule on the current `totals`. A single-row node is pure.
+  bool ShouldStop(size_t depth) const {
     const bool pure = std::count_if(totals.begin(), totals.end(),
                                     [](double c) { return c > 0.0; }) <= 1;
-    return depth >= params.max_depth || n < params.min_samples_split || pure;
+    return depth >= params.max_depth || pure;
   }
 
   /// Builds the subtree over rows[begin, end): histograms the node's
@@ -257,9 +241,8 @@ struct DecisionTreeClassifier::HistBuilder {
   int32_t Build(size_t begin, size_t end, size_t depth) {
     const size_t n = end - begin;
     ComputeTotals(begin, end);
-    if (ShouldStop(n, depth)) return MakeLeaf(n);
-    const double parent_imp =
-        Impurity(totals, static_cast<double>(n), params.use_entropy);
+    if (ShouldStop(depth)) return MakeLeaf(n);
+    const double parent_imp = Impurity(totals, static_cast<double>(n));
 
     const std::vector<size_t> features =
         SampleFeatures(d, params.max_features, rng);
@@ -353,7 +336,7 @@ void DecisionTreeClassifier::FitOnRows(const Matrix& x,
                                        const std::vector<size_t>& rows) {
   const std::vector<size_t> encoded = PrepareFitOnRows(x, y, rows);
   FeatureTable ft;
-  ft.Build(x, rows, params_.max_bins);
+  ft.Build(x, rows);
   std::vector<size_t> compact(rows.size());
   std::iota(compact.begin(), compact.end(), size_t{0});
   FitBinned(ft, encoded, encoder_.num_classes(), compact);
@@ -423,14 +406,17 @@ size_t DecisionTreeClassifier::Depth() const {
 }
 
 void DecisionTreeClassifier::SaveBinary(BinaryWriter* w) const {
+  // Retired training slots hold the constants the trainer uses:
+  // min_samples_leaf 1, min_samples_split 2, use_entropy 0 (Gini) and
+  // max_bins 256.
   w->WriteSize(params_.max_depth);
-  w->WriteSize(params_.min_samples_leaf);
-  w->WriteSize(params_.min_samples_split);
+  w->WriteSize(1);
+  w->WriteSize(2);
   w->WriteSize(params_.max_features);
-  w->WriteBool(params_.use_entropy);
+  w->WriteBool(false);
   w->WriteU64(params_.seed);
   w->WriteU8(0);  // reserved: the retired split-mode byte.
-  w->WriteSize(params_.max_bins);
+  w->WriteSize(FeatureTable::kMaxBins);
   SaveEncoder(w);
   w->WriteSize(num_classes_internal_);
   const Node* nodes = node_data();
@@ -459,14 +445,16 @@ void DecisionTreeClassifier::SaveBinary(BinaryWriter* w) const {
 }
 
 void DecisionTreeClassifier::LoadBinary(BinaryReader* r) {
+  // The retired training slots are read past: the stored nodes and leaf
+  // distributions alone decide predictions.
   params_.max_depth = r->ReadSize();
-  params_.min_samples_leaf = r->ReadSize();
-  params_.min_samples_split = r->ReadSize();
+  r->ReadSize();  // min_samples_leaf
+  r->ReadSize();  // min_samples_split
   params_.max_features = r->ReadSize();
-  params_.use_entropy = r->ReadBool();
+  SkipRetiredFlag(r, "DecisionTree use_entropy");
   params_.seed = r->ReadU64();
   SkipRetiredFlag(r, "DecisionTree split mode");
-  params_.max_bins = r->ReadSize();
+  r->ReadSize();  // max_bins
   LoadEncoder(r);
   num_classes_internal_ = r->ReadSize();
   ResetStorage();

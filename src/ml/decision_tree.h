@@ -14,9 +14,10 @@ namespace mvg {
 class HistogramReducer;
 
 /// CART classification tree: greedy binary splits on axis-aligned
-/// thresholds minimising Gini impurity (or entropy). Supports per-node
-/// random feature subsampling (`max_features`) so it doubles as the
-/// Random Forest base learner.
+/// thresholds minimising Gini impurity. Supports per-node random feature
+/// subsampling (`max_features`) so it doubles as the Random Forest base
+/// learner. A node splits while it holds two or more classes, and every
+/// split leaves at least one row on each side.
 ///
 /// Split finding runs on quantile-binned histograms: features are
 /// quantized once into <= 256 bins by a FeatureTable, each node scans the
@@ -29,14 +30,9 @@ class DecisionTreeClassifier : public Classifier {
  public:
   struct Params {
     size_t max_depth = 16;
-    size_t min_samples_leaf = 1;
-    size_t min_samples_split = 2;
     /// Number of features examined per split; 0 = all features.
     size_t max_features = 0;
-    bool use_entropy = false;  ///< Gini by default.
-    uint64_t seed = 42;        ///< For feature subsampling.
-    /// Histogram resolution (clamped to [2, 256]).
-    size_t max_bins = FeatureTable::kMaxBins;
+    uint64_t seed = 42;  ///< For feature subsampling.
     /// Distributed histogram-merge seam (runtime-only, never serialized).
     /// When set, this rank scans only its owned slice of the rows and
     /// node histograms/totals are allreduced in exact int64 arithmetic

@@ -12,14 +12,13 @@
 
 namespace mvg {
 
-void FeatureTable::Build(const Matrix& x, size_t max_bins) {
+void FeatureTable::Build(const Matrix& x) {
   std::vector<size_t> rows(x.size());
   std::iota(rows.begin(), rows.end(), size_t{0});
-  Build(x, rows, max_bins);
+  Build(x, rows);
 }
 
-void FeatureTable::Build(const Matrix& x, const std::vector<size_t>& rows,
-                         size_t max_bins) {
+void FeatureTable::Build(const Matrix& x, const std::vector<size_t>& rows) {
   if (rows.empty()) {
     throw std::invalid_argument("FeatureTable: no rows");
   }
@@ -31,7 +30,6 @@ void FeatureTable::Build(const Matrix& x, const std::vector<size_t>& rows,
                                   std::to_string(d));
     }
   }
-  max_bins = std::min(std::max<size_t>(max_bins, 2), kMaxBins);
   num_rows_ = rows.size();
   num_features_ = d;
   src_rows_ = rows;
@@ -49,7 +47,7 @@ void FeatureTable::Build(const Matrix& x, const std::vector<size_t>& rows,
     for (size_t i = 0; i < num_rows_; ++i) column[i] = x[rows[i]][f];
     QuantileSketch sketch(std::max<size_t>(num_rows_, 2));
     sketch.AddBulk(column.data(), num_rows_);
-    const std::vector<double> cuts = sketch.ComputeCuts(max_bins);
+    const std::vector<double> cuts = sketch.ComputeCuts(kMaxBins);
     cuts_.insert(cuts_.end(), cuts.begin(), cuts.end());
     cut_offset_[f + 1] = cuts_.size();
 

@@ -15,7 +15,7 @@ namespace mvg {
 /// Column-major, quantile-binned view of a (subset of a) row-major Matrix.
 ///
 /// Build() transposes the selected rows once and quantizes every feature
-/// into at most `max_bins` bins: when a feature has <= max_bins distinct
+/// into at most kMaxBins bins: when a feature has <= kMaxBins distinct
 /// values the bins are exact (one per value, cut points at midpoints of
 /// consecutive distinct values, so histogram split finding enumerates
 /// every distinct-value boundary an exact pre-sorted sweep would);
@@ -35,14 +35,13 @@ class FeatureTable {
   FeatureTable() = default;
 
   /// Builds the binned view of x restricted to `rows` (original row
-  /// indices; must be non-empty, duplicates allowed). `max_bins` is
-  /// clamped to [2, 256]. Throws std::invalid_argument on an empty row
-  /// set or rows of differing widths.
-  void Build(const Matrix& x, const std::vector<size_t>& rows,
-             size_t max_bins = kMaxBins);
+  /// indices; must be non-empty, duplicates allowed). Throws
+  /// std::invalid_argument on an empty row set or rows of differing
+  /// widths.
+  void Build(const Matrix& x, const std::vector<size_t>& rows);
 
   /// Convenience: all rows of x.
-  void Build(const Matrix& x, size_t max_bins = kMaxBins);
+  void Build(const Matrix& x);
 
   /// Initializes the table from externally computed cut points (the
   /// streaming sketch path: CutSketcher::Finish supplies cuts from one

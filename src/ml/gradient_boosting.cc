@@ -34,6 +34,10 @@ void SoftmaxInto(const double* logits, size_t k, double* p) {
 
 double Sigmoid(double z) { return 1.0 / (1.0 + std::exp(-z)); }
 
+/// L2 regularisation on leaf weights (XGBoost's default). Splits need no
+/// minimum gain beyond the 1e-12 floor.
+constexpr double kLambda = 1.0;
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -197,7 +201,7 @@ struct GradientBoostingClassifier::HistBuilder {
 
     auto make_leaf = [&]() {
       TreeNode leaf;
-      leaf.weight = -g_sum / (h_sum + params.lambda);
+      leaf.weight = -g_sum / (h_sum + kLambda);
       if (buf != kNoBuf) hpool.Release(buf);
       tree->push_back(leaf);
       node_bins->push_back(0);
@@ -212,9 +216,9 @@ struct GradientBoostingClassifier::HistBuilder {
     }
     const double* hist = hpool.hist(buf);
 
-    const GainNode node{g_sum, h_sum, params.lambda, params.min_child_weight,
-                        g_sum * g_sum / (h_sum + params.lambda)};
-    double best_gain = params.gamma + 1e-12;
+    const GainNode node{g_sum, h_sum, kLambda, params.min_child_weight,
+                        g_sum * g_sum / (h_sum + kLambda)};
+    double best_gain = 1e-12;
     size_t best_bin = 0;
     obs::Count(obs::PipelineMetrics::Get().train_split_searches);
 
@@ -275,7 +279,7 @@ void GradientBoostingClassifier::FitOnRows(const Matrix& x,
                                            const std::vector<size_t>& rows) {
   const std::vector<size_t> encoded = PrepareFitOnRows(x, y, rows);
   FeatureTable ft;
-  ft.Build(x, rows, params_.max_bins);
+  ft.Build(x, rows);
   std::vector<size_t> compact(rows.size());
   std::iota(compact.begin(), compact.end(), size_t{0});
   FitTable(ft, compact, encoded);
@@ -506,17 +510,19 @@ std::vector<size_t> GradientBoostingClassifier::TopFeatures(size_t k) const {
 }
 
 void GradientBoostingClassifier::SaveBinary(BinaryWriter* w) const {
+  // Retired training slots hold the constants the trainer uses: lambda
+  // 1.0, gamma 0.0 and max_bins 256.
   w->WriteDouble(params_.learning_rate);
   w->WriteSize(params_.num_rounds);
   w->WriteSize(params_.max_depth);
-  w->WriteDouble(params_.lambda);
-  w->WriteDouble(params_.gamma);
+  w->WriteDouble(kLambda);
+  w->WriteDouble(0.0);
   w->WriteDouble(params_.min_child_weight);
   w->WriteDouble(params_.subsample);
   w->WriteDouble(params_.colsample);
   w->WriteU64(params_.seed);
   w->WriteU8(0);  // reserved: the retired split-mode byte.
-  w->WriteSize(params_.max_bins);
+  w->WriteSize(FeatureTable::kMaxBins);
   SaveEncoder(w);
   w->WriteSize(num_features_);
   w->WriteDoubleVec(base_score_);
@@ -567,17 +573,19 @@ void GradientBoostingClassifier::ValidateTrees(size_t feature_bound) const {
 }
 
 void GradientBoostingClassifier::LoadBinary(BinaryReader* r) {
+  // The retired training slots are read past: the stored trees and leaf
+  // weights alone decide predictions.
   params_.learning_rate = r->ReadDouble();
   params_.num_rounds = r->ReadSize();
   params_.max_depth = r->ReadSize();
-  params_.lambda = r->ReadDouble();
-  params_.gamma = r->ReadDouble();
+  r->ReadDouble();  // lambda
+  r->ReadDouble();  // gamma
   params_.min_child_weight = r->ReadDouble();
   params_.subsample = r->ReadDouble();
   params_.colsample = r->ReadDouble();
   params_.seed = r->ReadU64();
   SkipRetiredFlag(r, "GradientBoosting split mode");
-  params_.max_bins = r->ReadSize();
+  r->ReadSize();  // max_bins
   LoadEncoder(r);
   num_features_ = r->ReadSize();
   base_score_ = r->ReadDoubleVec();

@@ -19,10 +19,12 @@ class HistogramReducer;
 ///
 /// Implements: logistic loss (binary) and softmax (multiclass, one tree per
 /// class per round); greedy splits maximising the regularised gain
-///   0.5 * (GL^2/(HL+lambda) + GR^2/(HR+lambda) - G^2/(H+lambda)) - gamma;
-/// leaf weights -G/(H+lambda); shrinkage (`learning_rate`); row subsampling
-/// and per-tree column subsampling (the paper fixes both at 0.5 to prevent
-/// overfitting); and gain-based feature importances (used for Fig. 10).
+///   0.5 * (GL^2/(HL+lambda) + GR^2/(HR+lambda) - G^2/(H+lambda))
+/// with XGBoost's defaults, lambda = 1 and no minimum split gain (gamma =
+/// 0); leaf weights -G/(H+lambda); shrinkage (`learning_rate`); row
+/// subsampling and per-tree column subsampling (the paper fixes both at
+/// 0.5 to prevent overfitting); and gain-based feature importances (used
+/// for Fig. 10).
 ///
 /// Split finding runs on quantile-binned gradient/hessian histograms: the
 /// FeatureTable is built once per Fit (Fit/FitOnRows bin the matrix rows
@@ -48,13 +50,10 @@ class GradientBoostingClassifier : public Classifier {
     double learning_rate = 0.1;
     size_t num_rounds = 50;
     size_t max_depth = 4;
-    double lambda = 1.0;          ///< L2 regularisation on leaf weights.
-    double gamma = 0.0;           ///< Minimum gain to split.
     double min_child_weight = 1.0;
     double subsample = 1.0;       ///< Row sampling per round.
     double colsample = 1.0;       ///< Column sampling per tree.
     uint64_t seed = 42;
-    size_t max_bins = FeatureTable::kMaxBins;
     /// Worker threads (per-class trees within a round, per-sample loss
     /// loops); results are identical for every value. Runtime knob only —
     /// not serialized.

@@ -22,7 +22,7 @@ void RandomForestClassifier::FitOnRows(const Matrix& x,
                                        const std::vector<size_t>& rows) {
   const std::vector<size_t> encoded = PrepareFitOnRows(x, y, rows);
   FeatureTable ft;
-  ft.Build(x, rows, params_.max_bins);
+  ft.Build(x, rows);
   std::vector<size_t> compact(rows.size());
   std::iota(compact.begin(), compact.end(), size_t{0});
   FitTable(ft, compact, encoded);
@@ -39,11 +39,8 @@ void RandomForestClassifier::FitTable(const FeatureTable& ft,
                                       const std::vector<size_t>& encoded) {
   const size_t n = rows.size();
   const size_t d = ft.num_features();
-  const size_t mtry =
-      params_.max_features > 0
-          ? params_.max_features
-          : std::max<size_t>(1, static_cast<size_t>(std::sqrt(
-                                    static_cast<double>(d))));
+  const size_t mtry = std::max<size_t>(
+      1, static_cast<size_t>(std::sqrt(static_cast<double>(d))));
 
   // The tree engine reads labels by table row id; scatter the compact
   // encoding into a table-sized vector (rows outside the subset are never
@@ -64,11 +61,7 @@ void RandomForestClassifier::FitTable(const FeatureTable& ft,
     tree_seeds[t] = rng.engine()();
     std::vector<size_t>& trows = tree_rows[t];
     trows.resize(n);
-    if (params_.bootstrap) {
-      for (size_t i = 0; i < n; ++i) trows[i] = rows[rng.Index(n)];
-    } else {
-      trows = rows;
-    }
+    for (size_t i = 0; i < n; ++i) trows[i] = rows[rng.Index(n)];
   }
 
   // Distributed fits run the tree loop sequentially: every tree issues
@@ -79,10 +72,8 @@ void RandomForestClassifier::FitTable(const FeatureTable& ft,
   ParallelFor(params_.num_trees, tree_threads, [&](size_t t) {
     DecisionTreeClassifier::Params tp;
     tp.max_depth = params_.max_depth;
-    tp.min_samples_leaf = params_.min_samples_leaf;
     tp.max_features = mtry;
     tp.seed = tree_seeds[t];
-    tp.max_bins = params_.max_bins;
     tp.reducer = params_.reducer;
     trees_[t] = DecisionTreeClassifier(tp);
     trees_[t].FitBinned(ft, y_table, encoder_.num_classes(), tree_rows[t]);
@@ -125,28 +116,33 @@ std::string RandomForestClassifier::Name() const {
 }
 
 void RandomForestClassifier::SaveBinary(BinaryWriter* w) const {
+  // Retired training slots hold the constants the trainer uses:
+  // min_samples_leaf 1, max_features 0 (floor(sqrt(d))), bootstrap 1 and
+  // max_bins 256.
   w->WriteSize(params_.num_trees);
   w->WriteSize(params_.max_depth);
-  w->WriteSize(params_.min_samples_leaf);
-  w->WriteSize(params_.max_features);
-  w->WriteBool(params_.bootstrap);
+  w->WriteSize(1);
+  w->WriteSize(0);
+  w->WriteBool(true);
   w->WriteU64(params_.seed);
   w->WriteU8(0);  // reserved: the retired split-mode byte.
-  w->WriteSize(params_.max_bins);
+  w->WriteSize(FeatureTable::kMaxBins);
   SaveEncoder(w);
   w->WriteSize(trees_.size());
   for (const DecisionTreeClassifier& tree : trees_) tree.SaveBinary(w);
 }
 
 void RandomForestClassifier::LoadBinary(BinaryReader* r) {
+  // The retired training slots are read past: the stored trees alone
+  // decide predictions.
   params_.num_trees = r->ReadSize();
   params_.max_depth = r->ReadSize();
-  params_.min_samples_leaf = r->ReadSize();
-  params_.max_features = r->ReadSize();
-  params_.bootstrap = r->ReadBool();
+  r->ReadSize();  // min_samples_leaf
+  r->ReadSize();  // max_features
+  SkipRetiredFlag(r, "RandomForest bootstrap");
   params_.seed = r->ReadU64();
   SkipRetiredFlag(r, "RandomForest split mode");
-  params_.max_bins = r->ReadSize();
+  r->ReadSize();  // max_bins
   LoadEncoder(r);
   const size_t count = r->ReadSize();
   // Each tree body opens with four u64 hyper-parameters.

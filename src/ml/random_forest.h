@@ -13,7 +13,9 @@ namespace mvg {
 
 /// Random Forest: bagged CART trees with per-node feature subsampling,
 /// probabilities averaged over trees (one of the paper's three generic
-/// classifier families, §3.2/§4.3).
+/// classifier families, §3.2/§4.3). Every tree trains on a bootstrap
+/// draw of the rows and examines max(1, floor(sqrt(d))) features per
+/// split.
 ///
 /// Training runs on the histogram engine: the FeatureTable is built once
 /// per forest and shared read-only by every tree, and trees are
@@ -25,12 +27,7 @@ class RandomForestClassifier : public Classifier {
   struct Params {
     size_t num_trees = 100;
     size_t max_depth = 16;
-    size_t min_samples_leaf = 1;
-    /// Features per split; 0 = floor(sqrt(d)).
-    size_t max_features = 0;
-    bool bootstrap = true;
     uint64_t seed = 42;
-    size_t max_bins = FeatureTable::kMaxBins;
     /// Worker threads for tree fitting; results are identical for every
     /// value. Runtime knob only — not serialized.
     size_t num_threads = 1;

@@ -8,14 +8,18 @@
 
 namespace mvg {
 
+namespace {
+
+/// SMO's KKT tolerance, the consecutive no-change sweeps that end training
+/// and the hard cap on sweeps.
+constexpr double kTolerance = 1e-3;
+constexpr size_t kMaxPasses = 5;
+constexpr size_t kMaxIters = 200;
+
+}  // namespace
+
 double SvmClassifier::KernelEval(const std::vector<double>& a,
                                  const std::vector<double>& b) const {
-  if (params_.kernel == Kernel::kLinear) {
-    double acc = 0.0;
-    const size_t d = std::min(a.size(), b.size());
-    for (size_t i = 0; i < d; ++i) acc += a[i] * b[i];
-    return acc;
-  }
   double sq = 0.0;
   const size_t d = std::min(a.size(), b.size());
   for (size_t i = 0; i < d; ++i) {
@@ -53,14 +57,14 @@ SvmClassifier::BinaryMachine SvmClassifier::TrainBinary(
 
   Rng rng(params_.seed);
   size_t passes = 0, iters = 0;
-  while (passes < params_.max_passes && iters < params_.max_iters) {
+  while (passes < kMaxPasses && iters < kMaxIters) {
     ++iters;
     size_t changed = 0;
     for (size_t i = 0; i < n; ++i) {
       const double ei = decision(i) - y[i];
-      const bool violates = (y[i] * ei < -params_.tolerance &&
-                             alpha[i] < params_.c) ||
-                            (y[i] * ei > params_.tolerance && alpha[i] > 0.0);
+      const bool violates =
+          (y[i] * ei < -kTolerance && alpha[i] < params_.c) ||
+          (y[i] * ei > kTolerance && alpha[i] > 0.0);
       if (!violates) continue;
       size_t j = rng.Index(n - 1);
       if (j >= i) ++j;
@@ -113,9 +117,7 @@ SvmClassifier::BinaryMachine SvmClassifier::TrainBinary(
 void SvmClassifier::Fit(const Matrix& x, const std::vector<int>& y) {
   const std::vector<size_t> encoded = PrepareFit(x, y);
   const size_t k = encoder_.num_classes();
-  gamma_eff_ = params_.gamma > 0.0
-                   ? params_.gamma
-                   : 1.0 / static_cast<double>(std::max<size_t>(1, x[0].size()));
+  gamma_eff_ = 1.0 / static_cast<double>(std::max<size_t>(1, x[0].size()));
   support_data_ = x;
   machines_.clear();
   machines_.reserve(k);
@@ -166,18 +168,19 @@ std::unique_ptr<Classifier> SvmClassifier::Clone() const {
 }
 
 std::string SvmClassifier::Name() const {
-  return std::string("SVM(") +
-         (params_.kernel == Kernel::kRbf ? "rbf" : "linear") +
-         ",C=" + std::to_string(params_.c).substr(0, 5) + ")";
+  return "SVM(rbf,C=" + std::to_string(params_.c).substr(0, 5) + ")";
 }
 
 void SvmClassifier::SaveBinary(BinaryWriter* w) const {
-  w->WriteU8(params_.kernel == Kernel::kRbf ? 1 : 0);
+  // Retired training slots hold the constants the trainer uses: kernel
+  // byte 1 (RBF), gamma 0.0 (1/d, stored as gamma_eff below), tolerance
+  // 1e-3, max_passes 5 and max_iters 200.
+  w->WriteU8(1);
   w->WriteDouble(params_.c);
-  w->WriteDouble(params_.gamma);
-  w->WriteDouble(params_.tolerance);
-  w->WriteSize(params_.max_passes);
-  w->WriteSize(params_.max_iters);
+  w->WriteDouble(0.0);
+  w->WriteDouble(kTolerance);
+  w->WriteSize(kMaxPasses);
+  w->WriteSize(kMaxIters);
   w->WriteU64(params_.seed);
   SaveEncoder(w);
   w->WriteDouble(gamma_eff_);
@@ -210,12 +213,24 @@ void SvmClassifier::SaveBinary(BinaryWriter* w) const {
 }
 
 void SvmClassifier::LoadBinary(BinaryReader* r) {
-  params_.kernel = r->ReadU8() != 0 ? Kernel::kRbf : Kernel::kLinear;
+  // Prediction evaluates the RBF kernel, so a file must say so. The other
+  // retired training slots are read past: gamma_eff, the support vectors
+  // and the machines alone decide predictions.
+  const uint8_t kernel = r->ReadU8();
+  if (kernel == 0) {
+    throw SerializationError(
+        "SVM: kernel byte 0 names the retired linear kernel; this build "
+        "predicts with the RBF kernel only");
+  }
+  if (kernel != 1) {
+    throw SerializationError("SVM: out-of-range kernel byte " +
+                             std::to_string(kernel));
+  }
   params_.c = r->ReadDouble();
-  params_.gamma = r->ReadDouble();
-  params_.tolerance = r->ReadDouble();
-  params_.max_passes = r->ReadSize();
-  params_.max_iters = r->ReadSize();
+  r->ReadDouble();  // gamma
+  r->ReadDouble();  // tolerance
+  r->ReadSize();    // max_passes
+  r->ReadSize();    // max_iters
   params_.seed = r->ReadU64();
   LoadEncoder(r);
   gamma_eff_ = r->ReadDouble();

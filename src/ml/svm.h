@@ -10,24 +10,18 @@
 
 namespace mvg {
 
-/// Kernel support vector machine trained with simplified SMO, extended to
-/// multiclass with one-vs-rest (one of the paper's three classifier
-/// families). Probabilities come from a softmax over the per-class margin
-/// scores, which is what the stacked ensemble consumes.
+/// RBF-kernel support vector machine trained with simplified SMO, extended
+/// to multiclass with one-vs-rest (one of the paper's three classifier
+/// families). The kernel width is gamma = 1/d for d features. Probabilities
+/// come from a softmax over the per-class margin scores, which is what the
+/// stacked ensemble consumes.
 ///
 /// The paper min-max scales features before SVM training (§4.3); combine
 /// with MinMaxScaler from ml/preprocessing.h.
 class SvmClassifier : public Classifier {
  public:
-  enum class Kernel { kLinear, kRbf };
-
   struct Params {
-    Kernel kernel = Kernel::kRbf;
-    double c = 1.0;          ///< Soft-margin penalty.
-    double gamma = 0.0;      ///< RBF width; 0 = 1/num_features.
-    double tolerance = 1e-3;
-    size_t max_passes = 5;   ///< Consecutive no-change sweeps before stop.
-    size_t max_iters = 200;  ///< Hard cap on sweeps.
+    double c = 1.0;  ///< Soft-margin penalty.
     uint64_t seed = 42;
   };
 

@@ -266,8 +266,9 @@ void MvgClassifier::BuildSections(std::string* pipeline, std::string* scaler,
   SaveMvgConfig(config_.extractor, &pipeline_w);
   pipeline_w.WriteU8(static_cast<uint8_t>(config_.model));
   pipeline_w.WriteU8(static_cast<uint8_t>(config_.grid));
-  pipeline_w.WriteBool(config_.oversample);
-  pipeline_w.WriteSize(config_.cv_folds);
+  // Retired training slots: oversample (always on) and cv_folds.
+  pipeline_w.WriteBool(true);
+  pipeline_w.WriteSize(kCvFolds);
   pipeline_w.WriteSize(config_.stacking_top_k);
   pipeline_w.WriteU64(config_.seed);
   // num_threads is a runtime knob (results are thread-count invariant)
@@ -310,8 +311,8 @@ MvgClassifier MvgClassifier::FromSectionReaders(BinaryReader* pipeline,
   config.model = static_cast<MvgModel>(CheckedEnum(pipeline, 3, "MvgModel"));
   config.grid =
       static_cast<GridPreset>(CheckedEnum(pipeline, 2, "GridPreset"));
-  config.oversample = pipeline->ReadBool();
-  config.cv_folds = pipeline->ReadSize();
+  SkipRetiredFlag(pipeline, "model file: oversample");
+  pipeline->ReadSize();  // retired cv_folds
   config.stacking_top_k = pipeline->ReadSize();
   config.seed = pipeline->ReadU64();
   SkipRetiredFlag(pipeline, "model file: exact_splits");

@@ -244,7 +244,6 @@ TEST(MvgClassifierEdgeCases, SingleClassTrainingPredictsThatClass) {
   const Dataset train = testutil::MakeNoiseDataset("mono", {7}, 6, 96, 0);
   MvgClassifier::Config config;
   config.grid = GridPreset::kNone;
-  config.oversample = false;
   MvgClassifier clf(config);
   clf.Fit(train);
   EXPECT_EQ(clf.Predict(GaussianNoise(96, 42)), 7);

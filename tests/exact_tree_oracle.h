@@ -4,15 +4,14 @@
 // Brute-force reference for the histogram CART engine: the exact
 // pre-sorted split sweep over raw feature values (sort the node's rows per
 // feature, try every boundary between distinct values). Same stopping
-// rules, same seeded per-node feature sampling, same gain arithmetic as
+// rules, same seeded per-node feature sampling, same Gini arithmetic as
 // DecisionTreeClassifier — so whenever the FeatureTable binning is exact
-// (<= max_bins distinct values per feature) the two must grow the same
+// (<= kMaxBins distinct values per feature) the two must grow the same
 // tree, and training-row probabilities must match bit for bit. Thresholds
 // differ (node-local midpoints here, table-wide cut midpoints there), so
 // held-out rows may route differently.
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
@@ -29,9 +28,8 @@ namespace testutil {
 class ExactTreeOracle {
  public:
   /// Grows the exact tree over x[rows] (duplicates allowed — bootstrap),
-  /// labels `y` already encoded to [0, k). Honours max_depth,
-  /// min_samples_leaf, min_samples_split, max_features (seeded by
-  /// params.seed) and use_entropy.
+  /// labels `y` already encoded to [0, k). Honours max_depth and
+  /// max_features (seeded by params.seed).
   ExactTreeOracle(const Matrix& x, const std::vector<size_t>& y, size_t k,
                   const std::vector<size_t>& rows,
                   const DecisionTreeClassifier::Params& params)
@@ -62,15 +60,6 @@ class ExactTreeOracle {
 
   double Impurity(const std::vector<double>& hist, double total) const {
     if (total <= 0.0) return 0.0;
-    if (params_.use_entropy) {
-      double imp = 0.0;
-      for (double c : hist) {
-        if (c <= 0.0) continue;
-        const double p = c / total;
-        imp -= p * std::log2(p);
-      }
-      return imp;
-    }
     double imp = 1.0;
     for (double c : hist) {
       const double p = c / total;
@@ -92,7 +81,7 @@ class ExactTreeOracle {
 
     const bool pure = std::count_if(hist.begin(), hist.end(),
                                     [](double c) { return c > 0.0; }) <= 1;
-    if (depth >= params_.max_depth || n < params_.min_samples_split || pure) {
+    if (depth >= params_.max_depth || pure) {
       return make_leaf();
     }
     const double parent_imp = Impurity(hist, static_cast<double>(n));
@@ -107,7 +96,6 @@ class ExactTreeOracle {
     double best_gain = 1e-12;
     int best_feature = -1;
     double best_threshold = 0.0;
-    const double min_leaf = static_cast<double>(params_.min_samples_leaf);
     std::vector<std::pair<double, size_t>> vals(n);  // (value, class)
     std::vector<double> left(k_), right(k_);
     for (size_t f : features) {
@@ -122,7 +110,6 @@ class ExactTreeOracle {
         nl += 1.0;
         if (vals[i].first == vals[i + 1].first) continue;
         const double nr = static_cast<double>(n) - nl;
-        if (nl < min_leaf || nr < min_leaf) continue;
         for (size_t c = 0; c < k_; ++c) right[c] = hist[c] - left[c];
         const double gain =
             parent_imp -

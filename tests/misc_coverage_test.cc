@@ -11,10 +11,8 @@
 #include "core/feature_extractor.h"
 #include "core/mvg_classifier.h"
 #include "ml/decision_tree.h"
-#include "ml/gradient_boosting.h"
 #include "ml/metrics.h"
 #include "ml/model_selection.h"
-#include "ml/random_forest.h"
 #include "ml/svm.h"
 #include "ts/multiscale.h"
 #include "util/random.h"
@@ -65,59 +63,6 @@ TEST(FeatureModeTest, ToStringCoversAllModes) {
   EXPECT_STREQ(ToString(GraphMode::kVgAndHvg), "VG+HVG");
 }
 
-TEST(GradientBoostingTest, StrongerL2ShrinksLeafMagnitude) {
-  // With huge lambda every leaf weight approaches 0, so predictions stay
-  // near the base rate.
-  Rng rng(5);
-  Matrix x;
-  std::vector<int> y;
-  for (int i = 0; i < 60; ++i) {
-    const double v = rng.Uniform(-1, 1);
-    x.push_back({v});
-    y.push_back(v > 0 ? 1 : 0);
-  }
-  GradientBoostingClassifier::Params weak, strong;
-  weak.lambda = 1.0;
-  weak.num_rounds = 20;
-  strong.lambda = 1e6;
-  strong.num_rounds = 20;
-  GradientBoostingClassifier a(weak), b(strong);
-  a.Fit(x, y);
-  b.Fit(x, y);
-  // The heavily regularised model is much less confident.
-  const auto pa = a.PredictProba({0.9});
-  const auto pb = b.PredictProba({0.9});
-  EXPECT_GT(pa[1], pb[1]);
-  EXPECT_NEAR(pb[1], 0.5, 0.05);
-}
-
-TEST(GradientBoostingTest, GammaPrunesSplits) {
-  Rng rng(6);
-  Matrix x;
-  std::vector<int> y;
-  for (int i = 0; i < 60; ++i) {
-    x.push_back({rng.Gaussian()});
-    y.push_back(i % 2);  // label independent of feature -> tiny gains only
-  }
-  GradientBoostingClassifier::Params p;
-  p.gamma = 100.0;  // no split can clear this bar
-  p.num_rounds = 10;
-  GradientBoostingClassifier gbt(p);
-  gbt.Fit(x, y);
-  for (double g : gbt.FeatureGains()) EXPECT_EQ(g, 0.0);
-}
-
-TEST(RandomForestTest, NoBootstrapUsesAllRows) {
-  Matrix x = {{0.0}, {1.0}, {2.0}, {10.0}, {11.0}, {12.0}};
-  std::vector<int> y = {0, 0, 0, 1, 1, 1};
-  RandomForestClassifier::Params p;
-  p.bootstrap = false;
-  p.num_trees = 5;
-  RandomForestClassifier rf(p);
-  rf.Fit(x, y);
-  EXPECT_EQ(ErrorRate(y, rf.PredictAll(x)), 0.0);
-}
-
 TEST(SvmTest, DecisionFunctionSignMatchesPrediction) {
   Rng rng(7);
   Matrix x;
@@ -161,22 +106,6 @@ TEST(MetricsTest, LogLossRejectsUnknownLabel) {
 
 TEST(ConfusionMatrixTest, RejectsUnknownLabel) {
   EXPECT_THROW(ConfusionMatrix({0}, {7}, {0, 1}), std::invalid_argument);
-}
-
-TEST(DecisionTreeTest, EntropyCriterionAlsoLearns) {
-  Rng rng(9);
-  Matrix x;
-  std::vector<int> y;
-  for (int i = 0; i < 80; ++i) {
-    const double v = rng.Uniform(-1, 1);
-    x.push_back({v});
-    y.push_back(v > 0.2 ? 1 : 0);
-  }
-  DecisionTreeClassifier::Params p;
-  p.use_entropy = true;
-  DecisionTreeClassifier tree(p);
-  tree.Fit(x, y);
-  EXPECT_LE(ErrorRate(y, tree.PredictAll(x)), 0.05);
 }
 
 TEST(MvgClassifierTest, ExtendedModeNameAndConfig) {

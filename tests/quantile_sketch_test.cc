@@ -117,17 +117,17 @@ TEST(QuantileSketchTest, AddZerosMatchesExplicitZeros) {
 TEST(QuantileSketchTest, SmallStreamCutsEqualExactPathBitForBit) {
   // n <= block: the sketch holds the raw column, so its cuts must equal
   // the exact FeatureTable quantization bit for bit. Sweep n across both
-  // cut regimes (distinct <= max_bins midpoints, and rank-based).
+  // cut regimes (distinct <= kMaxBins midpoints, and rank-based).
   for (size_t n : {5u, 40u, 200u, 1000u}) {
     const auto values = GaussianStream(n, n);
     QuantileSketch s(kSketchBlock);
     for (double v : values) s.Add(v);
-    const auto sketch_cuts = s.ComputeCuts(16);
+    const auto sketch_cuts = s.ComputeCuts(FeatureTable::kMaxBins);
 
     Matrix x(n);
     for (size_t i = 0; i < n; ++i) x[i] = {values[i]};
     FeatureTable ft;
-    ft.Build(x, 16);
+    ft.Build(x);
     std::vector<double> exact_cuts(ft.num_bins(0) - 1);
     for (size_t b = 0; b + 1 < ft.num_bins(0); ++b) {
       exact_cuts[b] = ft.threshold(0, b);

@@ -179,16 +179,7 @@ TEST(ClassifierRegistryTest, GradientBoostingRoundTrip) {
 }
 
 TEST(ClassifierRegistryTest, SvmRoundTrip) {
-  SvmClassifier::Params p;
-  p.kernel = SvmClassifier::Kernel::kRbf;
-  SvmClassifier clf(p);
-  ExpectRegistryRoundTrip(&clf);
-}
-
-TEST(ClassifierRegistryTest, LinearSvmRoundTrip) {
-  SvmClassifier::Params p;
-  p.kernel = SvmClassifier::Kernel::kLinear;
-  SvmClassifier clf(p);
+  SvmClassifier clf;
   ExpectRegistryRoundTrip(&clf);
 }
 
@@ -887,6 +878,29 @@ class SplitFeatureBoundTest : public V3FramingTest {
     EXPECT_THROW(LoadModelView(buf.data(), blob.size()), SerializationError);
   }
 
+  /// LoadModel and the fully verified LoadModelView both refuse the file
+  /// with a SerializationError whose message contains `want`.
+  static void ExpectBothRejectedNaming(const std::string& blob,
+                                       const std::string& want) {
+    try {
+      std::istringstream is(blob, std::ios::binary);
+      LoadModel(is);
+      ADD_FAILURE() << "LoadModel accepted the file";
+    } catch (const SerializationError& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
+    std::vector<uint64_t> buf((blob.size() + 7) / 8);
+    std::memcpy(buf.data(), blob.data(), blob.size());
+    try {
+      LoadModelView(buf.data(), blob.size(), ModelVerify::kFull);
+      ADD_FAILURE() << "LoadModelView accepted the file";
+    } catch (const SerializationError& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
+  }
+
   /// A split on the last feature loads and predicts; one on the feature
   /// width, or far past it, is rejected.
   static void ExpectSplitBoundEnforced(MvgModel model) {
@@ -939,24 +953,7 @@ class RetiredTypeTagTest : public SplitFeatureBoundTest {
   static void ExpectTagRejected(std::string blob, size_t offset) {
     PutU32(&blob, offset, 5);
     FixCrcs(&blob, kModelEntry);
-    const std::string want = "unknown type tag 5";
-    try {
-      std::istringstream is(blob, std::ios::binary);
-      LoadModel(is);
-      ADD_FAILURE() << "LoadModel accepted type tag 5";
-    } catch (const SerializationError& e) {
-      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
-          << e.what();
-    }
-    std::vector<uint64_t> buf((blob.size() + 7) / 8);
-    std::memcpy(buf.data(), blob.data(), blob.size());
-    try {
-      LoadModelView(buf.data(), blob.size(), ModelVerify::kFull);
-      ADD_FAILURE() << "LoadModelView accepted type tag 5";
-    } catch (const SerializationError& e) {
-      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
-          << e.what();
-    }
+    ExpectBothRejectedNaming(blob, "unknown type tag 5");
   }
 };
 
@@ -980,6 +977,129 @@ TEST_F(RetiredTypeTagTest, StackingMemberRejected) {
   r.ReadDoubleVec();           // bias
   ASSERT_GT(r.ReadSize(), 0u);  // members
   ExpectTagRejected(blob, payload + r.pos());
+}
+
+/// The SVM body opens with its kernel byte (after the u32 type tag), and
+/// prediction evaluates the RBF kernel only: 1 loads, 0 (the retired
+/// linear kernel) and anything else fail both loaders. The CRCs are
+/// resealed, so the byte alone must fail the file.
+class SvmKernelByteTest : public SplitFeatureBoundTest {
+ protected:
+  static void ExpectKernelRejected(uint8_t kernel, const std::string& want) {
+    std::string blob = ReadFixture("v3_svm.mvg");
+    const size_t at = GetU64(blob, Entry(kModelEntry, 8)) + 4;
+    ASSERT_EQ(blob[at], 1) << "writers emit the RBF kernel byte";
+    blob[at] = static_cast<char>(kernel);
+    FixCrcs(&blob, kModelEntry);
+    ExpectBothRejectedNaming(blob, want);
+  }
+};
+
+TEST_F(SvmKernelByteTest, RetiredLinearKernelRejected) {
+  ExpectKernelRejected(0, "retired linear kernel");
+}
+
+TEST_F(SvmKernelByteTest, OutOfRangeKernelRejected) {
+  ExpectKernelRejected(2, "out-of-range kernel byte 2");
+}
+
+/// Offsets of the retired training slots of a forest model file: in the
+/// pipeline section, and in the forest body and its first tree's body.
+struct RetiredForestSlots {
+  size_t oversample = 0, cv_folds = 0;  ///< pipeline section.
+  size_t rf_min_leaf = 0, rf_bootstrap = 0, rf_max_bins = 0;
+  size_t tree_min_leaf = 0, tree_use_entropy = 0, tree_max_bins = 0;
+};
+
+/// Training-only slots whose fields are retired are read and ignored: the
+/// stored trees and leaf distributions alone decide predictions, so a
+/// file holding other values there predicts exactly as written. A bool
+/// slot still accepts only 0 or 1.
+class RetiredTrainingSlotTest : public SplitFeatureBoundTest {
+ protected:
+  static std::string Forest() { return ReadFixture("v3_random_forest.mvg"); }
+
+  /// Walks the v3 forest fixture (docs/FORMATS.md) to its retired slots,
+  /// checking that each holds the constant writers emit.
+  static RetiredForestSlots Slots(const std::string& blob) {
+    RetiredForestSlots at;
+    // Pipeline: the retired exact_splits byte sits at payload byte 40,
+    // after oversample (byte 15), cv_folds (16), stacking_top_k (24) and
+    // the seed (32).
+    const size_t pipeline = GetU64(blob, Entry(0, 8));
+    at.oversample = pipeline + 15;
+    at.cv_folds = pipeline + 16;
+    EXPECT_EQ(blob[at.oversample], 1);
+    EXPECT_EQ(GetU64(blob, at.cv_folds), MvgClassifier::kCvFolds);
+    EXPECT_EQ(blob[pipeline + 40], 0);
+
+    const size_t payload = GetU64(blob, Entry(kModelEntry, 8));
+    BinaryReader r(blob.data() + payload, GetU64(blob, Entry(kModelEntry, 16)));
+    EXPECT_EQ(r.ReadU32(), 2u);  // random forest
+    r.ReadSize();                // num_trees
+    r.ReadSize();                // max_depth
+    at.rf_min_leaf = payload + r.pos();
+    EXPECT_EQ(r.ReadSize(), 1u);
+    EXPECT_EQ(r.ReadSize(), 0u);  // max_features: floor(sqrt(d))
+    at.rf_bootstrap = payload + r.pos();
+    EXPECT_EQ(r.ReadU8(), 1u);
+    r.ReadU64();  // seed
+    EXPECT_EQ(r.ReadU8(), 0u);  // split mode
+    at.rf_max_bins = payload + r.pos();
+    EXPECT_EQ(r.ReadSize(), FeatureTable::kMaxBins);
+    r.ReadIntVec();  // classes
+    EXPECT_GT(r.ReadSize(), 0u);  // trees
+    r.ReadSize();                 // max_depth
+    at.tree_min_leaf = payload + r.pos();
+    EXPECT_EQ(r.ReadSize(), 1u);
+    EXPECT_EQ(r.ReadSize(), 2u);  // min_samples_split
+    r.ReadSize();                 // max_features: mtry
+    at.tree_use_entropy = payload + r.pos();
+    EXPECT_EQ(r.ReadU8(), 0u);
+    r.ReadU64();  // seed
+    EXPECT_EQ(r.ReadU8(), 0u);  // split mode
+    at.tree_max_bins = payload + r.pos();
+    EXPECT_EQ(r.ReadSize(), FeatureTable::kMaxBins);
+    return at;
+  }
+
+  static void Reseal(std::string* blob) {
+    FixCrcs(blob, 0);
+    FixCrcs(blob, kModelEntry);
+  }
+};
+
+TEST_F(RetiredTrainingSlotTest, OtherValuesLoadAndPredictAsRecorded) {
+  std::string blob = Forest();
+  const RetiredForestSlots at = Slots(blob);
+  blob[at.oversample] = 0;
+  PutU64(&blob, at.cv_folds, 5);
+  PutU64(&blob, at.rf_min_leaf, 5);
+  blob[at.rf_bootstrap] = 0;
+  PutU64(&blob, at.rf_max_bins, 32);
+  PutU64(&blob, at.tree_min_leaf, 5);
+  PutU64(&blob, at.tree_max_bins, 32);
+  Reseal(&blob);
+
+  std::istringstream is(blob, std::ios::binary);
+  ExpectFixturePredictions(LoadModel(is), "v3_random_forest");
+  std::vector<uint64_t> buf((blob.size() + 7) / 8);
+  std::memcpy(buf.data(), blob.data(), blob.size());
+  ExpectFixturePredictions(
+      LoadModelView(buf.data(), blob.size(), ModelVerify::kFull),
+      "v3_random_forest");
+}
+
+TEST_F(RetiredTrainingSlotTest, BoolSlotHoldingTwoRejected) {
+  const std::string blob = Forest();
+  const RetiredForestSlots at = Slots(blob);
+  for (const size_t slot :
+       {at.oversample, at.rf_bootstrap, at.tree_use_entropy}) {
+    std::string patched = blob;
+    patched[slot] = 2;
+    Reseal(&patched);
+    ExpectBothRejectedNaming(patched, "out-of-range value 2");
+  }
 }
 
 TEST_F(ZeroCopyTest, MappedFileBasics) {

@@ -166,7 +166,6 @@ TEST(StreamingFitTest, TwoPassFitRejectsASourceThatChangesBetweenPasses) {
   MvgClassifier::Config config;
   config.model = MvgModel::kXgboost;
   config.grid = GridPreset::kNone;
-  config.oversample = false;  // the table has exactly pass A's rows
   const auto expect_changed = [&](PagedUcrReader* reader) {
     try {
       MvgClassifier(config).FitPaged(reader);
@@ -183,10 +182,11 @@ TEST(StreamingFitTest, TwoPassFitRejectsASourceThatChangesBetweenPasses) {
 
   // Grown: pass A starts where the reader stands and pass B rewinds to
   // the start of the file, so a reader advanced by one page sees the
-  // file grow. Pass A's 64 rows fill the table's padded columns exactly;
-  // pass B's 96 would run past the last one.
+  // file grow. Pass A's 63 rows hold 21 of each class, so oversampling
+  // adds none and the table's columns are padded to 64 rows; pass B's 95
+  // would run past the last one.
   opt.page_rows = 32;
-  const std::string grown = WriteStreamCorpus("stream_grown", 96);
+  const std::string grown = WriteStreamCorpus("stream_grown", 95);
   PagedUcrReader grown_reader(grown, opt);
   ASSERT_TRUE(grown_reader.NextPage(&skipped));
   expect_changed(&grown_reader);

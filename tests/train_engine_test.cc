@@ -91,10 +91,10 @@ TEST(FeatureTableTest, BinRoutingMatchesThresholdRouting) {
     x.push_back({rng.Gaussian(), rng.Uniform(-3, 3)});
   }
   FeatureTable ft;
-  ft.Build(x, 64);
+  ft.Build(x);
   for (size_t f = 0; f < ft.num_features(); ++f) {
     const size_t nb = ft.num_bins(f);
-    ASSERT_LE(nb, 64u);
+    ASSERT_LE(nb, FeatureTable::kMaxBins);
     ASSERT_GE(nb, 2u);
     for (size_t b = 0; b + 1 < nb; ++b) {
       for (size_t i = 0; i < x.size(); ++i) {
@@ -108,7 +108,7 @@ TEST(FeatureTableTest, BinRoutingMatchesThresholdRouting) {
 TEST(FeatureTableTest, RowSubsetUsesCompactIndexing) {
   const Matrix x = {{10.0}, {20.0}, {30.0}, {40.0}};
   FeatureTable ft;
-  ft.Build(x, {3, 1}, 256);
+  ft.Build(x, {3, 1});
   EXPECT_EQ(ft.num_rows(), 2u);
   EXPECT_EQ(ft.source_row(0), 3u);
   EXPECT_EQ(ft.source_row(1), 1u);
@@ -153,7 +153,6 @@ TEST(TrainParity, ForestAccuracyMatchesExact) {
   const size_t n = x.size();
   DecisionTreeClassifier::Params tp;
   tp.max_depth = params.max_depth;
-  tp.min_samples_leaf = params.min_samples_leaf;
   tp.max_features =
       static_cast<size_t>(std::sqrt(static_cast<double>(x[0].size())));
   Rng rng(params.seed);

@@ -21,6 +21,7 @@
 #include "ml/decision_tree.h"
 #include "ml/feature_table.h"
 #include "ml/gradient_boosting.h"
+#include "ml/quantile_sketch.h"
 #include "ml/random_forest.h"
 #include "ml/tree_walk.h"
 #include "tests/tree_walk_oracle.h"
@@ -358,8 +359,14 @@ TEST(TreeWalkTest, BinnedRoundUpdateMatchesScalarDescent) {
       const int levels = rng.Bernoulli(0.5) ? 3 + rng.Int(0, 5) : 1000;
       for (auto& row : x) row[f] = rng.Int(0, levels);
     }
+    // Bin at a drawn resolution below kMaxBins as well: n is under one
+    // sketch block, so the sketch's cuts are the exact ones at that count.
+    CutSketcher sketcher(2 + rng.Index(255));
+    for (const auto& row : x) sketcher.AddRow(row.data(), d);
+    const CutSketcher::FeatureCuts fc = sketcher.Finish();
     FeatureTable ft;
-    ft.Build(x, 2 + rng.Index(255));
+    ft.InitFromCuts(fc.cuts, fc.cut_offset, n);
+    for (size_t i = 0; i < n; ++i) ft.BinRowInto(x[i].data(), d, i);
 
     const size_t num_trees = 1 + rng.Index(kTreeWalkGroup + 1);
     std::vector<std::vector<GbtNode>> trees(num_trees);
