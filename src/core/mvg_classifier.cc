@@ -330,7 +330,7 @@ void MvgClassifier::FitOnExtracted(Matrix x, std::vector<int> y) {
     StackingEnsemble::Params sp;
     sp.num_folds = kCvFolds;
     sp.seed = config_.seed;
-    sp.top_k_per_family = config_.stacking_top_k;
+    sp.top_k_per_family = kStackingTopK;
     sp.num_threads = threads;
     model_ = std::make_unique<StackingEnsemble>(BuildFamilies(threads), sp);
     model_->Fit(x_used, y);

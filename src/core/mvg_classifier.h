@@ -50,14 +50,14 @@ class MvgClassifier : public SeriesClassifier {
   /// Folds of the stratified cross-validation behind the grid search and
   /// the stacked ensemble's out-of-fold predictions (paper §4.2).
   static constexpr size_t kCvFolds = 3;
+  /// Base estimators the stacked ensemble keeps per family (paper
+  /// Algorithm 2 keeps the top five; the small grids need fewer).
+  static constexpr size_t kStackingTopK = 1;
 
   struct Config {
     MvgConfig extractor;
     MvgModel model = MvgModel::kXgboost;
     GridPreset grid = GridPreset::kSmall;
-    /// Base estimators kept per family in the stacked ensemble (paper
-    /// Algorithm 2 keeps the top five; small grids need fewer).
-    size_t stacking_top_k = 1;
     uint64_t seed = 42;
     /// Worker threads for Fit(): batch feature extraction, grid-search
     /// candidate x fold cells, forest trees and per-class boosting trees.

@@ -1,19 +1,13 @@
 #include "dist/coordinator.h"
 
-#include <signal.h>
-#include <sys/socket.h>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <vector>
 
+#include "dist/worker.h"
 #include "obs/obs.h"
 #include "util/binary_io.h"
-#include "util/framing.h"
 
 namespace mvg {
 
@@ -33,57 +27,35 @@ void DecodeI64(const std::string& payload, std::vector<int64_t>* out) {
   }
 }
 
-struct Fleet {
-  std::vector<pid_t> pids;
-  std::vector<int> fds;
+/// Worker-side transport endpoint: each AllreduceSum sends one
+/// kMsgAllreduceI64 frame and blocks for the matching kMsgAllreduceResult.
+class SocketReducer : public HistogramReducer {
+ public:
+  SocketReducer(int fd, size_t rank, size_t world)
+      : coordinator_{fd, "coordinator"}, rank_(rank), world_(world) {}
 
-  // Kills and reaps every still-running worker; used both on the error
-  // paths (so a dead rank can never leave its siblings blocked in a
-  // collective — they die with it instead of hanging) and as the final
-  // cleanup backstop.
-  void KillAll() {
-    for (pid_t pid : pids) {
-      if (pid > 0) kill(pid, SIGKILL);
+  size_t rank() const override { return rank_; }
+  size_t world_size() const override { return world_; }
+
+  void AllreduceSum(int64_t* data, size_t count) override {
+    obs::ObsSpan span(obs::PipelineMetrics::Get().hist_reduce_seconds);
+    const size_t bytes = count * sizeof(int64_t);
+    const Frame resp = Call(coordinator_, kMsgAllreduceI64,
+                            kMsgAllreduceResult, seq_++, data, bytes);
+    if (resp.payload.size() != bytes) {
+      throw std::runtime_error("dist: unexpected allreduce response size");
     }
-    Reap();
+    std::memcpy(data, resp.payload.data(), bytes);
   }
 
-  void Reap() {
-    for (pid_t& pid : pids) {
-      if (pid > 0) {
-        int status = 0;
-        waitpid(pid, &status, 0);
-        pid = -1;
-      }
-    }
-    for (int& fd : fds) {
-      if (fd >= 0) {
-        close(fd);
-        fd = -1;
-      }
-    }
-  }
+ private:
+  Peer coordinator_;
+  size_t rank_;
+  size_t world_;
+  uint64_t seq_ = 0;
 };
 
 }  // namespace
-
-void SocketReducer::AllreduceSum(int64_t* data, size_t count) {
-  obs::ObsSpan span(obs::PipelineMetrics::Get().hist_reduce_seconds);
-  WriteFrame(fd_, kMsgAllreduceI64, seq_, data, count * sizeof(int64_t));
-  Frame resp;
-  if (!ReadFrame(fd_, &resp)) {
-    throw std::runtime_error("dist: coordinator closed the connection");
-  }
-  if (resp.type == kMsgError) {
-    throw std::runtime_error("dist: coordinator error: " + resp.payload);
-  }
-  if (resp.type != kMsgAllreduceResult || resp.seq != seq_ ||
-      resp.payload.size() != count * sizeof(int64_t)) {
-    throw std::runtime_error("dist: unexpected allreduce response");
-  }
-  std::memcpy(data, resp.payload.data(), count * sizeof(int64_t));
-  ++seq_;
-}
 
 std::string RunDistributedTraining(
     size_t workers,
@@ -91,165 +63,68 @@ std::string RunDistributedTraining(
   if (workers == 0) {
     throw std::invalid_argument("dist: workers must be >= 1");
   }
-  // A worker dying mid-conversation must surface as a read/write error,
-  // not kill the coordinator with SIGPIPE.
-  signal(SIGPIPE, SIG_IGN);
-
-  Fleet fleet;
-  fleet.pids.assign(workers, -1);
-  fleet.fds.assign(workers, -1);
-
+  // Every exit from here, return or exception, destroys the fleet, which
+  // kills and reaps every rank still running: a dead rank can never
+  // leave its siblings blocked in a collective.
+  WorkerFleet fleet;
   for (size_t w = 0; w < workers; ++w) {
-    int sv[2];
-    if (socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
-      fleet.KillAll();
-      throw std::runtime_error("dist: socketpair failed: " +
-                               std::string(std::strerror(errno)));
-    }
-    const pid_t pid = fork();
-    if (pid < 0) {
-      close(sv[0]);
-      close(sv[1]);
-      fleet.KillAll();
-      throw std::runtime_error("dist: fork failed: " +
-                               std::string(std::strerror(errno)));
-    }
-    if (pid == 0) {
-      // Worker: keep only our own endpoint.
-      close(sv[0]);
-      for (int fd : fleet.fds) {
-        if (fd >= 0) close(fd);
-      }
-      // The forked registry inherits whatever the parent accumulated
-      // before the fork; zero it so this rank reports only its own work.
-      obs::MetricsRegistry::Global().ZeroAllValues();
-      SocketReducer reducer(sv[1], w, workers);
-      try {
-        const std::string model = fit(&reducer);
-        WriteFrame(sv[1], kMsgModelBytes, 0, model);
-        WriteFrame(sv[1], kMsgMetricsResp, 0,
-                   obs::MetricsRegistry::Global().SerializeState());
-        _exit(0);
-      } catch (const std::exception& e) {
-        try {
-          WriteFrame(sv[1], kMsgError, 0, std::string(e.what()));
-        } catch (...) {
-          // Coordinator already gone; nothing left to report to.
-        }
-        _exit(1);
-      }
-    }
-    close(sv[1]);
-    fleet.pids[w] = pid;
-    fleet.fds[w] = sv[0];
+    fleet.Spawn("worker " + std::to_string(w), [&](int fd) {
+      SocketReducer reducer(fd, w, workers);
+      WriteFrame(fd, kMsgModelBytes, 0, fit(&reducer));
+      WriteFrame(fd, kMsgMetricsResp, 0,
+                 obs::MetricsRegistry::Global().SerializeState());
+    });
   }
 
   // Collective rounds: rank 0's next frame determines the round type;
-  // every other rank must send a matching frame. A worker death (EOF or
-  // torn frame) kills the fleet and surfaces as a clean error.
-  auto read_from = [&fleet](size_t w) -> Frame {
-    Frame f;
-    bool ok = false;
-    try {
-      ok = ReadFrame(fleet.fds[w], &f);
-    } catch (const std::exception& e) {
-      fleet.KillAll();
-      throw std::runtime_error("dist: worker " + std::to_string(w) +
-                               " transport error: " + e.what());
-    }
-    if (!ok) {
-      fleet.KillAll();
-      throw std::runtime_error("dist: worker " + std::to_string(w) +
-                               " exited during training");
-    }
-    return f;
-  };
-  auto worker_error = [&fleet](size_t w, const std::string& message) {
-    fleet.KillAll();
-    throw std::runtime_error("dist: worker " + std::to_string(w) +
-                             " failed: " + message);
-  };
-
+  // every other rank must send a matching frame.
   std::vector<int64_t> acc, part;
-  std::string payload;
-  while (true) {
-    const Frame f0 = read_from(0);
-    if (f0.type == kMsgError) worker_error(0, f0.payload);
-
-    if (f0.type == kMsgAllreduceI64) {
-      DecodeI64(f0.payload, &acc);
-      for (size_t w = 1; w < workers; ++w) {
-        const Frame fw = read_from(w);
-        if (fw.type == kMsgError) worker_error(w, fw.payload);
-        if (fw.type != kMsgAllreduceI64 || fw.seq != f0.seq ||
-            fw.payload.size() != f0.payload.size()) {
-          fleet.KillAll();
-          throw std::runtime_error(
-              "dist: workers desynchronized (rank " + std::to_string(w) +
-              " sent a mismatched collective at seq " +
-              std::to_string(f0.seq) + ")");
-        }
-        DecodeI64(fw.payload, &part);
-        for (size_t i = 0; i < acc.size(); ++i) acc[i] += part[i];
+  Frame f0 = ReadFrom(fleet.peer(0));
+  while (f0.type == kMsgAllreduceI64) {
+    DecodeI64(f0.payload, &acc);
+    for (size_t w = 1; w < workers; ++w) {
+      const Frame fw = ReadFrom(fleet.peer(w), kMsgAllreduceI64, f0.seq);
+      if (fw.payload.size() != f0.payload.size()) {
+        throw std::runtime_error(
+            "dist: workers desynchronized (rank " + std::to_string(w) +
+            " sent a mismatched collective at seq " + std::to_string(f0.seq) +
+            ")");
       }
-      payload.assign(reinterpret_cast<const char*>(acc.data()),
-                     acc.size() * sizeof(int64_t));
-      for (size_t w = 0; w < workers; ++w) {
-        try {
-          WriteFrame(fleet.fds[w], kMsgAllreduceResult, f0.seq, payload);
-        } catch (const std::exception& e) {
-          fleet.KillAll();
-          throw std::runtime_error("dist: worker " + std::to_string(w) +
-                                   " broadcast failed: " + e.what());
-        }
-      }
-      continue;
+      DecodeI64(fw.payload, &part);
+      for (size_t i = 0; i < acc.size(); ++i) acc[i] += part[i];
     }
-
-    if (f0.type == kMsgModelBytes) {
-      // End of training: collect every rank's model and enforce the
-      // bit-identity contract before anything is returned.
-      for (size_t w = 1; w < workers; ++w) {
-        const Frame fw = read_from(w);
-        if (fw.type == kMsgError) worker_error(w, fw.payload);
-        if (fw.type != kMsgModelBytes) {
-          fleet.KillAll();
-          throw std::runtime_error("dist: unexpected frame from worker " +
-                                   std::to_string(w) + " at model exchange");
-        }
-        if (fw.payload != f0.payload) {
-          fleet.KillAll();
-          throw std::runtime_error(
-              "dist: determinism violation — worker " + std::to_string(w) +
-              " produced different model bytes than worker 0");
-        }
-      }
-      // Final protocol step: every rank ships its registry state, merged
-      // into this process's global registry so one dump covers the fleet.
-      for (size_t w = 0; w < workers; ++w) {
-        const Frame fm = read_from(w);
-        if (fm.type == kMsgError) worker_error(w, fm.payload);
-        if (fm.type != kMsgMetricsResp) {
-          fleet.KillAll();
-          throw std::runtime_error("dist: unexpected frame from worker " +
-                                   std::to_string(w) + " at metrics exchange");
-        }
-        try {
-          obs::MetricsRegistry::Global().MergeSerialized(fm.payload);
-        } catch (const std::exception& e) {
-          fleet.KillAll();
-          throw std::runtime_error("dist: worker " + std::to_string(w) +
-                                   " sent malformed metrics: " + e.what());
-        }
-      }
-      fleet.Reap();
-      return f0.payload;
+    for (size_t w = 0; w < workers; ++w) {
+      SendTo(fleet.peer(w), kMsgAllreduceResult, f0.seq, acc.data(),
+             acc.size() * sizeof(int64_t));
     }
-
-    fleet.KillAll();
+    f0 = ReadFrom(fleet.peer(0));
+  }
+  if (f0.type != kMsgModelBytes) {
     throw std::runtime_error("dist: unexpected frame type " +
                              std::to_string(f0.type) + " from worker 0");
   }
+
+  // End of training: collect every rank's model and enforce the
+  // bit-identity contract before anything is returned.
+  for (size_t w = 1; w < workers; ++w) {
+    if (ReadFrom(fleet.peer(w), kMsgModelBytes, 0).payload != f0.payload) {
+      throw std::runtime_error(
+          "dist: determinism violation — worker " + std::to_string(w) +
+          " produced different model bytes than worker 0");
+    }
+  }
+  // Final protocol step: every rank ships its registry state, merged
+  // into this process's global registry so one dump covers the fleet.
+  for (size_t w = 0; w < workers; ++w) {
+    const Frame fm = ReadFrom(fleet.peer(w), kMsgMetricsResp, 0);
+    try {
+      obs::MetricsRegistry::Global().MergeSerialized(fm.payload);
+    } catch (const std::exception& e) {
+      throw std::runtime_error("dist: worker " + std::to_string(w) +
+                               " sent malformed metrics: " + e.what());
+    }
+  }
+  return f0.payload;
 }
 
 }  // namespace mvg

@@ -1,20 +1,12 @@
 #include "dist/shard_router.h"
 
-#include <signal.h>
-#include <sys/socket.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
 #include "obs/obs.h"
 #include "serve/serving.h"
 #include "util/binary_io.h"
-#include "util/framing.h"
 
 namespace mvg {
 
@@ -57,11 +49,12 @@ uint64_t MixId(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-}  // namespace
-
+/// Shard worker main loop (runs in the forked child): serves
+/// kMsgShardRequest/kMsgPing/kMsgStatsReq/kMsgMetricsReq until EOF or
+/// kMsgDrain. `shard_index` labels the worker's global-registry served
+/// counter (mvg_shard_served_total{shard="i"}).
 void RunShardWorker(int fd, const std::string& model_path, bool use_mmap,
                     size_t shard_index) {
-  signal(SIGPIPE, SIG_IGN);
   ServingSession session = use_mmap ? ServingSession::FromFileMapped(model_path)
                                     : ServingSession::FromFile(model_path);
   obs::Counter* served_metric = obs::MetricsRegistry::Global().RegisterCounter(
@@ -107,6 +100,8 @@ void RunShardWorker(int fd, const std::string& model_path, bool use_mmap,
   }
 }
 
+}  // namespace
+
 ShardRouter ShardRouter::SpawnLocal(const Options& options) {
   if (options.num_shards == 0) {
     throw std::invalid_argument("ShardRouter: num_shards must be >= 1");
@@ -114,46 +109,14 @@ ShardRouter ShardRouter::SpawnLocal(const Options& options) {
   if (options.max_inflight == 0) {
     throw std::invalid_argument("ShardRouter: max_inflight must be >= 1");
   }
-  signal(SIGPIPE, SIG_IGN);
-
   ShardRouter router;
   router.options_ = options;
   router.shards_.resize(options.num_shards);
   router.InitMetrics();
   for (size_t i = 0; i < options.num_shards; ++i) {
-    int sv[2];
-    if (socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
-      router.Shutdown();
-      throw std::runtime_error("ShardRouter: socketpair failed: " +
-                               std::string(std::strerror(errno)));
-    }
-    const pid_t pid = fork();
-    if (pid < 0) {
-      close(sv[0]);
-      close(sv[1]);
-      router.Shutdown();
-      throw std::runtime_error("ShardRouter: fork failed: " +
-                               std::string(std::strerror(errno)));
-    }
-    if (pid == 0) {
-      // Shard worker: keep only our own endpoint. The forked global
-      // registry inherits the parent's values; zero it so this rank's
-      // aggregated state counts only its own post-fork work.
-      close(sv[0]);
-      for (const Shard& sh : router.shards_) {
-        if (sh.fd >= 0) close(sh.fd);
-      }
-      obs::MetricsRegistry::Global().ZeroAllValues();
-      try {
-        RunShardWorker(sv[1], options.model_path, options.mmap, i);
-        _exit(0);
-      } catch (...) {
-        _exit(1);
-      }
-    }
-    close(sv[1]);
-    router.shards_[i].fd = sv[0];
-    router.shards_[i].pid = pid;
+    router.workers_.Spawn("shard " + std::to_string(i), [&](int fd) {
+      RunShardWorker(fd, options.model_path, options.mmap, i);
+    });
     router.shards_[i].active = true;
   }
   return router;
@@ -161,7 +124,7 @@ ShardRouter ShardRouter::SpawnLocal(const Options& options) {
 
 ShardRouter::ShardRouter(ShardRouter&& other) noexcept
     : options_(std::move(other.options_)), shards_(std::move(other.shards_)),
-      ready_(std::move(other.ready_)),
+      workers_(std::move(other.workers_)), ready_(std::move(other.ready_)),
       submit_time_(std::move(other.submit_time_)), next_id_(other.next_id_),
       own_registry_(std::move(other.own_registry_)),
       registry_(other.registry_), m_requests_(other.m_requests_),
@@ -172,7 +135,14 @@ ShardRouter::ShardRouter(ShardRouter&& other) noexcept
   other.registry_ = nullptr;
 }
 
-ShardRouter::~ShardRouter() { Shutdown(); }
+ShardRouter::~ShardRouter() {
+  // Closing a worker's socket EOFs its request loop; it exits and is
+  // reaped. In-flight responses are discarded — use Drain() for a
+  // loss-free removal.
+  for (size_t i = 0; i < workers_.size(); ++i) {
+    workers_.Stop(i, /*kill_first=*/false);
+  }
+}
 
 void ShardRouter::InitMetrics() {
   if (options_.registry != nullptr) {
@@ -193,24 +163,6 @@ void ShardRouter::InitMetrics() {
         "mvg_route_latency_seconds",
         "Submit-to-response route latency observed by the router", bounds,
         "shard=\"" + std::to_string(i) + "\"");
-  }
-}
-
-void ShardRouter::Shutdown() {
-  for (Shard& sh : shards_) {
-    if (sh.fd >= 0) {
-      // Closing the socket EOFs the worker's ReadFrame loop; it exits
-      // cleanly and we reap it. In-flight responses are discarded — use
-      // Drain() for a loss-free removal.
-      close(sh.fd);
-      sh.fd = -1;
-    }
-    if (sh.pid > 0) {
-      int status = 0;
-      waitpid(sh.pid, &status, 0);
-      sh.pid = -1;
-    }
-    sh.active = false;
   }
 }
 
@@ -237,26 +189,8 @@ void ShardRouter::PumpOne(size_t shard) {
   if (sh.inflight.empty()) {
     throw std::logic_error("ShardRouter: pump with no in-flight requests");
   }
-  Frame f;
-  bool ok = false;
-  try {
-    ok = ReadFrame(sh.fd, &f);
-  } catch (const std::exception& e) {
-    throw std::runtime_error("ShardRouter: shard " + std::to_string(shard) +
-                             " transport error: " + e.what());
-  }
-  if (!ok) {
-    throw std::runtime_error("ShardRouter: shard " + std::to_string(shard) +
-                             " exited unexpectedly");
-  }
-  if (f.type == kMsgError) {
-    throw std::runtime_error("ShardRouter: shard " + std::to_string(shard) +
-                             " failed: " + f.payload);
-  }
-  if (f.type != kMsgShardResponse || f.seq != sh.inflight.front()) {
-    throw std::runtime_error("ShardRouter: shard " + std::to_string(shard) +
-                             " response out of order");
-  }
+  const Frame f =
+      ReadFrom(workers_.peer(shard), kMsgShardResponse, sh.inflight.front());
   sh.inflight.pop_front();
   BinaryReader r(f.payload.data(), f.payload.size());
   ready_[f.seq] = r.ReadI32();
@@ -284,7 +218,9 @@ uint64_t ShardRouter::Submit(const Series& s) {
   while (sh.inflight.size() >= options_.max_inflight) PumpOne(shard);
   m_requests_->Inc();
   submit_time_[id] = std::chrono::steady_clock::now();
-  WriteFrame(sh.fd, kMsgShardRequest, id, EncodeSeries(s));
+  const std::string request = EncodeSeries(s);
+  SendTo(workers_.peer(shard), kMsgShardRequest, id, request.data(),
+         request.size());
   sh.inflight.push_back(id);
   return id;
 }
@@ -325,15 +261,11 @@ std::vector<int> ShardRouter::PredictBatch(const std::vector<Series>& batch) {
 }
 
 bool ShardRouter::Ping(size_t shard) {
-  Shard& sh = shards_.at(shard);
-  if (!sh.active) return false;
+  if (!shards_.at(shard).active) return false;
   try {
     FlushShard(shard);
-    const uint64_t seq = next_id_++;
-    WriteFrame(sh.fd, kMsgPing, seq, std::string());
-    Frame f;
-    if (!ReadFrame(sh.fd, &f)) return false;
-    return f.type == kMsgPong && f.seq == seq;
+    Call(workers_.peer(shard), kMsgPing, kMsgPong, next_id_++);
+    return true;
   } catch (const std::exception&) {
     return false;
   }
@@ -344,17 +276,12 @@ std::vector<ShardRouter::ShardStats> ShardRouter::Stats() {
   for (size_t i = 0; i < shards_.size(); ++i) {
     Shard& sh = shards_[i];
     out[i].active = sh.active;
-    out[i].pid = sh.pid;
+    out[i].pid = workers_.pid(i);
     if (sh.active) {
       FlushShard(i);
-      const uint64_t seq = next_id_++;
-      WriteFrame(sh.fd, kMsgStatsReq, seq, std::string());
-      Frame f;
-      if (!ReadFrame(sh.fd, &f) || f.type != kMsgStatsResp || f.seq != seq) {
-        throw std::runtime_error("ShardRouter: shard " + std::to_string(i) +
-                                 " stats probe failed");
-      }
-      sh.served = DecodeU64(f.payload);
+      sh.served = DecodeU64(
+          Call(workers_.peer(i), kMsgStatsReq, kMsgStatsResp, next_id_++)
+              .payload);
     }
     out[i].served = sh.served;
     if (sh.latency->Count() > 0) {
@@ -376,16 +303,10 @@ ShardRouter::LatencySummary ShardRouter::AggregateLatency() const {
 }
 
 std::string ShardRouter::FetchWorkerMetrics(size_t shard) {
-  Shard& sh = shards_[shard];
   FlushShard(shard);
-  const uint64_t seq = next_id_++;
-  WriteFrame(sh.fd, kMsgMetricsReq, seq, std::string());
-  Frame f;
-  if (!ReadFrame(sh.fd, &f) || f.type != kMsgMetricsResp || f.seq != seq) {
-    throw std::runtime_error("ShardRouter: shard " + std::to_string(shard) +
-                             " metrics probe failed");
-  }
-  return f.payload;
+  return Call(workers_.peer(shard), kMsgMetricsReq, kMsgMetricsResp,
+              next_id_++)
+      .payload;
 }
 
 void ShardRouter::AggregateMetricsInto(obs::MetricsRegistry* into) {
@@ -417,21 +338,11 @@ void ShardRouter::Drain(size_t shard) {
   sh.drained_metrics = FetchWorkerMetrics(shard);
   // 2. Ask the worker to finish and exit; FIFO processing means the ack
   //    could only follow fully answered traffic.
-  const uint64_t seq = next_id_++;
-  WriteFrame(sh.fd, kMsgDrain, seq, std::string());
-  Frame f;
-  if (!ReadFrame(sh.fd, &f) || f.type != kMsgDrained || f.seq != seq) {
-    throw std::runtime_error("ShardRouter: shard " + std::to_string(shard) +
-                             " drain handshake failed");
-  }
-  sh.served = DecodeU64(f.payload);
+  sh.served = DecodeU64(
+      Call(workers_.peer(shard), kMsgDrain, kMsgDrained, next_id_++).payload);
   // 3. Reap and remove from the routing set; future ids rehash over the
   //    remaining active shards.
-  close(sh.fd);
-  sh.fd = -1;
-  int status = 0;
-  waitpid(sh.pid, &status, 0);
-  sh.pid = -1;
+  workers_.Stop(shard, /*kill_first=*/false);
   sh.active = false;
 }
 

@@ -2,9 +2,10 @@
 #define MVG_DIST_SHARD_ROUTER_H_
 
 // Sharded serving: hash-partition a prediction request stream across N
-// forked `mvg_serve` worker processes, each wrapping a ServingSession
-// over the same model file, connected by the util/framing.h wire
-// protocol (spec: docs/FORMATS.md; runbook: docs/OPERATIONS.md).
+// forked worker processes (dist/worker.h), each wrapping a
+// ServingSession over the same model file, connected by the
+// util/framing.h wire protocol (spec: docs/FORMATS.md; runbook:
+// docs/OPERATIONS.md).
 //
 // The router pipelines up to Options::max_inflight requests per shard
 // (bounded, so neither side's socket buffer can deadlock) and supports
@@ -22,6 +23,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "dist/worker.h"
 #include "obs/metrics.h"
 #include "ts/dataset.h"
 
@@ -118,8 +120,6 @@ class ShardRouter {
 
  private:
   struct Shard {
-    int fd = -1;
-    pid_t pid = -1;
     bool active = false;
     uint64_t served = 0;              ///< last stats reading.
     std::deque<uint64_t> inflight;    ///< FIFO of submitted request ids.
@@ -138,10 +138,10 @@ class ShardRouter {
   size_t RouteOf(uint64_t id) const;
   void PumpOne(size_t shard);   ///< read one response frame from a shard.
   void FlushShard(size_t shard);
-  void Shutdown();
 
   Options options_;
   std::vector<Shard> shards_;
+  WorkerFleet workers_;  ///< worker i serves shards_[i].
   std::unordered_map<uint64_t, int> ready_;  ///< collected responses.
   /// Submit timestamps of in-flight ids, consumed by PumpOne.
   std::unordered_map<uint64_t, std::chrono::steady_clock::time_point>
@@ -153,14 +153,6 @@ class ShardRouter {
   obs::Counter* m_requests_ = nullptr;      ///< mvg_route_requests_total.
   obs::Histogram* m_latency_all_ = nullptr; ///< shard="all" aggregate.
 };
-
-/// Shard worker main loop (runs in the forked child): serves
-/// kMsgShardRequest/kMsgPing/kMsgStatsReq/kMsgMetricsReq until EOF or
-/// kMsgDrain. `shard_index` labels the worker's global-registry served
-/// counter (mvg_shard_served_total{shard="i"}). Exposed for tests that
-/// run a worker on an in-process socketpair.
-void RunShardWorker(int fd, const std::string& model_path, bool use_mmap,
-                    size_t shard_index = 0);
 
 }  // namespace mvg
 

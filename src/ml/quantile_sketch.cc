@@ -8,40 +8,30 @@
 
 namespace mvg {
 
-QuantileSketch::QuantileSketch(size_t block, uint64_t start_index)
+QuantileSketch::QuantileSketch(size_t block)
     : block_(block),
-      start_(start_index),
-      end_(start_index),
       min_(std::numeric_limits<double>::infinity()),
       max_(-std::numeric_limits<double>::infinity()) {
   if (block_ < 2) throw std::invalid_argument("QuantileSketch: block < 2");
-  const uint64_t b = static_cast<uint64_t>(block_);
-  first_boundary_ = (start_ + b - 1) / b * b;
 }
 
 void QuantileSketch::Add(double v) {
   min_ = std::min(min_, v);
   max_ = std::max(max_, v);
-  if (end_ < first_boundary_) {
-    head_raw_.push_back(v);
-    ++end_;
-  } else {
-    tail_raw_.push_back(v);
-    ++end_;
-    if (end_ % static_cast<uint64_t>(block_) == 0) SealTailBlock();
-  }
+  tail_raw_.push_back(v);
+  ++count_;
+  if (count_ % static_cast<uint64_t>(block_) == 0) SealTailBlock();
 }
 
 void QuantileSketch::AddBulk(const double* v, size_t n) {
   size_t i = 0;
-  while (i < n && end_ < first_boundary_) Add(v[i++]);
   while (i < n) {
     // Fill the current (block-aligned) tail up to its boundary in one
     // contiguous chunk. Independent lane accumulators let the min/max
     // reduction vectorize; min/max are order-free, so folding them at
     // the end is exact.
     const size_t in_block = static_cast<size_t>(
-        end_ % static_cast<uint64_t>(block_));
+        count_ % static_cast<uint64_t>(block_));
     const size_t take = std::min(block_ - in_block, n - i);
     tail_raw_.insert(tail_raw_.end(), v + i, v + i + take);
     double lo0 = min_, lo1 = min_, hi0 = max_, hi1 = max_;
@@ -58,9 +48,9 @@ void QuantileSketch::AddBulk(const double* v, size_t n) {
     }
     min_ = std::min(lo0, lo1);
     max_ = std::max(hi0, hi1);
-    end_ += take;
+    count_ += take;
     i += take;
-    if (end_ % static_cast<uint64_t>(block_) == 0) SealTailBlock();
+    if (count_ % static_cast<uint64_t>(block_) == 0) SealTailBlock();
   }
 }
 
@@ -69,10 +59,10 @@ void QuantileSketch::AddZeros(uint64_t k) {
 }
 
 void QuantileSketch::SealTailBlock() {
-  // tail_raw_ covers exactly the block ending at position end_ - 1.
+  // tail_raw_ covers exactly the block ending at position count_ - 1.
   Segment seg;
   seg.level = 0;
-  seg.id = end_ / static_cast<uint64_t>(block_) - 1;
+  seg.id = count_ / static_cast<uint64_t>(block_) - 1;
   seg.values = std::move(tail_raw_);
   std::sort(seg.values.begin(), seg.values.end());
   // The segment is immutable from here and lives for the sketch's whole
@@ -95,7 +85,7 @@ void QuantileSketch::CoalesceBack() {
     const uint64_t parent = a.id >> 1;
     // Deterministic compaction: merge the 2*block sorted values and keep
     // every other one starting at offset parent & 1 — a fixed function of
-    // the absolute id, never of call chunking. The merge buffer is local:
+    // the block id, never of call chunking. The merge buffer is local:
     // coalesces happen once per block, and a retained per-sketch scratch
     // would cost 2*block doubles on every feature of a wide extractor.
     std::vector<double> merged(2 * block_);
@@ -111,37 +101,9 @@ void QuantileSketch::CoalesceBack() {
   }
 }
 
-void QuantileSketch::Merge(const QuantileSketch& right) {
-  if (right.block_ != block_) {
-    throw std::invalid_argument("QuantileSketch::Merge: block mismatch");
-  }
-  if (right.start_ != end_) {
-    throw std::invalid_argument(
-        "QuantileSketch::Merge: streams not contiguous");
-  }
-  const double rmin = right.min_, rmax = right.max_;
-  // Right's raw head items continue this sketch's stream verbatim; when
-  // they complete a block, Add seals it exactly as single-stream feeding
-  // would have.
-  for (double v : right.head_raw_) Add(v);
-  // Right's segments cover block-aligned ranges starting exactly at this
-  // point (right.head_raw_ ended at right's first boundary).
-  for (const Segment& seg : right.segments_) {
-    segments_.push_back(seg);
-    CoalesceBack();
-    end_ += static_cast<uint64_t>(block_) << seg.level;
-  }
-  for (double v : right.tail_raw_) {
-    tail_raw_.push_back(v);
-    ++end_;
-  }
-  min_ = std::min(min_, rmin);
-  max_ = std::max(max_, rmax);
-}
-
 std::vector<std::pair<double, uint64_t>> QuantileSketch::WeightedValues()
     const {
-  // Only the raw head and tail (weight 1) need a sort. Each segment is
+  // Only the raw tail (weight 1) needs a sort. Each segment is
   // sorted already and is merged into the sorted prefix, so a one-block
   // sketch (FeatureTable::Build) is a plain copy. Equal values may keep
   // any order: ComputeCuts collapses them before their order matters.
@@ -150,9 +112,7 @@ std::vector<std::pair<double, uint64_t>> QuantileSketch::WeightedValues()
     return a.first < b.first;
   };
   std::vector<Item> out;
-  out.reserve(head_raw_.size() + tail_raw_.size() +
-              segments_.size() * block_);
-  for (double v : head_raw_) out.emplace_back(v, 1);
+  out.reserve(tail_raw_.size() + segments_.size() * block_);
   for (double v : tail_raw_) out.emplace_back(v, 1);
   std::sort(out.begin(), out.end(), by_value);
   for (const Segment& seg : segments_) {
@@ -242,19 +202,11 @@ CutSketcher::CutSketcher(size_t max_bins, size_t block)
 
 void CutSketcher::GrowTo(size_t width) {
   while (sketches_.size() < width) {
-    sketches_.emplace_back(block_, 0);
+    sketches_.emplace_back(block_);
     // The new feature existed implicitly as zero-padding for every row
     // already seen.
     sketches_.back().AddZeros(rows_seen_);
   }
-}
-
-void CutSketcher::AddRow(const double* row, size_t len) {
-  GrowTo(len);
-  for (size_t f = 0; f < sketches_.size(); ++f) {
-    sketches_[f].Add(f < len ? row[f] : 0.0);
-  }
-  ++rows_seen_;
 }
 
 void CutSketcher::AddRows(const std::vector<std::vector<double>>& page,

@@ -1,29 +1,24 @@
 #ifndef MVG_ML_QUANTILE_SKETCH_H_
 #define MVG_ML_QUANTILE_SKETCH_H_
 
-// Deterministic mergeable quantile sketch for one-pass streaming bin cuts.
+// Deterministic quantile sketch for one-pass streaming bin cuts.
 //
 // The sketch is a binary-counter stack of sorted segments keyed on
-// ABSOLUTE stream positions: every full block of `block` consecutive
-// stream items becomes a sorted level-0 segment whose id is the absolute
-// block index; whenever two sibling segments (level L, ids 2j and 2j+1)
-// are both present they coalesce into a level-L+1 segment of `block`
-// items — merge the 2*block sorted values and keep every other one
-// starting at offset j & 1 — each carrying weight 2^(L+1). Items before
-// the first block boundary (a sketch may start mid-stream) and after the
-// last one are kept raw with weight 1.
+// stream positions: every full block of `block` consecutive stream items
+// becomes a sorted level-0 segment whose id is the block index; whenever
+// two sibling segments (level L, ids 2j and 2j+1) are both present they
+// coalesce into a level-L+1 segment of `block` items — merge the 2*block
+// sorted values and keep every other one starting at offset j & 1 — each
+// carrying weight 2^(L+1). Items after the last block boundary are kept
+// raw with weight 1.
 //
-// Because the compaction offset is a pure function of the absolute block
-// id (the "fixed seed"), the whole sketch state is a pure function of the
+// Because the compaction offset is a pure function of the block id (the
+// "fixed seed"), the whole sketch state is a pure function of the
 // index-ordered stream — NOT of how the stream was chunked into Add and
-// Merge calls. That gives the two properties the streaming feature
+// AddBulk calls. That is the chunk invariance the streaming feature
 // pipeline is built on, by construction rather than by tolerance:
-//
-//  * chunk invariance — feeding rows one page at a time (FitPaged) yields
-//    bit-identical cuts to feeding them all at once (in-RAM fit);
-//  * associative merging — workers can sketch disjoint index ranges and
-//    merge left-to-right in any grouping; the result is always the
-//    single-stream sketch, so allreduced cuts agree on every rank.
+// feeding rows one page at a time (FitPaged) yields bit-identical cuts
+// to feeding them all at once (in-RAM fit).
 //
 // Accuracy is the classic deterministic-compaction bound: a value's rank
 // error is at most (#coalesces it survived) = O(log(n/block)) * block/2
@@ -47,12 +42,9 @@ inline constexpr size_t kSketchBlock = 1024;
 
 class QuantileSketch {
  public:
-  /// A sketch over the stream positions [start_index, ...). Streams fed to
-  /// mergeable sketches must use a common block size.
-  explicit QuantileSketch(size_t block = kSketchBlock,
-                          uint64_t start_index = 0);
+  explicit QuantileSketch(size_t block = kSketchBlock);
 
-  /// Appends the next stream item (position end_index()).
+  /// Appends the next stream item (position count()).
   void Add(double v);
 
   /// Appends `n` consecutive stream items. State-identical to n Add
@@ -65,16 +57,8 @@ class QuantileSketch {
   /// retroactively zero-pads earlier rows.
   void AddZeros(uint64_t k);
 
-  /// Appends a whole sketch of the continuation stream: requires
-  /// right.start_index() == this->end_index() (and equal block sizes).
-  /// Associative: any left-to-right grouping of range sketches produces
-  /// the identical sketch.
-  void Merge(const QuantileSketch& right);
-
-  uint64_t start_index() const { return start_; }
-  uint64_t end_index() const { return end_; }
-  /// Number of items fed (end - start).
-  uint64_t count() const { return end_ - start_; }
+  /// Number of items fed.
+  uint64_t count() const { return count_; }
   /// Exact stream min/max (+inf/-inf when empty).
   double min() const { return min_; }
   double max() const { return max_; }
@@ -95,7 +79,7 @@ class QuantileSketch {
  private:
   struct Segment {
     uint32_t level;
-    uint64_t id;  ///< absolute id: covers positions [id*B*2^L, (id+1)*B*2^L).
+    uint64_t id;  ///< covers positions [id*B*2^L, (id+1)*B*2^L).
     std::vector<double> values;  ///< sorted, exactly `block` items.
   };
 
@@ -105,17 +89,11 @@ class QuantileSketch {
   void CoalesceBack();
 
   size_t block_;
-  uint64_t start_;
-  uint64_t end_;
+  uint64_t count_ = 0;
   double min_;
   double max_;
-  /// First block-aligned position >= start_: items before it can never be
-  /// part of a full block of THIS sketch and stay raw until a Merge on
-  /// the left completes their block.
-  uint64_t first_boundary_;
-  std::vector<double> head_raw_;  ///< positions [start_, first_boundary_).
   std::vector<Segment> segments_;
-  std::vector<double> tail_raw_;  ///< positions [last boundary, end_).
+  std::vector<double> tail_raw_;  ///< positions [last boundary, count_).
 };
 
 /// Per-feature streaming cut computation over extracted feature rows.
@@ -128,9 +106,6 @@ class QuantileSketch {
 class CutSketcher {
  public:
   explicit CutSketcher(size_t max_bins, size_t block = kSketchBlock);
-
-  /// Feeds one row (the next global row).
-  void AddRow(const double* row, size_t len);
 
   /// Feeds a page of rows, fanning the per-feature sketch updates across
   /// threads. Each feature's sketch sees the identical value sequence

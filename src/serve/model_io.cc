@@ -51,7 +51,7 @@ MvgConfig LoadMvgConfig(BinaryReader* r) {
   c.graph_mode = static_cast<GraphMode>(CheckedEnum(r, 2, "GraphMode"));
   c.feature_mode = static_cast<FeatureMode>(CheckedEnum(r, 2, "FeatureMode"));
   c.tau = r->ReadSize();
-  c.detrend = r->ReadBool();
+  c.detrend = r->ReadBool("model file: detrend");
   c.vg_algorithm = static_cast<VgAlgorithm>(CheckedEnum(r, 1, "VgAlgorithm"));
   return c;
 }
@@ -266,10 +266,11 @@ void MvgClassifier::BuildSections(std::string* pipeline, std::string* scaler,
   SaveMvgConfig(config_.extractor, &pipeline_w);
   pipeline_w.WriteU8(static_cast<uint8_t>(config_.model));
   pipeline_w.WriteU8(static_cast<uint8_t>(config_.grid));
-  // Retired training slots: oversample (always on) and cv_folds.
+  // Retired training slots: oversample (always on), cv_folds and
+  // stacking_top_k.
   pipeline_w.WriteBool(true);
   pipeline_w.WriteSize(kCvFolds);
-  pipeline_w.WriteSize(config_.stacking_top_k);
+  pipeline_w.WriteSize(kStackingTopK);
   pipeline_w.WriteU64(config_.seed);
   // num_threads is a runtime knob (results are thread-count invariant)
   // and deliberately not persisted.
@@ -313,7 +314,7 @@ MvgClassifier MvgClassifier::FromSectionReaders(BinaryReader* pipeline,
       static_cast<GridPreset>(CheckedEnum(pipeline, 2, "GridPreset"));
   SkipRetiredFlag(pipeline, "model file: oversample");
   pipeline->ReadSize();  // retired cv_folds
-  config.stacking_top_k = pipeline->ReadSize();
+  pipeline->ReadSize();  // retired stacking_top_k
   config.seed = pipeline->ReadU64();
   SkipRetiredFlag(pipeline, "model file: exact_splits");
 

@@ -115,6 +115,15 @@ uint8_t BinaryReader::ReadU8() {
   return data_[pos_++];
 }
 
+bool BinaryReader::ReadBool(const char* what) {
+  const uint8_t v = ReadU8();
+  if (v > 1) {
+    throw SerializationError(std::string(what) + ": out-of-range value " +
+                             std::to_string(v) + " in a bool byte");
+  }
+  return v == 1;
+}
+
 uint32_t BinaryReader::ReadU32() {
   Need(4);
   uint32_t v = 0;
@@ -183,13 +192,7 @@ std::vector<std::vector<double>> BinaryReader::ReadDoubleMat() {
   return m;
 }
 
-void SkipRetiredFlag(BinaryReader* r, const char* what) {
-  const uint8_t v = r->ReadU8();
-  if (v > 1) {
-    throw SerializationError(std::string(what) + ": out-of-range value " +
-                             std::to_string(v) + " in a retired flag byte");
-  }
-}
+void SkipRetiredFlag(BinaryReader* r, const char* what) { r->ReadBool(what); }
 
 uint32_t Crc32(const void* data, size_t size) {
   static const auto table = [] {

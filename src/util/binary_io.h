@@ -79,7 +79,9 @@ class BinaryReader {
   uint32_t ReadU32();
   uint64_t ReadU64();
   int32_t ReadI32() { return static_cast<int32_t>(ReadU32()); }
-  bool ReadBool() { return ReadU8() != 0; }
+  /// A bool byte holds 0 or 1; any other value is corruption and throws
+  /// SerializationError naming `what`.
+  bool ReadBool(const char* what);
   double ReadDouble();
   size_t ReadSize();
   std::string ReadString();
@@ -131,9 +133,8 @@ class BinaryReader {
 };
 
 /// Reads a retired one-byte flag (the tree families' split-mode byte, the
-/// pipeline's exact-splits bool). Writers always emit 0; files from before
-/// the retirement may hold 0 or 1, so both load. Any other value is
-/// corruption and throws SerializationError naming `what`.
+/// pipeline's exact-splits bool) and ignores it. Files from before the
+/// retirement may hold 0 or 1, so both load; ReadBool rejects the rest.
 void SkipRetiredFlag(BinaryReader* r, const char* what);
 
 /// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of a byte range — the

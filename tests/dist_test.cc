@@ -2,8 +2,11 @@
 // allreduce group, the 1-vs-N-worker bit-identity contract for every
 // tree family (the pinned determinism guarantee of docs/ARCHITECTURE.md),
 // the fork-based coordinator including worker-death handling, and the
-// shard router including graceful drain under in-flight load.
+// shard router including graceful drain under in-flight load and a dead
+// shard.
 
+#include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -561,6 +564,31 @@ TEST_F(ShardRouterTest, InvalidOptionsRejected) {
   opt.num_shards = 1;
   opt.max_inflight = 0;
   EXPECT_THROW(ShardRouter::SpawnLocal(opt), std::invalid_argument);
+}
+
+TEST_F(ShardRouterTest, DeadShardFailsNamingItAndIsReaped) {
+  ShardRouter::Options opt;
+  opt.model_path = *model_path_;
+  opt.num_shards = 2;
+  {
+    ShardRouter router = ShardRouter::SpawnLocal(opt);
+    const pid_t pid = router.Stats()[0].pid;
+    ASSERT_GT(pid, 0);
+    ASSERT_EQ(kill(pid, SIGKILL), 0);
+    // Wait until the shard is gone, without reaping it (WNOWAIT leaves
+    // that to the router): its socket is closed, so the first request
+    // routed to it fails on the write.
+    siginfo_t info;
+    ASSERT_EQ(waitid(P_PID, static_cast<id_t>(pid), &info, WEXITED | WNOWAIT),
+              0);
+    try {
+      router.PredictBatch(test_set_->all_series());
+      FAIL() << "expected runtime_error";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("shard 0"), std::string::npos)
+          << e.what();
+    }
+  }  // the destructor reaps both workers and returns.
 }
 
 TEST_F(ShardRouterTest, AggregateMetricsCoverEveryWorkerRank) {

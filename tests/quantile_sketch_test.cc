@@ -1,6 +1,5 @@
-// Tests for the deterministic mergeable quantile sketch behind streaming
-// bin cuts: chunk invariance, merge associativity, exactness for small
-// streams (sketch cuts == exact FeatureTable cuts bit for bit), accuracy
+// Tests for the deterministic quantile sketch behind streaming bin cuts:
+// chunk invariance, exactness for small streams (sketch cuts == exact FeatureTable cuts bit for bit), accuracy
 // for large streams, and the CutSketcher padding semantics that make the
 // paged and in-RAM training paths feed identical per-feature streams.
 
@@ -8,7 +7,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -26,14 +24,6 @@ std::vector<double> GaussianStream(size_t n, uint64_t seed) {
   return out;
 }
 
-// Feeds `values[i]` for i in [lo, hi) to a fresh sketch starting at lo.
-QuantileSketch RangeSketch(const std::vector<double>& values, size_t lo,
-                           size_t hi, size_t block) {
-  QuantileSketch s(block, lo);
-  for (size_t i = lo; i < hi; ++i) s.Add(values[i]);
-  return s;
-}
-
 TEST(QuantileSketchTest, TracksExactMinMaxCount) {
   QuantileSketch s(16);
   EXPECT_EQ(s.count(), 0u);
@@ -48,58 +38,30 @@ TEST(QuantileSketchTest, TracksExactMinMaxCount) {
 
 TEST(QuantileSketchTest, StateIsChunkInvariant) {
   // The sketch state is a pure function of the index-ordered stream, not
-  // of how it was split into Add and Merge calls: feed the same stream
-  // (a) one item at a time, (b) as range sketches merged at assorted
+  // of how it was split into Add and AddBulk calls: feed the same stream
+  // (a) one item at a time, (b) as AddBulk chunks split at assorted
   // boundaries — including mid-block ones — and compare the full
   // weighted multiset.
   const auto values = GaussianStream(777, 3);
   const size_t block = 64;
-  QuantileSketch whole = RangeSketch(values, 0, values.size(), block);
+  QuantileSketch whole(block);
+  for (double v : values) whole.Add(v);
 
   for (size_t cut1 : {1u, 63u, 64u, 65u, 200u, 512u}) {
     for (size_t cut2 : {300u, 640u, 700u}) {
       if (cut2 <= cut1) continue;
-      QuantileSketch merged = RangeSketch(values, 0, cut1, block);
-      merged.Merge(RangeSketch(values, cut1, cut2, block));
-      merged.Merge(RangeSketch(values, cut2, values.size(), block));
-      EXPECT_EQ(merged.WeightedValues(), whole.WeightedValues())
+      QuantileSketch chunked(block);
+      chunked.AddBulk(values.data(), cut1);
+      chunked.AddBulk(values.data() + cut1, cut2 - cut1);
+      chunked.AddBulk(values.data() + cut2, values.size() - cut2);
+      EXPECT_EQ(chunked.WeightedValues(), whole.WeightedValues())
           << "cuts " << cut1 << "," << cut2;
-      EXPECT_EQ(merged.ComputeCuts(16), whole.ComputeCuts(16));
+      EXPECT_EQ(chunked.ComputeCuts(16), whole.ComputeCuts(16));
+      EXPECT_EQ(chunked.min(), whole.min());
+      EXPECT_EQ(chunked.max(), whole.max());
+      EXPECT_EQ(chunked.count(), whole.count());
     }
   }
-}
-
-TEST(QuantileSketchTest, MergeIsAssociative) {
-  // ((a+b)+c) == (a+(b+c)) for range sketches — the property that lets
-  // paged workers sketch disjoint ranges and combine in any grouping.
-  const auto values = GaussianStream(500, 11);
-  const size_t block = 32;
-  auto a = [&] { return RangeSketch(values, 0, 150, block); };
-  auto b = [&] { return RangeSketch(values, 150, 320, block); };
-  auto c = [&] { return RangeSketch(values, 320, 500, block); };
-
-  QuantileSketch left = a();
-  left.Merge(b());
-  left.Merge(c());
-
-  QuantileSketch bc = b();
-  bc.Merge(c());
-  QuantileSketch right = a();
-  right.Merge(bc);
-
-  EXPECT_EQ(left.WeightedValues(), right.WeightedValues());
-  EXPECT_EQ(left.ComputeCuts(32), right.ComputeCuts(32));
-  EXPECT_EQ(left.min(), right.min());
-  EXPECT_EQ(left.max(), right.max());
-}
-
-TEST(QuantileSketchTest, MergeRejectsGapsAndBlockMismatch) {
-  QuantileSketch left(64, 0);
-  left.Add(1.0);
-  QuantileSketch gap(64, 5);  // left ends at index 1
-  EXPECT_THROW(left.Merge(gap), std::invalid_argument);
-  QuantileSketch wrong_block(32, 1);
-  EXPECT_THROW(left.Merge(wrong_block), std::invalid_argument);
 }
 
 TEST(QuantileSketchTest, AddZerosMatchesExplicitZeros) {
@@ -184,10 +146,12 @@ TEST(CutSketcherTest, RaggedRowsMatchPaddedMatrixColumns) {
     padded.push_back(p);
   }
 
+  // One row per page, so every wider row grows the feature set and
+  // backfills the earlier rows.
   CutSketcher from_ragged(FeatureTable::kMaxBins, 4);
-  for (const auto& row : ragged) from_ragged.AddRow(row.data(), row.size());
+  for (const auto& row : ragged) from_ragged.AddRows({row}, 1);
   CutSketcher from_padded(FeatureTable::kMaxBins, 4);
-  for (const auto& row : padded) from_padded.AddRow(row.data(), row.size());
+  from_padded.AddRows(padded, 1);
 
   ASSERT_EQ(from_ragged.num_features(), max_w);
   ASSERT_EQ(from_padded.num_features(), max_w);
@@ -205,8 +169,8 @@ TEST(CutSketcherTest, RaggedRowsMatchPaddedMatrixColumns) {
 }
 
 TEST(CutSketcherTest, PageChunkingAndThreadCountAreInvisible) {
-  // The whole point: one row at a time, page at a time, and any thread
-  // count produce the identical FeatureCuts.
+  // The whole point: one page, one row per page, pages of any size, and
+  // any thread count produce the identical FeatureCuts.
   Rng rng(17);
   Matrix x(300);
   for (auto& row : x) {
@@ -214,11 +178,11 @@ TEST(CutSketcherTest, PageChunkingAndThreadCountAreInvisible) {
     for (auto& v : row) v = rng.Gaussian();
   }
 
-  CutSketcher row_at_a_time(FeatureTable::kMaxBins, 64);
-  for (const auto& row : x) row_at_a_time.AddRow(row.data(), row.size());
-  const auto reference = row_at_a_time.Finish();
+  CutSketcher one_page(FeatureTable::kMaxBins, 64);
+  one_page.AddRows(x, 1);
+  const auto reference = one_page.Finish();
 
-  for (size_t page_rows : {64u, 100u, 300u}) {
+  for (size_t page_rows : {1u, 64u, 100u, 300u}) {
     for (size_t threads : {1u, 2u, 3u}) {
       CutSketcher paged(FeatureTable::kMaxBins, 64);
       for (size_t lo = 0; lo < x.size(); lo += page_rows) {
@@ -251,7 +215,7 @@ TEST(CutSketcherTest, SmallCorpusTableMatchesExactBuildBitForBit) {
   exact.Build(x);
 
   CutSketcher sketcher(FeatureTable::kMaxBins);
-  for (const auto& row : x) sketcher.AddRow(row.data(), row.size());
+  sketcher.AddRows(x, 1);
   const auto fc = sketcher.Finish();
   FeatureTable streamed;
   streamed.InitFromCuts(fc.cuts, fc.cut_offset, x.size());

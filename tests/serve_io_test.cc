@@ -53,7 +53,7 @@ TEST(BinaryIoTest, PrimitivesRoundTrip) {
   EXPECT_EQ(r.ReadU32(), 0xDEADBEEFu);
   EXPECT_EQ(r.ReadU64(), 0x0123456789ABCDEFull);
   EXPECT_EQ(r.ReadI32(), -42);
-  EXPECT_TRUE(r.ReadBool());
+  EXPECT_TRUE(r.ReadBool("round trip"));
   EXPECT_EQ(r.ReadDouble(), -1.5e-300);
   EXPECT_EQ(r.ReadString(), "mvg");
   EXPECT_EQ(r.ReadDoubleVec(), (std::vector<double>{1.0, -2.5, 3.25}));
@@ -1099,6 +1099,37 @@ TEST_F(RetiredTrainingSlotTest, BoolSlotHoldingTwoRejected) {
     patched[slot] = 2;
     Reseal(&patched);
     ExpectBothRejectedNaming(patched, "out-of-range value 2");
+  }
+}
+
+/// The pipeline's detrend flag is a live bool slot: payload byte 11, after
+/// the three extractor enum bytes and tau.
+class DetrendByteTest : public SplitFeatureBoundTest {
+ protected:
+  static std::string WithDetrend(uint8_t value) {
+    std::string blob = ReadFixture("v3_xgboost.mvg");
+    const size_t at = GetU64(blob, Entry(0, 8)) + 11;
+    EXPECT_EQ(blob[at], 1) << "the fixture detrends";
+    blob[at] = static_cast<char>(value);
+    FixCrcs(&blob, 0);
+    return blob;
+  }
+};
+
+TEST_F(DetrendByteTest, ZeroAndOneLoadAboveOneRejected) {
+  for (const uint8_t value : {uint8_t{0}, uint8_t{1}}) {
+    const std::string blob = WithDetrend(value);
+    std::istringstream is(blob, std::ios::binary);
+    EXPECT_EQ(LoadModel(is).extractor().config().detrend, value == 1);
+    std::vector<uint64_t> buf((blob.size() + 7) / 8);
+    std::memcpy(buf.data(), blob.data(), blob.size());
+    EXPECT_NO_THROW(
+        LoadModelView(buf.data(), blob.size(), ModelVerify::kFull));
+  }
+  for (const uint8_t value : {uint8_t{2}, uint8_t{255}}) {
+    ExpectBothRejectedNaming(
+        WithDetrend(value),
+        "detrend: out-of-range value " + std::to_string(value));
   }
 }
 

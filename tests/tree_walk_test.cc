@@ -362,7 +362,7 @@ TEST(TreeWalkTest, BinnedRoundUpdateMatchesScalarDescent) {
     // Bin at a drawn resolution below kMaxBins as well: n is under one
     // sketch block, so the sketch's cuts are the exact ones at that count.
     CutSketcher sketcher(2 + rng.Index(255));
-    for (const auto& row : x) sketcher.AddRow(row.data(), d);
+    sketcher.AddRows(x, 1);
     const CutSketcher::FeatureCuts fc = sketcher.Finish();
     FeatureTable ft;
     ft.InitFromCuts(fc.cuts, fc.cut_offset, n);
