@@ -40,6 +40,8 @@ class MvgMultivariateClassifier {
   double feature_extraction_seconds() const { return fe_seconds_; }
   double training_seconds() const { return train_seconds_; }
   size_t num_channels() const { return num_channels_; }
+  /// The fitted generic classifier; requires Fit().
+  const Classifier& model() const { return *model_; }
 
  private:
   /// Concatenated per-channel features, channel c's block sized to
