@@ -37,12 +37,13 @@ inline void LegacyClassScan(const uint8_t* col, const std::vector<size_t>& rows,
   *phi = hi;
 }
 
-/// Pre-SIMD GBT histogram scan: separate gradient and hessian arrays (the
-/// layout before the row-interleaved gh array), two strided stores per row.
+/// Pre-SIMD GBT histogram scan over the fixed-point cells: separate
+/// gradient and hessian arrays (the layout before the row-interleaved gh
+/// array), two strided stores per row.
 inline void LegacyPairScan(const uint8_t* col, const std::vector<size_t>& rows,
-                           const std::vector<double>& grad,
-                           const std::vector<double>& hess, size_t begin,
-                           size_t end, double* hist, uint16_t* plo,
+                           const std::vector<int64_t>& grad,
+                           const std::vector<int64_t>& hess, size_t begin,
+                           size_t end, int64_t* hist, uint16_t* plo,
                            uint16_t* phi) {
   uint16_t lo = 0xffff, hi = 0;
   for (size_t i = begin; i < end; ++i) {

@@ -462,28 +462,29 @@ int main(int argc, char** argv) {
     results.push_back(vg_pair.a);
     metrics["simd_vg_build_speedup"] = vg_pair.ratio;
 
-    // GBT histogram update: the grad/hess pair scan over the staged rows —
-    // row-interleaved gh array + paired two-lane cell add vs the legacy
-    // separate grad/hess arrays with two strided stores per row. (The
+    // GBT histogram update: the fixed-point grad/hess pair scan over the
+    // staged rows — row-interleaved gh array + paired two-lane int64 cell
+    // add vs the legacy separate grad/hess arrays with two strided stores
+    // per row. (The
     // other per-round GBT loop, the logit update, ships as a plain
     // per-row descent: a four-row lockstep variant was benchmarked here
     // and lost above ~4k rows, so there is nothing to gate.)
-    std::vector<double> ggh(2 * hist_rows);
-    std::vector<double> ggrad(hist_rows), ghess(hist_rows);
+    std::vector<int64_t> ggh(2 * hist_rows);
+    std::vector<int64_t> ggrad(hist_rows), ghess(hist_rows);
     {
       Rng grng(321);
       for (size_t i = 0; i < hist_rows; ++i) {
-        ggrad[i] = grng.Gaussian(0.0, 1.0);
-        ghess[i] = grng.Uniform(0.1, 1.0);
+        ggrad[i] = QuantizeGradHess(grng.Gaussian(0.0, 1.0));
+        ghess[i] = QuantizeGradHess(grng.Uniform(0.1, 1.0));
         ggh[2 * i] = ggrad[i];
         ggh[2 * i + 1] = ghess[i];
       }
     }
-    AlignedBuffer<double> pair_hist(FeatureTable::kMaxBins * 2);
+    AlignedBuffer<int64_t> pair_hist(FeatureTable::kMaxBins * 2);
     const auto clear_pair_span = [&] {
       if (lo <= hi) {
         std::fill(pair_hist.data() + lo * 2, pair_hist.data() + (hi + 1) * 2,
-                  0.0);
+                  int64_t{0});
       }
     };
     // The gate is TimePaired's median of back-to-back ratios.
@@ -509,11 +510,11 @@ int main(int argc, char** argv) {
     results.push_back(gbt_pair.a);
     metrics["simd_gbt_update_speedup"] = gbt_pair.ratio;
 
-    // GBT training tail: building a node's grad/hess histogram (PairScan
-    // over every column, plus the Release that re-zeroes its dirty span)
-    // over searching that histogram for the best split (NodeSplitSearch
-    // over every column, as GradientBoostingClassifier's tree builder
-    // runs it). A within-run ratio on a fixed synthetic table — 64
+    // GBT training tail: building a node's fixed-point grad/hess
+    // histogram (PairScan over every column, plus the Release that
+    // re-zeroes its dirty span) over searching that histogram for the
+    // best split (NodeSplitSearch over every column, as
+    // GradientBoostingClassifier's tree builder runs it). A within-run ratio on a fixed synthetic table — 64
     // columns x 256 bins, a root node (all rows, contiguous) and a 64-row
     // node (scattered rows, so most bins in its span are empty) — so no
     // frozen copy of an older search loop lives in bench/. Higher is
@@ -532,10 +533,10 @@ int main(int argc, char** argv) {
       }
       FeatureTable tft;
       tft.Build(tx);
-      std::vector<double> tgh(2 * tail_rows);
+      std::vector<int64_t> tgh(2 * tail_rows);
       for (size_t i = 0; i < tail_rows; ++i) {
-        tgh[2 * i] = trng.Gaussian(0.0, 1.0);
-        tgh[2 * i + 1] = trng.Uniform(0.05, 0.25);
+        tgh[2 * i] = QuantizeGradHess(trng.Gaussian(0.0, 1.0));
+        tgh[2 * i + 1] = QuantizeGradHess(trng.Uniform(0.05, 0.25));
       }
       std::vector<size_t> tcols(tail_cols);
       for (size_t f = 0; f < tail_cols; ++f) tcols[f] = f;
@@ -555,11 +556,12 @@ int main(int argc, char** argv) {
       for (size_t i = 0; i < tail_rows; ++i) tnodes[0].rows[i] = i;
       tnodes[1].rows = small;
       for (TailNode& nd : tnodes) {
-        double g = 0.0, h = 0.0;
+        int64_t gq = 0, hq = 0;
         for (size_t r : nd.rows) {
-          g += tgh[2 * r];
-          h += tgh[2 * r + 1];
+          gq += tgh[2 * r];
+          hq += tgh[2 * r + 1];
         }
+        const double g = DequantizeGradHess(gq), h = DequantizeGradHess(hq);
         nd.gain = GainNode{g, h, 1.0, 1.0, g * g / (h + 1.0)};
       }
       const auto build = [&](const TailNode& nd) {

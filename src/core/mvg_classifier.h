@@ -70,7 +70,7 @@ class MvgClassifier : public SeriesClassifier {
     /// group: tree candidates accumulate histograms over their owned row
     /// slice and allreduce them before split finding, and training loops
     /// run sequentially so collectives line up across ranks. Every rank
-    /// writes byte-identical model files for any worker count.
+    /// writes the model file of an in-process fit, for any worker count.
     class HistogramReducer* reducer = nullptr;
   };
 

@@ -5,6 +5,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -22,6 +23,33 @@ namespace {
 
 std::string Errno(const char* call) {
   return std::string(call) + " failed: " + std::strerror(errno);
+}
+
+/// This process's ends of every live worker socket, of every fleet, one
+/// bit per descriptor. Each forked worker closes all of them, so no
+/// worker holds a socket that keeps another worker from reading EOF when
+/// its own fleet closes it. Atomic words instead of a lock: the child
+/// reads them right after fork, where a lock held by another thread of
+/// the parent would never be released.
+constexpr int kMaxTrackedFd = 1 << 16;
+std::atomic<uint64_t> g_parent_ends[kMaxTrackedFd / 64];
+
+void TrackParentEnd(int fd, bool live) {
+  const uint64_t bit = uint64_t{1} << (fd % 64);
+  if (live) {
+    g_parent_ends[fd / 64].fetch_or(bit);
+  } else {
+    g_parent_ends[fd / 64].fetch_and(~bit);
+  }
+}
+
+void CloseParentEnds() {
+  for (int word = 0; word < kMaxTrackedFd / 64; ++word) {
+    for (uint64_t bits = g_parent_ends[word].load(); bits != 0;
+         bits &= bits - 1) {
+      close(word * 64 + __builtin_ctzll(bits));
+    }
+  }
 }
 
 }  // namespace
@@ -71,18 +99,23 @@ void WorkerFleet::Spawn(std::string name,
   if (socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
     throw std::runtime_error("dist: " + Errno("socketpair"));
   }
+  if (sv[0] >= kMaxTrackedFd) {
+    close(sv[0]);
+    close(sv[1]);
+    throw std::runtime_error("dist: socket descriptor " +
+                             std::to_string(sv[0]) + " out of range");
+  }
+  TrackParentEnd(sv[0], true);
   const pid_t pid = fork();
   if (pid < 0) {
     const std::string error = Errno("fork");
+    TrackParentEnd(sv[0], false);
     close(sv[0]);
     close(sv[1]);
     throw std::runtime_error("dist: " + error);
   }
   if (pid == 0) {
-    close(sv[0]);
-    for (const Worker& w : workers_) {
-      if (w.peer.fd >= 0) close(w.peer.fd);
-    }
+    CloseParentEnds();  // sv[0] included
     obs::MetricsRegistry::Global().ZeroAllValues();
     try {
       body(sv[1]);
@@ -105,6 +138,7 @@ void WorkerFleet::Spawn(std::string name,
 void WorkerFleet::Stop(size_t i, bool kill_first) {
   Worker& w = workers_[i];
   if (w.peer.fd >= 0) {
+    TrackParentEnd(w.peer.fd, false);
     close(w.peer.fd);
     w.peer.fd = -1;
   }

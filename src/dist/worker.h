@@ -57,8 +57,8 @@ class WorkerFleet {
   ~WorkerFleet();
 
   /// Forks the next worker, afterwards reached as peer(size() - 1). The
-  /// child closes this process's ends of the earlier workers' sockets,
-  /// zeroes MetricsRegistry::Global() so it reports only its own work,
+  /// child closes this process's ends of every live worker socket, of
+  /// this fleet and of any other, zeroes MetricsRegistry::Global() so it reports only its own work,
   /// and runs `body` on its end of the socketpair. It _exits 0 when
   /// `body` returns; when `body` throws, it sends the message as a
   /// kMsgError frame and _exits 1. SIGPIPE is ignored first (children

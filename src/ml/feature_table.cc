@@ -114,7 +114,7 @@ namespace {
 /// A fixed array, so returning a slab never allocates (the pool returns
 /// them from its destructor).
 struct SlabCache {
-  std::array<AlignedBuffer<double>, 16> slabs;  ///< [0, count) are cached.
+  std::array<AlignedBuffer<int64_t>, 16> slabs;  ///< [0, count) are cached.
   size_t count = 0;
   size_t bytes = 0;
 };
@@ -124,8 +124,8 @@ SlabCache& ThreadSlabCache() {
   return cache;
 }
 
-size_t SlabBytes(const AlignedBuffer<double>& slab) {
-  return slab.size() * sizeof(double);
+size_t SlabBytes(const AlignedBuffer<int64_t>& slab) {
+  return slab.size() * sizeof(int64_t);
 }
 
 }  // namespace
@@ -145,10 +145,10 @@ NodeHistogramPool::~NodeHistogramPool() {
 
 size_t NodeHistogramPool::CachedBytes() { return ThreadSlabCache().bytes; }
 
-AlignedBuffer<double> NodeHistogramPool::TakeCachedSlab(size_t n) {
+AlignedBuffer<int64_t> NodeHistogramPool::TakeCachedSlab(size_t n) {
   SlabCache& cache = ThreadSlabCache();
-  if (cache.count == 0) return AlignedBuffer<double>(n);
-  // Best fit: the smallest slab holding n doubles; failing that the
+  if (cache.count == 0) return AlignedBuffer<int64_t>(n);
+  // Best fit: the smallest slab holding n cells; failing that the
   // largest, which is zero-extended below.
   size_t pick = 0;
   for (size_t i = 1; i < cache.count; ++i) {
@@ -160,7 +160,7 @@ AlignedBuffer<double> NodeHistogramPool::TakeCachedSlab(size_t n) {
       pick = i;
     }
   }
-  AlignedBuffer<double> slab = std::move(cache.slabs[pick]);
+  AlignedBuffer<int64_t> slab = std::move(cache.slabs[pick]);
   cache.slabs[pick] = std::move(cache.slabs[--cache.count]);
   cache.bytes -= SlabBytes(slab);
   if (slab.size() < n) slab.ResetZero(n);

@@ -130,8 +130,9 @@ class FeatureTable {
 
 /// Free-list pool of flat per-node histograms for the boosting tree
 /// builder. One histogram holds, for every tracked column slot,
-/// num_bins(col) bins of `width` doubles each (2 grad/hess sums for
-/// boosting). The pool owns the engine-critical invariants:
+/// num_bins(col) bins of `width` int64 cells each (the 2 fixed-point
+/// grad/hess sums of ml/hist_kernels.h for boosting). The pool owns the
+/// engine-critical invariants:
 ///
 ///  * every free-listed (and freshly acquired) buffer is all-zero;
 ///    callers accumulate straight into an Acquire()d buffer and record
@@ -141,7 +142,9 @@ class FeatureTable {
 ///  * SubtractInto(buf, sub) derives a sibling histogram in place over
 ///    buf's dirty span (sub's rows are a subset of buf's, so sub's span
 ///    lies inside it; sub's cells outside its own span are zero by the
-///    invariant above).
+///    invariant above). Integer subtraction is exact: the derived
+///    sibling equals a direct scan of its rows, cell for cell, so its
+///    empty bins are exactly zero.
 ///
 /// At most tree-depth + 1 buffers are ever live.
 ///
@@ -186,13 +189,13 @@ class NodeHistogramPool {
   /// Bytes of slabs cached for the calling thread (<= kSlabCacheBytes).
   static size_t CachedBytes();
 
-  /// Doubles per histogram (all slots).
+  /// Cells per histogram (all slots).
   size_t hist_size() const { return hist_size_; }
 
-  /// Start of slot j inside a histogram, in doubles.
+  /// Start of slot j inside a histogram, in cells.
   size_t slot_offset(size_t j) const { return offsets_[j] * width_; }
 
-  double* hist(size_t b) { return pool_[b].data(); }
+  int64_t* hist(size_t b) { return pool_[b].data(); }
   uint16_t* lo(size_t b) { return lo_[b].data(); }
   uint16_t* hi(size_t b) { return hi_[b].data(); }
 
@@ -209,29 +212,27 @@ class NodeHistogramPool {
   }
 
   void Release(size_t b) {
-    double* h = pool_[b].data();
+    int64_t* h = pool_[b].data();
     for (size_t j = 0; j < offsets_.size(); ++j) {
-      double* base = h + offsets_[j] * width_;
+      int64_t* base = h + offsets_[j] * width_;
       const size_t lo = lo_[b][j], hi = hi_[b][j];
       if (lo <= hi) {
-        std::fill(base + lo * width_, base + (hi + 1) * width_, 0.0);
+        std::fill(base + lo * width_, base + (hi + 1) * width_, int64_t{0});
       }
     }
     free_list_.push_back(b);
   }
 
   void SubtractInto(size_t buf, size_t sub) {
-    double* a = pool_[buf].data();
-    const double* b = pool_[sub].data();
+    int64_t* a = pool_[buf].data();
+    const int64_t* b = pool_[sub].data();
     for (size_t j = 0; j < offsets_.size(); ++j) {
       const size_t base = offsets_[j] * width_;
       const size_t lo = lo_[buf][j], hi = hi_[buf][j];
-      // Per-element subtraction: vector and scalar spellings are the same
-      // IEEE op per cell, so a 4-wide body + scalar tail is bit-identical.
       size_t i = base + lo * width_;
       const size_t end = base + (hi + 1) * width_;
-      for (; i + 4 <= end; i += 4) {
-        (simd::F64x4::Load(a + i) - simd::F64x4::Load(b + i)).Store(a + i);
+      for (; i + 2 <= end; i += 2) {
+        (simd::I64x2::Load(a + i) - simd::I64x2::Load(b + i)).Store(a + i);
       }
       for (; i < end; ++i) a[i] -= b[i];
     }
@@ -272,14 +273,14 @@ class NodeHistogramPool {
   }
 
  private:
-  /// An all-zero slab of at least n doubles: from this thread's cache
+  /// An all-zero slab of at least n cells: from this thread's cache
   /// when it holds one, freshly allocated otherwise.
-  static AlignedBuffer<double> TakeCachedSlab(size_t n);
+  static AlignedBuffer<int64_t> TakeCachedSlab(size_t n);
 
   size_t width_ = 0;
   size_t hist_size_ = 0;
   std::vector<size_t> offsets_;  ///< per-slot bin offset.
-  std::vector<AlignedBuffer<double>> pool_;
+  std::vector<AlignedBuffer<int64_t>> pool_;
   std::vector<std::vector<uint16_t>> lo_, hi_;
   std::vector<size_t> free_list_;
 };

@@ -52,10 +52,11 @@ constexpr double kLambda = 1.0;
 
 struct GradientBoostingClassifier::HistBuilder {
   const FeatureTable& ft;
-  /// Row-interleaved per-row gradients/hessians: gh[2r] = grad(r),
-  /// gh[2r+1] = hess(r). One cache line serves both halves of a row, and
-  /// the scan's paired cell update is a single two-lane vector add.
-  const std::vector<double>& gh;
+  /// Row-interleaved fixed-point gradients/hessians (ml/hist_kernels.h):
+  /// gh[2r] = grad(r), gh[2r+1] = hess(r). One cache line serves both
+  /// halves of a row, and the scan's paired cell update is a single
+  /// two-lane integer add.
+  const std::vector<int64_t>& gh;
   const Params& params;
   const std::vector<size_t>& cols;
   Tree* tree;
@@ -71,93 +72,51 @@ struct GradientBoostingClassifier::HistBuilder {
   std::vector<SplitSlot> slots;  ///< slot j = cols[j], refilled per node.
   SplitScratch split;            ///< NodeSplitSearch's compaction buffers.
   /// Shared pool machinery (free list, all-zero invariant, dirty-span
-  /// bookkeeping, sibling subtraction); slot j = cols[j], 2 doubles per
-  /// bin (grad, hess).
+  /// bookkeeping, sibling subtraction); slot j = cols[j], 2 int64 cells
+  /// per bin (grad, hess).
   NodeHistogramPool hpool;
 
-  /// Distributed mode (red != nullptr): per-row gradients/hessians are
-  /// quantized ONCE to int64 fixed point (scale kGradHessScale), all
-  /// accumulation happens in int64 — exact and associative, so global
-  /// sums are independent of the worker count and reduction order — and
-  /// the reduced sums are descaled to double exactly once. Each rank
-  /// accumulates only compact rows in [own_begin, own_end).
+  /// Distributed mode (red != nullptr): this rank adds only the table
+  /// rows in [own_begin, own_end), and every histogram and node total is
+  /// allreduced. Without a reducer the fit is world 1 and owns every row:
+  /// the sums are exact, so both are the same arithmetic.
   HistogramReducer* red = nullptr;
   size_t own_begin = 0, own_end = 0;
-  std::vector<int64_t> gq, hq;  ///< quantized per-row grad/hess.
-  std::vector<int64_t> ibuf;    ///< int64 histogram staging.
 
-  HistBuilder(const FeatureTable& ft_in, const std::vector<double>& gh_in,
+  HistBuilder(const FeatureTable& ft_in, const std::vector<int64_t>& gh_in,
               const Params& params_in, const std::vector<size_t>& cols_in,
               Tree* tree_in, std::vector<double>* gains_in,
               std::vector<uint16_t>* node_bins_in)
       : ft(ft_in), gh(gh_in), params(params_in), cols(cols_in), tree(tree_in),
         gains(gains_in), node_bins(node_bins_in), slots(cols_in.size()),
-        hpool(ft_in, cols_in, 2) {
-    red = params.reducer;
+        hpool(ft_in, cols_in, 2), red(params_in.reducer),
+        own_end(ft_in.num_rows()) {
     if (red != nullptr) {
       own_begin = OwnedRowsBegin(ft.num_rows(), red->rank(), red->world_size());
       own_end = OwnedRowsEnd(ft.num_rows(), red->rank(), red->world_size());
-      const size_t n = gh.size() / 2;
-      gq.resize(n);
-      hq.resize(n);
-      for (size_t r = 0; r < n; ++r) {
-        gq[r] = QuantizeGradHess(gh[2 * r]);
-        hq[r] = QuantizeGradHess(gh[2 * r + 1]);
-      }
-      ibuf.resize(hpool.hist_size());
     }
   }
 
-  /// Accumulates (grad, hess) sums of rows[begin, end) into buffer `buf`
-  /// (all-zero by the pool invariant), recording the dirty spans.
+  /// Accumulates the (grad, hess) sums of the owned rows among
+  /// rows[begin, end) into buffer `buf` (all-zero by the pool invariant),
+  /// recording the dirty spans. With a reducer the buffer is then summed
+  /// across ranks, and any bin may hold another rank's rows, so every span
+  /// widens to its full slot. The collective makes Scan order-sensitive:
+  /// every rank must issue the same Scans in the same order, which is why
+  /// distributed fits run the tree loop single-threaded.
   void Scan(size_t begin, size_t end, size_t buf) {
     obs::Count(obs::PipelineMetrics::Get().train_hist_node_builds);
-    if (red != nullptr) {
-      ScanReduced(begin, end, buf);
-      return;
-    }
-    double* h = hpool.hist(buf);
+    int64_t* h = hpool.hist(buf);
     uint16_t* plo = hpool.lo(buf);
     uint16_t* phi = hpool.hi(buf);
-    // Stage the rows once (32-bit ids, contiguity detection), then run the
-    // vector pair-scan kernel per tracked column — rows accumulate in
-    // staged order, so the FP sums match the scalar loop bit for bit (see
-    // hist_kernels.h).
-    stage.StageRows(rows, begin, end);
+    stage.StageRows(rows, begin, end, own_begin, own_end);
     for (size_t j = 0; j < cols.size(); ++j) {
       PairScan(ft.column(cols[j]), stage, gh.data(),
                h + hpool.slot_offset(j), plo + j, phi + j);
     }
-  }
-
-  /// Distributed Scan: accumulate owned rows in int64, allreduce, descale
-  /// into the pool buffer with full-range dirty spans (empty bins sweep
-  /// as zero; this keeps the reducer interface to one AllreduceSum). The
-  /// collective makes Scan order-sensitive: every rank must issue the
-  /// same Scans in the same order, which is why distributed fits run the
-  /// tree loop single-threaded.
-  void ScanReduced(size_t begin, size_t end, size_t buf) {
-    std::fill(ibuf.begin(), ibuf.end(), int64_t{0});
+    if (red == nullptr) return;
+    red->AllreduceSum(h, hpool.hist_size());
     for (size_t j = 0; j < cols.size(); ++j) {
-      const uint8_t* col = ft.column(cols[j]);
-      int64_t* base = ibuf.data() + hpool.slot_offset(j);
-      for (size_t i = begin; i < end; ++i) {
-        const size_t r = rows[i];
-        if (r < own_begin || r >= own_end) continue;
-        int64_t* cell = base + static_cast<size_t>(col[r]) * 2;
-        cell[0] += gq[r];
-        cell[1] += hq[r];
-      }
-    }
-    red->AllreduceSum(ibuf.data(), ibuf.size());
-    double* h = hpool.hist(buf);
-    uint16_t* plo = hpool.lo(buf);
-    uint16_t* phi = hpool.hi(buf);
-    for (size_t j = 0; j < cols.size(); ++j) {
-      const int64_t* src = ibuf.data() + hpool.slot_offset(j);
-      double* base = h + hpool.slot_offset(j);
-      const size_t cells = ft.num_bins(cols[j]) * 2;
-      for (size_t c = 0; c < cells; ++c) base[c] = DequantizeGradHess(src[c]);
       plo[j] = 0;
       phi[j] = static_cast<uint16_t>(ft.num_bins(cols[j]) - 1);
     }
@@ -177,27 +136,18 @@ struct GradientBoostingClassifier::HistBuilder {
   int32_t Build(size_t begin, size_t end, size_t depth, size_t buf) {
     const size_t n = end - begin;
 
-    double g_sum = 0.0, h_sum = 0.0;
-    if (red != nullptr) {
-      // Node totals are a (small) collective too, so leaf weights and
-      // stopping decisions are global and identical on every rank.
-      int64_t acc[2] = {0, 0};
-      for (size_t i = begin; i < end; ++i) {
-        const size_t r = rows[i];
-        if (r < own_begin || r >= own_end) continue;
-        acc[0] += gq[r];
-        acc[1] += hq[r];
-      }
-      red->AllreduceSum(acc, 2);
-      g_sum = DequantizeGradHess(acc[0]);
-      h_sum = DequantizeGradHess(acc[1]);
-    } else {
-      for (size_t i = begin; i < end; ++i) {
-        const double* cell = gh.data() + 2 * rows[i];
-        g_sum += cell[0];
-        h_sum += cell[1];
-      }
+    // Node totals are a (small) collective too, so leaf weights and
+    // stopping decisions are global and identical on every rank.
+    int64_t acc[2] = {0, 0};
+    for (size_t i = begin; i < end; ++i) {
+      const size_t r = rows[i];
+      if (r < own_begin || r >= own_end) continue;
+      acc[0] += gh[2 * r];
+      acc[1] += gh[2 * r + 1];
     }
+    if (red != nullptr) red->AllreduceSum(acc, 2);
+    const double g_sum = DequantizeGradHess(acc[0]);
+    const double h_sum = DequantizeGradHess(acc[1]);
 
     auto make_leaf = [&]() {
       TreeNode leaf;
@@ -214,7 +164,7 @@ struct GradientBoostingClassifier::HistBuilder {
       buf = hpool.Acquire();
       Scan(begin, end, buf);
     }
-    const double* hist = hpool.hist(buf);
+    const int64_t* hist = hpool.hist(buf);
 
     const GainNode node{g_sum, h_sum, kLambda, params.min_child_weight,
                         g_sum * g_sum / (h_sum + kLambda)};
@@ -322,7 +272,7 @@ void GradientBoostingClassifier::FitTable(
     base_score_[0] = std::log(p / (1.0 - p));
   }
 
-  // Logits/probs are compact (one slot per training row); the
+  // Logits/probs are compact (one slot per training row); the fixed-point
   // gradient/hessian buffers are table-indexed — ghs[out][2g] for table
   // row g — because the histogram scans and the distributed row-ownership
   // ranges address rows by table id. Rows outside the subset stay zero
@@ -330,8 +280,8 @@ void GradientBoostingClassifier::FitTable(
   const size_t total = ft.num_rows();
   Matrix logits(n, base_score_);
   Matrix probs(n, std::vector<double>(num_outputs));
-  std::vector<std::vector<double>> ghs(num_outputs,
-                                       std::vector<double>(2 * total, 0.0));
+  std::vector<std::vector<int64_t>> ghs(num_outputs,
+                                        std::vector<int64_t>(2 * total, 0));
   std::vector<std::vector<double>> out_gains(num_outputs,
                                              std::vector<double>(d));
 
@@ -371,10 +321,10 @@ void GradientBoostingClassifier::FitTable(
     }
 
     // Fused softmax-gradient pass: one row-parallel sweep computes the
-    // probabilities AND every output's (grad, hess) pair straight into the
-    // table-indexed interleaved buffers. Each (row, output) cell is a pure
-    // function of that row's logits, so the thread partitioning is
-    // invisible in the results.
+    // probabilities AND every output's quantized (grad, hess) pair straight
+    // into the table-indexed interleaved buffers. Each (row, output) cell
+    // is a pure function of that row's logits, so the thread partitioning
+    // is invisible in the results.
     ParallelFor(
         n, params_.num_threads,
         [&](size_t i) {
@@ -390,9 +340,9 @@ void GradientBoostingClassifier::FitTable(
             const double p = pr[binary ? 0 : out];
             const double target =
                 (binary ? encoded[i] == 1 : encoded[i] == out) ? 1.0 : 0.0;
-            double* cell = ghs[out].data() + 2 * g;
-            cell[0] = p - target;
-            cell[1] = std::max(1e-12, p * (1.0 - p));
+            int64_t* cell = ghs[out].data() + 2 * g;
+            cell[0] = QuantizeGradHess(p - target);
+            cell[1] = QuantizeGradHess(std::max(1e-12, p * (1.0 - p)));
           }
         },
         kRowGrain);

@@ -30,6 +30,10 @@ class HistogramReducer;
 /// FeatureTable is built once per Fit (Fit/FitOnRows bin the matrix rows
 /// and run the FitBinned body), each node scans only its smaller child and
 /// derives the sibling by subtraction, and rows are partitioned in place.
+/// Every per-row gradient and hessian is quantized once to int64 fixed
+/// point (ml/hist_kernels.h), and histograms, sibling subtraction, node
+/// totals and the split search's prefix sums add integers, which is exact:
+/// an in-process fit is a distributed fit at world 1.
 /// The per-node search over the histogram is NodeSplitSearch
 /// (ml/hist_kernels.h): per column, an exact prefix pass compacts the
 /// boundaries whose bin holds rows without branching on the data, the
@@ -59,12 +63,11 @@ class GradientBoostingClassifier : public Classifier {
     /// not serialized.
     size_t num_threads = 1;
     /// Distributed histogram-merge seam (runtime-only, never serialized).
-    /// When set, gradients/hessians are quantized per row to int64 fixed
-    /// point, each rank accumulates its owned row slice, and histograms
+    /// When set, each rank accumulates its owned row slice, and histograms
     /// and node totals are allreduced before split finding — the fitted
-    /// model is bit-identical for any worker count. Forces the per-class
-    /// tree loop sequential so the collectives issue in the same order on
-    /// every rank. Not owned.
+    /// model is bit-identical to the in-process fit for any worker count.
+    /// Forces the per-class tree loop sequential so the collectives issue
+    /// in the same order on every rank. Not owned.
     HistogramReducer* reducer = nullptr;
   };
 

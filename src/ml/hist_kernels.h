@@ -8,7 +8,8 @@
 //
 // Layout contract: `col` is a FeatureTable column (cache-line aligned,
 // zero-padded to row_stride()); `base` is the bin-major histogram slot
-// (`width` doubles per bin) inside a 64-byte pool slab. A node's rows are
+// (`k` class counts, or one fixed-point grad/hess pair, per bin); GBT
+// slots live inside a 64-byte pool slab. A node's rows are
 // staged once per scan into 32-bit row/class arrays (RowStage), amortising
 // the narrowing over all scanned features; the root node's rows are the
 // identity permutation, which the stage detects and routes to the
@@ -17,6 +18,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -26,6 +28,27 @@
 #include "util/simd.h"
 
 namespace mvg {
+
+/// Fixed point of the GBT histograms: every per-row gradient and hessian
+/// is quantized once to int64 at scale 2^40, and every histogram cell,
+/// sibling subtraction, node total and split-search prefix is an int64
+/// sum. Integer sums are exact and associative, so a histogram does not
+/// depend on row order, on which rows a sibling was derived from, or on
+/// how the rows were split across distributed ranks. The scale is chosen
+/// so (a) the hessian floor 1e-12 still quantizes to a nonzero value
+/// (1e-12 * 2^40 ~= 1.0995 -> 1), which makes "the bin holds rows" the
+/// same as "its hessian is non-zero", and (b) int64 sums cannot overflow
+/// for any realistic node: |grad| <= 1 and hess <= 0.25 per row, so ~8.4M
+/// rows fit before |sum| could approach 2^63.
+inline constexpr double kGradHessScale = 1099511627776.0;  // 2^40
+
+inline int64_t QuantizeGradHess(double v) {
+  return std::llround(v * kGradHessScale);
+}
+
+inline double DequantizeGradHess(int64_t q) {
+  return static_cast<double>(q) / kGradHessScale;
+}
 
 /// Min/max bin id over a contiguous u8 column span — the occupied-bin
 /// bounds [lo, hi] the sweep and Release use. 16 bytes per iteration with
@@ -76,19 +99,24 @@ struct RowStage {
     }
   }
 
-  /// Row ids only (the GBT pair scans index grad/hess by row directly).
-  void StageRows(const std::vector<size_t>& rows, size_t begin, size_t end) {
-    n = end - begin;
-    r32.ResetUninit(n);
+  /// Row ids only (the GBT pair scans index grad/hess by row directly),
+  /// keeping the rows in [own_begin, own_end): a distributed rank's owned
+  /// slice. The default range keeps every row.
+  void StageRows(const std::vector<size_t>& rows, size_t begin, size_t end,
+                 size_t own_begin = 0, size_t own_end = SIZE_MAX) {
+    r32.ResetUninit(end - begin);
     uint32_t* rp = r32.data();
-    const size_t f0 = rows[begin];
-    assert(f0 <= UINT32_MAX);
+    size_t m = 0, f0 = 0;
     bool contig = true;
-    for (size_t i = 0; i < n; ++i) {
-      const size_t r = rows[begin + i];
-      contig = contig && r == f0 + i;
-      rp[i] = static_cast<uint32_t>(r);
+    for (size_t i = begin; i < end; ++i) {
+      const size_t r = rows[i];
+      if (r < own_begin || r >= own_end) continue;
+      assert(r <= UINT32_MAX);
+      if (m == 0) f0 = r;
+      contig = contig && r == f0 + m;
+      rp[m++] = static_cast<uint32_t>(r);
     }
+    n = m;
     contiguous = contig;
     first = static_cast<uint32_t>(f0);
   }
@@ -166,14 +194,13 @@ MVG_NO_AUTOVEC inline void ClassScan(const uint8_t* col, const RowStage& st,
 }
 
 /// Grad/hess pair scan of one feature column for the GBT engine:
-/// base[col[r]*2] += gh[2r], base[col[r]*2 + 1] += gh[2r+1] (gh is the
-/// row-interleaved grad/hess array — one cache line serves both halves).
-/// FP sums ARE order-sensitive here, so rows are accumulated strictly in
-/// staged order — the vector work is the index computation and the paired
-/// two-lane cell update, both per-element exact, so bits match the scalar
-/// spelling.
+/// base[col[r]*2] += gh[2r], base[col[r]*2 + 1] += gh[2r+1], where gh is
+/// the row-interleaved fixed-point grad/hess array (one cache line serves
+/// both halves) and the cells are int64. The vector work is the index
+/// computation and the paired two-lane integer add; integer sums are
+/// exact, so any row order gives the same histogram.
 MVG_NO_AUTOVEC inline void PairScan(const uint8_t* col, const RowStage& st,
-                                    const double* gh, double* base,
+                                    const int64_t* gh, int64_t* base,
                                     uint16_t* plo, uint16_t* phi) {
   const size_t n = st.n;
   if (n == 0) {
@@ -184,21 +211,21 @@ MVG_NO_AUTOVEC inline void PairScan(const uint8_t* col, const RowStage& st,
   if (st.contiguous) {
     const uint8_t* c = col + st.first;
     U8Span(c, n, plo, phi);
-    const double* g = gh + 2 * static_cast<size_t>(st.first);
+    const int64_t* g = gh + 2 * static_cast<size_t>(st.first);
     const simd::I32x4 two = simd::I32x4::Broadcast(2);
     alignas(16) int32_t idx[4];
     size_t i = 0;
     for (; i + 4 <= n; i += 4) {
       (simd::I32x4::WidenU8x4(c + i) * two).Store(idx);
       for (size_t j = 0; j < 4; ++j) {
-        double* cell = base + idx[j];
-        (simd::F64x2::Load(cell) + simd::F64x2::Load(g + 2 * (i + j)))
+        int64_t* cell = base + idx[j];
+        (simd::I64x2::Load(cell) + simd::I64x2::Load(g + 2 * (i + j)))
             .Store(cell);
       }
     }
     for (; i < n; ++i) {
-      double* cell = base + static_cast<size_t>(c[i]) * 2;
-      (simd::F64x2::Load(cell) + simd::F64x2::Load(g + 2 * i)).Store(cell);
+      int64_t* cell = base + static_cast<size_t>(c[i]) * 2;
+      (simd::I64x2::Load(cell) + simd::I64x2::Load(g + 2 * i)).Store(cell);
     }
     return;
   }
@@ -209,8 +236,8 @@ MVG_NO_AUTOVEC inline void PairScan(const uint8_t* col, const RowStage& st,
     const uint32_t b = col[r];
     mn = std::min(mn, b);
     mx = std::max(mx, b);
-    double* cell = base + static_cast<size_t>(b) * 2;
-    (simd::F64x2::Load(cell) + simd::F64x2::Load(gh + 2 * static_cast<size_t>(r)))
+    int64_t* cell = base + static_cast<size_t>(b) * 2;
+    (simd::I64x2::Load(cell) + simd::I64x2::Load(gh + 2 * static_cast<size_t>(r)))
         .Store(cell);
   }
   *plo = static_cast<uint16_t>(mn);
@@ -219,21 +246,21 @@ MVG_NO_AUTOVEC inline void PairScan(const uint8_t* col, const RowStage& st,
 
 /// Node-level constants of the GBT split gain
 ///   0.5 * (gl^2/(hl+lambda) + gr^2/(hr+lambda) - parent_score),
-/// with gr = g_sum - gl and hr = h_sum - hl.
+/// with gr = g_sum - gl and hr = h_sum - hl, all dequantized.
 struct GainNode {
   double g_sum = 0.0;  ///< node gradient total.
-  double h_sum = 0.0;  ///< node hessian total.
+  double h_sum = 0.0;  ///< node hessian total; NodeSplitSearch needs > 0.
   double lambda = 0.0;
   double min_child_weight = 0.0;
   double parent_score = 0.0;  ///< g_sum^2 / (h_sum + lambda).
 };
 
 /// One column slot of a GBT node histogram as NodeSplitSearch reads it:
-/// `fh` holds (grad, hess) per bin, and the candidate boundaries are
-/// "bin <= b goes left" for b in [lo, end). An empty range (end <= lo)
-/// offers no boundary.
+/// `fh` holds the fixed-point (grad, hess) sums per bin, and the
+/// candidate boundaries are "bin <= b goes left" for b in [lo, end). An
+/// empty range (end <= lo) offers no boundary.
 struct SplitSlot {
-  const double* fh = nullptr;
+  const int64_t* fh = nullptr;
   size_t lo = 0;
   size_t end = 0;
 };
@@ -245,7 +272,7 @@ struct SplitSlot {
 /// column, which is a whole number of lanes.
 struct SplitScratch {
   static constexpr size_t kMaxBoundaries = 256;
-  AlignedBuffer<double> pairs{2 * 2 * kMaxBoundaries};
+  AlignedBuffer<int64_t> pairs{2 * 2 * kMaxBoundaries};
   AlignedBuffer<double> gain{kMaxBoundaries};
 };
 
@@ -255,24 +282,24 @@ inline constexpr size_t kNoSplit = static_cast<size_t>(-1);
 /// Best split of one GBT node over its column slots, in (slot, bin)
 /// order: returns the winning slot and sets *best_gain / *best_bin when
 /// some boundary's gain strictly beats the incoming *best_gain, and
-/// returns kNoSplit otherwise. Bit-exact against the plain scalar loop
-/// (per slot: prefix sums in bin order, stop once the right side is
-/// exhausted, skip bins with no rows, min_child_weight check, two
-/// divisions, strict `>` against the running best across slots), in
+/// returns kNoSplit otherwise. Requires node.h_sum > 0, which every GBT
+/// node has: each row's hessian quantizes to at least 1. Bit-exact
+/// against the plain scalar loop (tests/split_search_oracle.h: per slot,
+/// int64 prefix sums in bin order, dequantized; stop once the right side
+/// is exhausted; skip bins with no rows; min_child_weight check; two
+/// divisions; strict `>` against the running best across slots), in
 /// three passes per slot:
 ///
-///  1. prefix: one (gl, hl) pair add per bin, in bin order — the same
-///     adds as the scalar loop. Every pair is written to the scratch,
-///     and the write index advances only past a bin with non-zero
-///     hessian (a bin with no rows adds no new partition), so the
-///     compaction takes no data-dependent branch. The search stops
-///     where hr = h_sum - hl <= 0: every GBT row carries hessian >=
-///     1e-12, far above the subtraction's rounding noise, so no rows
-///     remain on the right from there on. That stop moves onto the
-///     compacted list: hl changes only at bins with non-zero hessian,
-///     so hr can first drop to <= 0 only at a compacted entry, or at
-///     the very first bin when h_sum <= 0.
-///  2. gain: four entries at a time on simd::F64x4, the same IEEE
+///  1. prefix: one paired int64 (gl, hl) add per bin, in bin order. Every
+///     pair is written to the scratch, and the write index advances only
+///     past a bin with non-zero hessian — exactly the bins that hold
+///     rows, since the sums are exact; an empty bin adds no new
+///     partition — so the compaction takes no data-dependent branch. The
+///     search stops where hr = h_sum - hl <= 0, and that stop moves onto
+///     the compacted list: hl changes only at compacted entries, and
+///     before the first one hr = h_sum > 0.
+///  2. gain: four entries at a time on simd::F64x4. Only here, once per
+///     occupied bin, are gl and hl dequantized; then come the same IEEE
 ///     operations as the scalar expression (util/simd.h contract; the
 ///     expression has no multiply-add to contract). A lane failing
 ///     min_child_weight, at or past the first exhausted entry, or past
@@ -287,8 +314,7 @@ inline constexpr size_t kNoSplit = static_cast<size_t>(-1);
 /// one vector per four bins: the prefix pass is a latency chain of adds
 /// and the gains are bound by the divider, so the two overlap. Pass 2
 /// reads entries compacted one slot earlier, whose stores have long
-/// retired; reading entries just written would stall every vector load
-/// on store forwarding (a 32-byte load spanning two 16-byte stores).
+/// retired, so its loads never wait on store forwarding.
 MVG_NO_AUTOVEC inline size_t NodeSplitSearch(const SplitSlot* slots,
                                              size_t num_slots,
                                              const GainNode& node,
@@ -304,11 +330,19 @@ MVG_NO_AUTOVEC inline size_t NodeSplitSearch(const SplitSlot* slots,
   const simd::F64x4 zero = simd::F64x4::Zero();
   const simd::F64x4 ninf =
       simd::F64x4::Broadcast(-std::numeric_limits<double>::infinity());
+  // Times 2^-40, exact: the same bits as DequantizeGradHess's division.
+  const simd::F64x4 unit = simd::F64x4::Broadcast(1.0 / kGradHessScale);
+  const auto dequantize = [&](const int64_t* p) {
+    return simd::F64x4::Set(
+               static_cast<double>(p[0]), static_cast<double>(p[2]),
+               static_cast<double>(p[4]), static_cast<double>(p[6])) *
+           unit;
+  };
   double* gains = s->gain.data();
 
   struct Compacted {
-    double* pairs;                ///< (gl, hl) per entry.
-    const double* fh = nullptr;   ///< the slot's histogram from bin lo.
+    int64_t* pairs;               ///< (gl, hl) per entry.
+    const int64_t* fh = nullptr;  ///< the slot's histogram from bin lo.
     size_t lo = 0;                ///< the slot's first bin.
     size_t count = 0;             ///< entries (bins with non-zero hessian).
   };
@@ -332,10 +366,9 @@ MVG_NO_AUTOVEC inline size_t NodeSplitSearch(const SplitSlot* slots,
     simd::F64x4 top = simd::F64x4::Broadcast(*best_gain);
     const auto gain_vec = [&] {
       const size_t i = 4 * v;
-      const double* p = prev.pairs + 2 * i;
-      simd::F64x4 l_g, l_h;
-      simd::DeinterleaveEvenOdd(simd::F64x4::LoadAligned(p),
-                                simd::F64x4::LoadAligned(p + 4), &l_g, &l_h);
+      const int64_t* p = prev.pairs + 2 * i;
+      const simd::F64x4 l_g = dequantize(p);
+      const simd::F64x4 l_h = dequantize(p + 1);
       const simd::F64x4 r_g = g_sum - l_g;
       const simd::F64x4 r_h = h_sum - l_h;
       simd::F64x4 gain =
@@ -365,13 +398,13 @@ MVG_NO_AUTOVEC inline size_t NodeSplitSearch(const SplitSlot* slots,
       const SplitSlot& slot = slots[j];
       const size_t len = slot.end > slot.lo ? slot.end - slot.lo : 0;
       assert(len <= SplitScratch::kMaxBoundaries);
-      const double* f = slot.fh + 2 * slot.lo;
-      simd::F64x2 acc = simd::F64x2::Zero();
-      double* w = cur.pairs;  // next entry
+      const int64_t* f = slot.fh + 2 * slot.lo;
+      simd::I64x2 acc = simd::I64x2::Zero();
+      int64_t* w = cur.pairs;  // next entry
       const auto step = [&](size_t t) {
-        acc = acc + simd::F64x2::Load(f + 2 * t);
-        acc.StoreAligned(w);
-        w += f[2 * t + 1] != 0.0 ? 2 : 0;
+        acc = acc + simd::I64x2::Load(f + 2 * t);
+        acc.Store(w);
+        w += f[2 * t + 1] != 0 ? 2 : 0;
       };
       size_t t = 0;
       for (; t + 4 <= len; t += 4) {
@@ -385,8 +418,8 @@ MVG_NO_AUTOVEC inline size_t NodeSplitSearch(const SplitSlot* slots,
       const size_t m = static_cast<size_t>(w - cur.pairs) / 2;
       // Pad to whole lanes: padded gains are computed, then masked.
       for (size_t i = m; i % 4 != 0; ++i) {
-        cur.pairs[2 * i] = 0.0;
-        cur.pairs[2 * i + 1] = 0.0;
+        cur.pairs[2 * i] = 0;
+        cur.pairs[2 * i + 1] = 0;
       }
       cur.fh = f;
       cur.lo = slot.lo;
@@ -394,10 +427,7 @@ MVG_NO_AUTOVEC inline size_t NodeSplitSearch(const SplitSlot* slots,
     }
     while (v < num_vecs) gain_vec();
 
-    // Pass 3 for slot j - 1. Exhausted at its first bin: no boundary.
-    if (node.h_sum <= 0.0 && (valid == 0 || prev.fh[1] == 0.0)) {
-      valid = 0;
-    }
+    // Pass 3 for slot j - 1.
     if (valid == 0) continue;
     const double best = simd::ReduceMaxOrdered(top);
     if (!(best > *best_gain)) continue;
@@ -406,7 +436,7 @@ MVG_NO_AUTOVEC inline size_t NodeSplitSearch(const SplitSlot* slots,
     *best_gain = gains[i];
     size_t b = 0;
     for (size_t seen = 0;; ++b) {
-      if (prev.fh[2 * b + 1] != 0.0 && seen++ == i) break;
+      if (prev.fh[2 * b + 1] != 0 && seen++ == i) break;
     }
     *best_bin = prev.lo + b;
     winner = j - 1;

@@ -6,20 +6,20 @@
 // the rows and sum the slices through a HistogramReducer before split
 // finding, so every worker sweeps the same global histogram.
 //
-// The whole contract is integer: callers quantize per-ROW values to
-// int64 fixed point once (QuantizeGradHess), accumulate and allreduce in
-// int64 — which is exact and associative, so the global sums do not
-// depend on the worker count or reduction order — and convert back to
-// double exactly once after the reduce. That is what makes the trained
-// model bit-identical for 1 vs N workers (the contract pinned in
-// docs/ARCHITECTURE.md and verified by tests/dist_test.cc and the CI
+// The contract is integer: histogram cells are exact int64 sums, so the
+// global sums do not depend on the worker count or the reduction order.
+// The decision tree counts rows per class. Boosting adds the fixed-point
+// gradients and hessians of ml/hist_kernels.h, the same arithmetic an
+// in-process fit uses, so a fit with no reducer is world 1: the model
+// bytes are the same for in-RAM, paged and any number of workers (the
+// contract pinned in docs/ARCHITECTURE.md and verified by
+// tests/dist_test.cc, tests/train_identity_test.cc and the CI
 // cross-process smoke).
 //
-// Implementations: dist/reducer.h (in-process group for tests and
-// perf_suite) and dist/coordinator.h (socketpair transport for real
-// multi-process runs).
+// Implementations: dist/coordinator.h (socketpair transport for real
+// multi-process runs) and, for tests, tests/local_reducer_group.h (ranks
+// as threads in one process).
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -37,21 +37,6 @@ class HistogramReducer {
   /// every rank must call with the same `count`, in the same order.
   virtual void AllreduceSum(int64_t* data, size_t count) = 0;
 };
-
-/// Fixed-point scale for gradient/hessian quantization: 2^40. Chosen so
-/// (a) the GBT hessian floor 1e-12 still quantizes to a nonzero value
-/// (1e-12 * 2^40 ~= 1.0995 -> 1), and (b) int64 accumulation cannot
-/// overflow for any realistic node: |grad| <= 1 and hess <= 0.25 per row,
-/// so ~8.4M rows fit before |sum| could approach 2^63.
-inline constexpr double kGradHessScale = 1099511627776.0;  // 2^40
-
-inline int64_t QuantizeGradHess(double v) {
-  return std::llround(v * kGradHessScale);
-}
-
-inline double DequantizeGradHess(int64_t q) {
-  return static_cast<double>(q) / kGradHessScale;
-}
 
 /// Deterministic row partition: rank `r` owns compact row ids in
 /// [OwnedRowsBegin(n, r, w), OwnedRowsEnd(n, r, w)). Ownership is by

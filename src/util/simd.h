@@ -24,7 +24,8 @@
 // including the MVG_SIMD_OFF scalar build — which is what the cross-build
 // byte-diff in CI pins.
 //
-// Types: F64x4 (the workhorse), F64x2 (grad/hess pair cells), I32x4
+// Types: F64x4 (the workhorse), I64x2 (fixed-point grad/hess pair
+// cells; integer adds are exact), I32x4
 // (bin-index math, gather-free u8 widening), U8x16 (bin-span min/max
 // sweeps).
 // Loads are unaligned-safe; *Aligned variants assert/require cache-line
@@ -126,19 +127,19 @@ inline int CountLanes(int mask) {
 // ===========================================================================
 #if defined(MVG_SIMD_BACKEND_AVX2) || defined(MVG_SIMD_BACKEND_SSE2)
 
-// ---- F64x2 ----------------------------------------------------------------
-struct F64x2 {
-  __m128d v;
-  static F64x2 Load(const double* p) { return {_mm_loadu_pd(p)}; }
-  static F64x2 LoadAligned(const double* p) { return {_mm_load_pd(p)}; }
-  static F64x2 Broadcast(double x) { return {_mm_set1_pd(x)}; }
-  static F64x2 Zero() { return {_mm_setzero_pd()}; }
-  void Store(double* p) const { _mm_storeu_pd(p, v); }
-  void StoreAligned(double* p) const { _mm_store_pd(p, v); }
+// ---- I64x2 ----------------------------------------------------------------
+struct I64x2 {
+  __m128i v;
+  static I64x2 Load(const int64_t* p) {
+    return {_mm_loadu_si128(reinterpret_cast<const __m128i*>(p))};
+  }
+  static I64x2 Zero() { return {_mm_setzero_si128()}; }
+  void Store(int64_t* p) const {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
+  }
 };
-inline F64x2 operator+(F64x2 a, F64x2 b) { return {_mm_add_pd(a.v, b.v)}; }
-inline F64x2 operator-(F64x2 a, F64x2 b) { return {_mm_sub_pd(a.v, b.v)}; }
-inline F64x2 operator*(F64x2 a, F64x2 b) { return {_mm_mul_pd(a.v, b.v)}; }
+inline I64x2 operator+(I64x2 a, I64x2 b) { return {_mm_add_epi64(a.v, b.v)}; }
+inline I64x2 operator-(I64x2 a, I64x2 b) { return {_mm_sub_epi64(a.v, b.v)}; }
 
 // ---- I32x4 ----------------------------------------------------------------
 struct I32x4 {
@@ -390,18 +391,14 @@ inline int MoveMask(M64x4 m) {
 // NEON backend (aarch64): 128-bit registers, wide types as two halves.
 // ===========================================================================
 
-struct F64x2 {
-  float64x2_t v;
-  static F64x2 Load(const double* p) { return {vld1q_f64(p)}; }
-  static F64x2 LoadAligned(const double* p) { return {vld1q_f64(p)}; }
-  static F64x2 Broadcast(double x) { return {vdupq_n_f64(x)}; }
-  static F64x2 Zero() { return {vdupq_n_f64(0.0)}; }
-  void Store(double* p) const { vst1q_f64(p, v); }
-  void StoreAligned(double* p) const { vst1q_f64(p, v); }
+struct I64x2 {
+  int64x2_t v;
+  static I64x2 Load(const int64_t* p) { return {vld1q_s64(p)}; }
+  static I64x2 Zero() { return {vdupq_n_s64(0)}; }
+  void Store(int64_t* p) const { vst1q_s64(p, v); }
 };
-inline F64x2 operator+(F64x2 a, F64x2 b) { return {vaddq_f64(a.v, b.v)}; }
-inline F64x2 operator-(F64x2 a, F64x2 b) { return {vsubq_f64(a.v, b.v)}; }
-inline F64x2 operator*(F64x2 a, F64x2 b) { return {vmulq_f64(a.v, b.v)}; }
+inline I64x2 operator+(I64x2 a, I64x2 b) { return {vaddq_s64(a.v, b.v)}; }
+inline I64x2 operator-(I64x2 a, I64x2 b) { return {vsubq_s64(a.v, b.v)}; }
 
 struct I32x4 {
   int32x4_t v;
@@ -537,26 +534,20 @@ inline int MoveMask(M64x4 m) {
 // byte-diff in CI pins).
 // ===========================================================================
 
-struct F64x2 {
-  double v[2];
-  static F64x2 Load(const double* p) { return {{p[0], p[1]}}; }
-  static F64x2 LoadAligned(const double* p) { return Load(p); }
-  static F64x2 Broadcast(double x) { return {{x, x}}; }
-  static F64x2 Zero() { return {{0.0, 0.0}}; }
-  void Store(double* p) const {
+struct I64x2 {
+  int64_t v[2];
+  static I64x2 Load(const int64_t* p) { return {{p[0], p[1]}}; }
+  static I64x2 Zero() { return {{0, 0}}; }
+  void Store(int64_t* p) const {
     p[0] = v[0];
     p[1] = v[1];
   }
-  void StoreAligned(double* p) const { Store(p); }
 };
-inline F64x2 operator+(F64x2 a, F64x2 b) {
+inline I64x2 operator+(I64x2 a, I64x2 b) {
   return {{a.v[0] + b.v[0], a.v[1] + b.v[1]}};
 }
-inline F64x2 operator-(F64x2 a, F64x2 b) {
+inline I64x2 operator-(I64x2 a, I64x2 b) {
   return {{a.v[0] - b.v[0], a.v[1] - b.v[1]}};
-}
-inline F64x2 operator*(F64x2 a, F64x2 b) {
-  return {{a.v[0] * b.v[0], a.v[1] * b.v[1]}};
 }
 
 struct I32x4 {

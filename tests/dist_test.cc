@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -21,7 +22,6 @@
 
 #include "core/mvg_classifier.h"
 #include "dist/coordinator.h"
-#include "dist/reducer.h"
 #include "dist/shard_router.h"
 #include "ml/gradient_boosting.h"
 #include "ml/histogram_reducer.h"
@@ -29,6 +29,7 @@
 #include "obs/metrics.h"
 #include "serve/model_io.h"
 #include "serve/serving.h"
+#include "tests/local_reducer_group.h"
 #include "tests/test_util.h"
 #include "util/binary_io.h"
 #include "util/framing.h"
@@ -285,6 +286,32 @@ TEST(DistTraining, GbtBitIdenticalForAnyWorkerCount) {
         FitDistributed<GradientBoostingClassifier>(params, world, x, y);
     for (size_t r = 0; r < world; ++r) {
       EXPECT_EQ(wn[r], w1[0]) << "world " << world << " rank " << r;
+    }
+  }
+}
+
+TEST(DistTraining, InRamEqualsEveryWorldSize) {
+  // A fit with no reducer is world 1: the same fixed-point histograms,
+  // node totals and split search, so its bytes equal every rank's at
+  // every world size, row subsampling included.
+  Matrix x;
+  std::vector<int> y;
+  MakeBlobs(30, 3, 17, &x, &y);
+  GradientBoostingClassifier::Params params;
+  params.num_rounds = 12;
+  params.max_depth = 3;
+  params.subsample = 0.8;
+  params.colsample = 0.7;
+
+  GradientBoostingClassifier in_ram(params);
+  in_ram.Fit(x, y);
+  BinaryWriter w;
+  in_ram.SaveBinary(&w);
+  for (size_t world : {1u, 2u, 3u}) {
+    const std::vector<std::string> wn =
+        FitDistributed<GradientBoostingClassifier>(params, world, x, y);
+    for (size_t r = 0; r < world; ++r) {
+      EXPECT_TRUE(wn[r] == w.data()) << "world " << world << " rank " << r;
     }
   }
 }
@@ -554,6 +581,38 @@ TEST_F(ShardRouterTest, MmapShardsMatchStreamShards) {
   ShardRouter mmap_router = ShardRouter::SpawnLocal(opt);
   EXPECT_EQ(mmap_router.PredictBatch(test_set_->all_series()),
             stream_router.PredictBatch(test_set_->all_series()));
+}
+
+TEST_F(ShardRouterTest, OlderRouterDestroyedFirstReturns) {
+  // The newer router's shard must not inherit the older router's socket:
+  // if it did, the older shard would never read EOF and the older
+  // router's destructor would wait for it forever. The scenario runs in
+  // a forked child under alarm(30), so a regression fails instead of
+  // hanging the suite.
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    alarm(30);
+    int code = 0;
+    try {
+      ShardRouter::Options opt;
+      opt.model_path = *model_path_;
+      opt.num_shards = 1;
+      std::optional<ShardRouter> older(ShardRouter::SpawnLocal(opt));
+      std::optional<ShardRouter> newer(ShardRouter::SpawnLocal(opt));
+      if (!older->Ping(0) || !newer->Ping(0)) code = 2;
+      older.reset();
+      newer.reset();
+    } catch (...) {
+      code = 3;
+    }
+    _exit(code);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status))
+      << "killed by signal " << WTERMSIG(status) << " (14: SIGALRM, a hang)";
+  EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 TEST_F(ShardRouterTest, InvalidOptionsRejected) {

@@ -316,10 +316,10 @@ TEST_F(HistKernelTest, ClassScanConstantColumnOccupiesExactlyOneBin) {
 
 TEST_F(HistKernelTest, PairScanBitIdenticalToLegacyOnBothPaths) {
   Rng rng(99);
-  std::vector<double> gh(2 * kRows), grad(kRows), hess(kRows);
+  std::vector<int64_t> gh(2 * kRows), grad(kRows), hess(kRows);
   for (size_t i = 0; i < kRows; ++i) {
-    grad[i] = rng.Gaussian(0.0, 1.0);
-    hess[i] = rng.Uniform(0.05, 1.0);
+    grad[i] = QuantizeGradHess(rng.Gaussian(0.0, 1.0));
+    hess[i] = QuantizeGradHess(rng.Uniform(0.05, 1.0));
     gh[2 * i] = grad[i];
     gh[2 * i + 1] = hess[i];
   }
@@ -327,17 +327,15 @@ TEST_F(HistKernelTest, PairScanBitIdenticalToLegacyOnBothPaths) {
     RowStage st;
     st.StageRows(*order, 0, kRows);
     for (size_t f = 0; f < kFeats; ++f) {
-      std::vector<double> got(FeatureTable::kMaxBins * 2, 0.0);
-      std::vector<double> want(FeatureTable::kMaxBins * 2, 0.0);
+      std::vector<int64_t> got(FeatureTable::kMaxBins * 2, 0);
+      std::vector<int64_t> want(FeatureTable::kMaxBins * 2, 0);
       uint16_t glo, ghi, wlo, whi;
       PairScan(ft_.column(f), st, gh.data(), got.data(), &glo, &ghi);
       bench::LegacyPairScan(ft_.column(f), *order, grad, hess, 0, kRows,
                             want.data(), &wlo, &whi);
       EXPECT_EQ(wlo, glo);
       EXPECT_EQ(whi, ghi);
-      for (size_t i = 0; i < got.size(); ++i) {
-        ASSERT_TRUE(SameBits(want[i], got[i])) << "f=" << f << " i=" << i;
-      }
+      ASSERT_EQ(want, got) << "f=" << f;
     }
   }
 }

@@ -1,25 +1,28 @@
 #ifndef MVG_TESTS_SPLIT_SEARCH_ORACLE_H_
 #define MVG_TESTS_SPLIT_SEARCH_ORACLE_H_
 
-// Reference for the GBT split search: the plain scalar loop the histogram
-// engine ran before NodeSplitSearch (ml/hist_kernels.h) replaced it —
-// prefix sums in bin order, an early break once the right side is
-// exhausted, empty bins skipped by a branch, two scalar divisions per
-// boundary and a strict `>` against the running best across slots. The
-// kernel must reproduce its (slot, bin, gain) choice bit for bit on every
-// histogram, including the adversarial ones the engine never produces.
+// Reference for the GBT split search: the plain scalar loop over the
+// fixed-point node histogram — int64 prefix sums in bin order, each
+// prefix dequantized, an early break once the right side is exhausted,
+// empty bins (zero hessian) skipped by a branch, two scalar divisions per
+// boundary and a strict `>` against the running best across slots.
+// NodeSplitSearch (ml/hist_kernels.h) must reproduce its (slot, bin,
+// gain) choice bit for bit on every histogram whose node hessian total
+// is positive, including adversarial ones the engine never produces.
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "ml/hist_kernels.h"
+
 namespace mvg {
 namespace testutil {
 
-/// One column slot of a node histogram: `fh` holds num_bins (grad, hess)
-/// pairs; [lo, hi] is the slot's dirty bin span.
+/// One column slot of a node histogram: `fh` holds num_bins fixed-point
+/// (grad, hess) pairs; [lo, hi] is the slot's dirty bin span.
 struct OracleSlot {
-  const double* fh = nullptr;
+  const int64_t* fh = nullptr;
   size_t num_bins = 0;
   size_t lo = 0;
   size_t hi = 0;
@@ -40,17 +43,18 @@ inline OracleSplit ScalarSplitSearch(const std::vector<OracleSlot>& slots,
   for (size_t j = 0; j < slots.size(); ++j) {
     const size_t nb = slots[j].num_bins;
     if (nb < 2) continue;
-    const double* fh = slots[j].fh;
+    const int64_t* fh = slots[j].fh;
     const size_t lo = slots[j].lo;
     const size_t hi = slots[j].hi;
-    double gl = 0.0, hl = 0.0;
+    int64_t gq = 0, hq = 0;
     for (size_t b = lo; b + 1 < nb && b < hi; ++b) {
-      const double bin_h = fh[b * 2 + 1];
-      gl += fh[b * 2];
-      hl += bin_h;
+      const int64_t bin_h = fh[b * 2 + 1];
+      gq += fh[b * 2];
+      hq += bin_h;
+      const double gl = DequantizeGradHess(gq), hl = DequantizeGradHess(hq);
       const double gr = g_sum - gl, hr = h_sum - hl;
       if (hr <= 0.0) break;
-      if (bin_h == 0.0) continue;
+      if (bin_h == 0) continue;
       if (hl < min_child_weight || hr < min_child_weight) continue;
       const double gain =
           0.5 * (gl * gl / (hl + lambda) + gr * gr / (hr + lambda) -

@@ -1,11 +1,12 @@
-// Pins for the GBT training tail's two engine pieces:
+// Pins for the GBT training tail's engine pieces:
 //  * NodeSplitSearch (ml/hist_kernels.h) against the plain scalar split
-//    loop it replaced (tests/split_search_oracle.h): the same winning
-//    slot, bin and gain bits on random node histograms and on the
+//    loop over fixed-point cells (tests/split_search_oracle.h): the same
+//    winning slot, bin and gain bits on random node histograms and on
 //    adversarial corners the tree builder never produces;
-//  * NodeHistogramPool's per-thread slab cache: every acquired slab is
-//    all-zero, whatever mix of pool widths and sizes came before, and the
-//    cached bytes stay under the cap.
+//  * NodeHistogramPool: a sibling derived by subtraction equals a direct
+//    scan of its rows, cell for cell; and the per-thread slab cache:
+//    every acquired slab is all-zero, whatever mix of pool widths and
+//    sizes came before, and the cached bytes stay under the cap.
 
 #include <algorithm>
 #include <cmath>
@@ -25,7 +26,6 @@
 namespace mvg {
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 uint64_t Bits(double x) {
@@ -34,14 +34,24 @@ uint64_t Bits(double x) {
   return u;
 }
 
-/// One synthetic node: per-slot histograms (2 doubles per bin) and spans.
+/// Fixed-point cells from real (grad, hess) values.
+std::vector<int64_t> Quantized(const std::vector<double>& values) {
+  std::vector<int64_t> q(values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    q[i] = QuantizeGradHess(values[i]);
+  }
+  return q;
+}
+
+/// One synthetic node: per-slot histograms (2 int64 cells per bin) and
+/// spans.
 struct NodeCase {
-  std::vector<std::vector<double>> hists;
+  std::vector<std::vector<int64_t>> hists;
   std::vector<size_t> lo, hi;
   double g_sum = 0.0, h_sum = 0.0;
   double lambda = 1.0, min_child_weight = 1.0, gamma = 0.0;
 
-  void AddSlot(std::vector<double> hist, size_t slot_lo, size_t slot_hi) {
+  void AddSlot(std::vector<int64_t> hist, size_t slot_lo, size_t slot_hi) {
     hists.push_back(std::move(hist));
     lo.push_back(slot_lo);
     hi.push_back(slot_hi);
@@ -49,11 +59,13 @@ struct NodeCase {
 
   /// Node totals from slot 0, as the builder's row sums would give them.
   void TotalsFromSlot0() {
-    g_sum = h_sum = 0.0;
+    int64_t g = 0, h = 0;
     for (size_t b = 0; b < hists[0].size() / 2; ++b) {
-      g_sum += hists[0][2 * b];
-      h_sum += hists[0][2 * b + 1];
+      g += hists[0][2 * b];
+      h += hists[0][2 * b + 1];
     }
+    g_sum = DequantizeGradHess(g);
+    h_sum = DequantizeGradHess(h);
   }
 };
 
@@ -94,19 +106,20 @@ void ExpectMatchesOracle(const NodeCase& nc, const char* what) {
 }
 
 /// A slot histogram of `nb` bins whose rows occupy bins [lo, hi] with
-/// the given empty-bin probability; returns the (lo, hi) it used.
-std::vector<double> RandomSlot(Rng& rng, size_t nb, double p_empty,
-                               size_t* lo, size_t* hi) {
-  std::vector<double> h(2 * nb, 0.0);
+/// the given empty-bin probability; returns the (lo, hi) it used. Every
+/// row's hessian quantizes to at least 1, as the engine's do.
+std::vector<int64_t> RandomSlot(Rng& rng, size_t nb, double p_empty,
+                                size_t* lo, size_t* hi) {
+  std::vector<int64_t> h(2 * nb, 0);
   size_t a = rng.Index(nb), b = rng.Index(nb);
   if (a > b) std::swap(a, b);
   *lo = a;
   *hi = b;
   for (size_t k = a; k <= b; ++k) {
     if (k != a && k != b && rng.Bernoulli(p_empty)) continue;
-    const double rows = static_cast<double>(1 + rng.Index(8));
-    h[2 * k] = rng.Gaussian(0.0, 1.0) * rows;
-    h[2 * k + 1] = rng.Uniform(1e-12, 0.25) * rows;
+    const int64_t rows = static_cast<int64_t>(1 + rng.Index(8));
+    h[2 * k] = QuantizeGradHess(rng.Gaussian(0.0, 1.0)) * rows;
+    h[2 * k + 1] = QuantizeGradHess(rng.Uniform(1e-12, 0.25)) * rows;
   }
   return h;
 }
@@ -124,17 +137,17 @@ TEST(NodeSplitSearchTest, RandomHistogramsMatchOracle) {
       const size_t nb = rng.Bernoulli(0.2) ? 1 + rng.Index(8)
                                            : 1 + rng.Index(256);
       size_t lo = 0, hi = 0;
-      std::vector<double> h = RandomSlot(rng, nb, p_empty, &lo, &hi);
-      // Sibling-subtraction residues: hessian-free bins that still carry
-      // gradient, and tiny negative hessians.
+      std::vector<int64_t> h = RandomSlot(rng, nb, p_empty, &lo, &hi);
+      // Cells no exact scan produces: a hessian-free bin that carries
+      // gradient, and a small negative hessian.
       if (rng.Bernoulli(0.2)) {
         const size_t k = lo + rng.Index(hi - lo + 1);
-        h[2 * k + 1] = 0.0;
-        h[2 * k] = rng.Gaussian(0.0, 1e-15);
+        h[2 * k + 1] = 0;
+        h[2 * k] = static_cast<int64_t>(rng.Index(9)) - 4;
       }
       if (rng.Bernoulli(0.2)) {
         const size_t k = lo + rng.Index(hi - lo + 1);
-        h[2 * k + 1] = -1e-17 * static_cast<double>(1 + rng.Index(4));
+        h[2 * k + 1] = -static_cast<int64_t>(1 + rng.Index(4));
       }
       nc.AddSlot(std::move(h), lo, hi);
     }
@@ -142,6 +155,8 @@ TEST(NodeSplitSearchTest, RandomHistogramsMatchOracle) {
     // Slot 0's spans are the node's; others may over- or undershoot the
     // totals, so exhaustion can fire early or never.
     if (rng.Bernoulli(0.1)) nc.h_sum *= rng.Uniform(0.2, 1.0);
+    // The kernel's precondition, which every engine node meets.
+    if (!(nc.h_sum > 0.0)) continue;
     nc.lambda = lambdas[rng.Index(4)];
     nc.min_child_weight = weights[rng.Index(4)];
     nc.gamma = rng.Bernoulli(0.2) ? rng.Uniform(0.0, 2.0) : 0.0;
@@ -155,7 +170,7 @@ TEST(NodeSplitSearchTest, RandomHistogramsMatchOracle) {
 
 TEST(NodeSplitSearchTest, EmptyAndSingleBinSlots) {
   NodeCase empty;
-  empty.AddSlot(std::vector<double>(2 * 64, 0.0), 0, 63);
+  empty.AddSlot(std::vector<int64_t>(2 * 64, 0), 0, 63);
   empty.g_sum = 0.0;
   empty.h_sum = 0.0;
   ExpectMatchesOracle(empty, "all bins empty, zero totals");
@@ -163,9 +178,9 @@ TEST(NodeSplitSearchTest, EmptyAndSingleBinSlots) {
   ExpectMatchesOracle(empty, "all bins empty, positive hessian total");
 
   NodeCase one;
-  std::vector<double> h(2 * 16, 0.0);
-  h[2 * 7] = 1.5;
-  h[2 * 7 + 1] = 2.0;
+  std::vector<int64_t> h(2 * 16, 0);
+  h[2 * 7] = QuantizeGradHess(1.5);
+  h[2 * 7 + 1] = QuantizeGradHess(2.0);
   one.AddSlot(h, 7, 7);
   one.AddSlot(h, 0, 15);
   one.TotalsFromSlot0();
@@ -177,7 +192,7 @@ TEST(NodeSplitSearchTest, EqualGainsKeepTheFirst) {
   // g_sum = 0: boundaries 0 and 1 give gl^2/(hl+l) + gr^2/(hr+l) with the
   // two terms swapped — equal gains; the first boundary must win.
   NodeCase nc;
-  const std::vector<double> h = {1.0, 1.0, -2.0, 2.0, 1.0, 1.0};
+  const std::vector<int64_t> h = Quantized({1.0, 1.0, -2.0, 2.0, 1.0, 1.0});
   nc.AddSlot(h, 0, 2);
   nc.AddSlot(h, 0, 2);  // an identical later slot must lose too
   nc.TotalsFromSlot0();
@@ -193,75 +208,21 @@ TEST(NodeSplitSearchTest, EqualGainsKeepTheFirst) {
   EXPECT_EQ(0u, bin);
 }
 
-TEST(NodeSplitSearchTest, HessianFreeBinsStillMoveTheGradientSum) {
-  NodeCase nc;
-  std::vector<double> h(2 * 12, 0.0);
-  for (size_t k = 0; k < 12; ++k) {
-    h[2 * k] = (k % 3 == 0 ? -1.0 : 0.75) * static_cast<double>(k + 1);
-    h[2 * k + 1] = k % 2 == 0 ? 0.0 : 0.5;  // even bins: gradient only
-  }
-  nc.AddSlot(h, 0, 11);
-  nc.TotalsFromSlot0();
-  nc.min_child_weight = 0.0;
-  ExpectMatchesOracle(nc, "hessian-free bins");
-}
-
-TEST(NodeSplitSearchTest, TinyNegativeResiduesAndEarlyExhaustion) {
-  NodeCase nc;
-  std::vector<double> h(2 * 40, 0.0);
-  for (size_t k = 0; k < 40; ++k) {
-    h[2 * k] = std::sin(static_cast<double>(k));
-    h[2 * k + 1] = k % 4 == 3 ? -1e-17 : 0.1;
-  }
-  nc.AddSlot(h, 0, 39);
-  nc.TotalsFromSlot0();
-  ExpectMatchesOracle(nc, "negative residues");
-  nc.min_child_weight = 0.0;
-  ExpectMatchesOracle(nc, "negative residues, no weight floor");
-  // Exhaustion before hi: the node's hessian total is reached halfway.
-  nc.h_sum = 1.05;
-  ExpectMatchesOracle(nc, "exhaustion before hi");
-  // Exhausted at the first bin, with and without rows in it.
-  nc.h_sum = 0.0;
-  ExpectMatchesOracle(nc, "exhausted at a row-carrying first bin");
-  // h_sum <= 0 with an empty first bin: the scalar loop stops at bin 0,
-  // although bin 1's negative hessian would leave hr > 0 there.
-  h[1] = 0.0;
-  h[3] = -0.75;
-  NodeCase first_empty;
-  first_empty.AddSlot(h, 0, 39);
-  first_empty.g_sum = 1.0;
-  first_empty.h_sum = -0.5;
-  first_empty.min_child_weight = -kInf;
-  ExpectMatchesOracle(first_empty, "exhausted at an empty first bin");
-  // The same totals with the negative hessian in bin 0: no early stop.
-  h[1] = -0.75;
-  h[3] = 0.1;
-  NodeCase first_negative = first_empty;
-  first_negative.hists[0] = h;
-  ExpectMatchesOracle(first_negative, "negative first bin, h_sum <= 0");
-}
-
 TEST(NodeSplitSearchTest, ZeroWeightFloorAndZeroLambda) {
-  // lambda = 0 and min_child_weight = 0: hessian-free prefixes divide by
-  // zero (inf/NaN gains), which both paths must treat identically.
+  // lambda = 0 and min_child_weight = 0, with hessian-free bins first
+  // and the right side exhausted at the last boundary: both paths must
+  // treat the zero denominators identically.
   NodeCase nc;
   std::vector<double> h(2 * 20, 0.0);
   for (size_t k = 0; k < 20; ++k) {
     h[2 * k] = k < 3 ? 0.5 : std::cos(static_cast<double>(k));
-    h[2 * k + 1] = k < 3 ? -0.0 : 0.2 * static_cast<double>(k % 5);
+    h[2 * k + 1] = k < 3 ? 0.0 : 0.2 * static_cast<double>(k % 5);
   }
-  nc.AddSlot(h, 0, 19);
+  nc.AddSlot(Quantized(h), 0, 19);
   nc.TotalsFromSlot0();
   nc.lambda = 0.0;
   nc.min_child_weight = 0.0;
   ExpectMatchesOracle(nc, "lambda 0, weight floor 0");
-  h[2 * 5 + 1] = kNaN;
-  nc.hists[0] = h;
-  ExpectMatchesOracle(nc, "NaN hessian");
-  h[2 * 5 + 1] = kInf;
-  nc.hists[0] = h;
-  ExpectMatchesOracle(nc, "infinite hessian");
 }
 
 TEST(NodeSplitSearchTest, GammaAboveEveryGainFindsNothing) {
@@ -278,11 +239,11 @@ TEST(NodeSplitSearchTest, GammaAboveEveryGainFindsNothing) {
 
 TEST(NodeSplitSearchTest, TwoBinsAndDegenerateSpans) {
   NodeCase nc;
-  nc.AddSlot({-1.0, 0.5, 2.0, 0.75}, 0, 1);  // nb = 2: one boundary
-  nc.AddSlot({3.0, 1.0, -3.0, 1.0}, 1, 1);   // lo == hi: no boundary
-  nc.AddSlot({1.0, 1.0}, 0, 0);              // nb = 1: constant column
-  nc.AddSlot(std::vector<double>(8, 0.0), 0xffff, 0);  // empty span
-  nc.AddSlot({0.5, 0.25, -0.5, 0.25, 1.0, 0.5}, 0, 2);
+  nc.AddSlot(Quantized({-1.0, 0.5, 2.0, 0.75}), 0, 1);  // one boundary
+  nc.AddSlot(Quantized({3.0, 1.0, -3.0, 1.0}), 1, 1);   // lo == hi
+  nc.AddSlot(Quantized({1.0, 1.0}), 0, 0);              // constant column
+  nc.AddSlot(std::vector<int64_t>(8, 0), 0xffff, 0);    // empty span
+  nc.AddSlot(Quantized({0.5, 0.25, -0.5, 0.25, 1.0, 0.5}), 0, 2);
   nc.TotalsFromSlot0();
   nc.min_child_weight = 0.0;
   ExpectMatchesOracle(nc, "two bins and degenerate spans");
@@ -297,12 +258,88 @@ TEST(NodeSplitSearchTest, TwoBinsAndDegenerateSpans) {
 }
 
 // ---------------------------------------------------------------------------
+// Sibling subtraction
+// ---------------------------------------------------------------------------
+
+TEST(NodeHistogramPoolTest, DerivedSiblingEqualsADirectScan) {
+  // A node's rows split on a column; the smaller child is scanned and its
+  // sibling derived by subtraction in the parent's buffer, as the tree
+  // builder does. The derived sibling must equal a scan of its own rows
+  // in every cell, so its empty bins are exactly zero. Gradients of both
+  // signs and hessians over the full range make any rounding show.
+  const size_t n = 600, d = 6;
+  Rng rng(41);
+  Matrix x(n, std::vector<double>(d));
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t f = 0; f < d; ++f) {
+      x[i][f] = f == 0 ? static_cast<double>(i % 40)
+                       : std::floor(rng.Uniform(0.0, 300.0));
+    }
+  }
+  FeatureTable ft;
+  ft.Build(x);
+  std::vector<int64_t> gh(2 * n);
+  for (size_t r = 0; r < n; ++r) {
+    gh[2 * r] = QuantizeGradHess(rng.Uniform(-1.0, 1.0));
+    gh[2 * r + 1] = QuantizeGradHess(rng.Uniform(1e-12, 0.25));
+  }
+  const std::vector<size_t> cols = {0, 1, 2, 3, 4, 5};
+  NodeHistogramPool pool(ft, cols, 2);
+  RowStage stage;
+  const auto scan = [&](const std::vector<size_t>& rows, size_t begin,
+                        size_t end, size_t buf) {
+    stage.StageRows(rows, begin, end);
+    for (size_t j = 0; j < cols.size(); ++j) {
+      PairScan(ft.column(cols[j]), stage, gh.data(),
+               pool.hist(buf) + pool.slot_offset(j), pool.lo(buf) + j,
+               pool.hi(buf) + j);
+    }
+  };
+
+  // Half the rows, drawn at random: a scattered node.
+  std::vector<size_t> rows = rng.Sample(n, n / 2);
+  std::vector<size_t> scratch(rows.size());
+  for (const size_t split_col : {size_t{0}, size_t{3}}) {
+    for (const size_t split_bin : {size_t{4}, size_t{30}, size_t{150}}) {
+      if (split_bin + 1 >= ft.num_bins(split_col)) continue;
+      const size_t parent = pool.Acquire();
+      scan(rows, 0, rows.size(), parent);
+      const size_t mid = StablePartitionRows(rows, scratch, 0, rows.size(),
+                                             ft.column(split_col), split_bin);
+      ASSERT_GT(mid, 0u);
+      ASSERT_LT(mid, rows.size());
+      const bool left_smaller = mid <= rows.size() - mid;
+      const size_t child = pool.Acquire();
+      if (left_smaller) {
+        scan(rows, 0, mid, child);
+      } else {
+        scan(rows, mid, rows.size(), child);
+      }
+      pool.SubtractInto(parent, child);
+      const size_t direct = pool.Acquire();
+      if (left_smaller) {
+        scan(rows, mid, rows.size(), direct);
+      } else {
+        scan(rows, 0, mid, direct);
+      }
+      for (size_t c = 0; c < pool.hist_size(); ++c) {
+        ASSERT_EQ(pool.hist(direct)[c], pool.hist(parent)[c])
+            << "split (" << split_col << ", " << split_bin << ") cell " << c;
+      }
+      // The derived buffer keeps the parent's (wider) span; releasing it
+      // must still leave it all-zero.
+      for (const size_t b : {parent, child, direct}) pool.Release(b);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // NodeHistogramPool slab cache
 // ---------------------------------------------------------------------------
 
-bool AllZero(const double* p, size_t n) {
+bool AllZero(const int64_t* p, size_t n) {
   for (size_t i = 0; i < n; ++i) {
-    if (Bits(p[i]) != 0) return false;
+    if (p[i] != 0) return false;
   }
   return true;
 }
@@ -338,9 +375,9 @@ TEST(NodeHistogramPoolTest, CachedSlabsComeBackZeroAndStayUnderTheCap) {
           const size_t nb = ft.num_bins(cols[j]);
           size_t a = rng.Index(nb), e = rng.Index(nb);
           if (a > e) std::swap(a, e);
-          double* base = pool.hist(b) + pool.slot_offset(j);
+          int64_t* base = pool.hist(b) + pool.slot_offset(j);
           for (size_t c = a * widths[p]; c < (e + 1) * widths[p]; ++c) {
-            base[c] = rng.Gaussian(0.0, 1.0);
+            base[c] = QuantizeGradHess(rng.Gaussian(0.0, 1.0));
           }
           pool.lo(b)[j] = static_cast<uint16_t>(a);
           pool.hi(b)[j] = static_cast<uint16_t>(e);
@@ -375,8 +412,8 @@ TEST(NodeHistogramPoolTest, LiveSlabsAreNotCached) {
     {
       NodeHistogramPool pool(ft, cols, 2);
       const size_t b = pool.Acquire();
-      std::fill(pool.hist(b), pool.hist(b) + pool.hist_size(), 1.0);
-      slab_bytes = pool.hist_size() * sizeof(double);
+      std::fill(pool.hist(b), pool.hist(b) + pool.hist_size(), int64_t{1});
+      slab_bytes = pool.hist_size() * sizeof(int64_t);
     }  // dirty and never released: dropped, not cached
     EXPECT_EQ(0u, NodeHistogramPool::CachedBytes());
     {

@@ -19,12 +19,12 @@
 #include <gtest/gtest.h>
 
 #include "core/mvg_classifier.h"
-#include "dist/reducer.h"
 #include "ml/gradient_boosting.h"
 #include "ml/histogram_reducer.h"
 #include "ml/preprocessing.h"
 #include "obs/obs.h"
 #include "serve/model_io.h"
+#include "tests/local_reducer_group.h"
 #include "tests/test_util.h"
 #include "ts/paged_ucr_reader.h"
 #include "ts/ucr_io.h"

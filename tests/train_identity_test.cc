@@ -24,8 +24,8 @@
 
 #include "core/multivariate_classifier.h"
 #include "core/mvg_classifier.h"
-#include "dist/reducer.h"
 #include "serve/model_io.h"
+#include "tests/local_reducer_group.h"
 #include "ts/generators.h"
 #include "ts/multivariate.h"
 #include "ts/paged_ucr_reader.h"
