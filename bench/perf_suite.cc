@@ -514,12 +514,12 @@ int main(int argc, char** argv) {
     // histogram (PairScan over every column, plus the Release that
     // re-zeroes its dirty span) over searching that histogram for the
     // best split (NodeSplitSearch over every column, as
-    // GradientBoostingClassifier's tree builder runs it). A within-run ratio on a fixed synthetic table — 64
-    // columns x 256 bins, a root node (all rows, contiguous) and a 64-row
-    // node (scattered rows, so most bins in its span are empty) — so no
-    // frozen copy of an older search loop lives in bench/. Higher is
-    // better; a faster scan lowers it too, which the baseline comment
-    // records.
+    // GradientBoostingClassifier's tree builder runs it). A within-run
+    // ratio on a fixed synthetic table — 64 columns x 256 bins, a root
+    // node (all rows, contiguous) and a 64-row node (scattered rows, so
+    // most bins in its span are empty) — so no frozen copy of an older
+    // search loop lives in bench/. Higher is better; a faster scan lowers
+    // it too, which the baseline comment records.
     {
       const size_t tail_rows = 2048, tail_cols = 64;
       Rng trng(77);

@@ -237,8 +237,8 @@ MVG_NO_AUTOVEC inline void PairScan(const uint8_t* col, const RowStage& st,
     mn = std::min(mn, b);
     mx = std::max(mx, b);
     int64_t* cell = base + static_cast<size_t>(b) * 2;
-    (simd::I64x2::Load(cell) + simd::I64x2::Load(gh + 2 * static_cast<size_t>(r)))
-        .Store(cell);
+    const int64_t* row = gh + 2 * static_cast<size_t>(r);
+    (simd::I64x2::Load(cell) + simd::I64x2::Load(row)).Store(cell);
   }
   *plo = static_cast<uint16_t>(mn);
   *phi = static_cast<uint16_t>(mx);

@@ -4,15 +4,13 @@
 // Crc32 of the saved model, and the Crc32 of its predictions on the
 // SynChaos test split read back through LoadModelView(kFull). A change to
 // any model byte or prediction fails here, and the failure lists every
-// cell that moved. See tests/fixtures/README.md for provenance and for how
-// to re-record the file.
+// cell that moved with its recomputed line. See tests/fixtures/README.md
+// for provenance and for how to re-record the file.
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
@@ -143,7 +141,8 @@ std::string FitWorld(const MvgClassifier::Config& config, size_t world) {
 /// The multivariate pipeline has no model file: its cell pins the
 /// type-tagged classifier body and the predicted labels.
 std::string MultivariateLine() {
-  const MultivariateSplit split = MakeSyntheticMultivariate(2, 3, 24, 12, 96, 11);
+  const MultivariateSplit split =
+      MakeSyntheticMultivariate(2, 3, 24, 12, 96, 11);
   MvgMultivariateClassifier clf(
       MakeConfig(MvgModel::kXgboost, GridPreset::kNone, 1));
   clf.Fit(split.train);
@@ -195,11 +194,6 @@ std::vector<std::string> ComputeLedger() {
 
 TEST(TrainIdentityTest, EveryFitPathMatchesTheLedger) {
   const std::vector<std::string> got = ComputeLedger();
-  if (const char* out = std::getenv("MVG_TRAIN_IDENTITY_OUT")) {
-    std::ofstream os(out);
-    for (const std::string& line : got) os << line << '\n';
-  }
-
   std::ifstream in(std::string(MVG_TEST_FIXTURE_DIR) + "/train_identity.txt");
   ASSERT_TRUE(in.good());
   std::map<std::string, std::string> want;
