@@ -18,12 +18,12 @@
 
 namespace mvg::bench {
 
-/// Pre-SIMD decision-tree histogram scan of one feature column:
-/// hist[col[r] * k + y[r]] += 1 row at a time, tracking the occupied bin
-/// span with per-row min/max.
+/// Pre-SIMD decision-tree histogram scan of one feature column over the
+/// int64 count cells: hist[col[r] * k + y[r]] += 1 row at a time, tracking
+/// the occupied bin span with per-row min/max.
 inline void LegacyClassScan(const uint8_t* col, const std::vector<size_t>& rows,
                             const std::vector<size_t>& y, size_t begin,
-                            size_t end, size_t k, double* hist, uint16_t* plo,
+                            size_t end, size_t k, int64_t* hist, uint16_t* plo,
                             uint16_t* phi) {
   uint16_t lo = 0xffff, hi = 0;
   for (size_t i = begin; i < end; ++i) {
@@ -31,7 +31,7 @@ inline void LegacyClassScan(const uint8_t* col, const std::vector<size_t>& rows,
     const uint16_t b = col[r];
     lo = std::min(lo, b);
     hi = std::max(hi, b);
-    hist[static_cast<size_t>(b) * k + y[r]] += 1.0;
+    hist[static_cast<size_t>(b) * k + y[r]] += 1;
   }
   *plo = lo;
   *phi = hi;

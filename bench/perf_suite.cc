@@ -395,12 +395,12 @@ int main(int argc, char** argv) {
     for (size_t i = 0; i < hist_rows; ++i) hrows[i] = i;
     RowStage stage;
     stage.Stage(hrows, hy, 0, hist_rows);
-    AlignedBuffer<double> hist(FeatureTable::kMaxBins * num_classes);
+    AlignedBuffer<int64_t> hist(FeatureTable::kMaxBins * num_classes);
     uint16_t lo = 0, hi = 0;
     const auto clear_span = [&] {
       if (lo <= hi) {
         std::fill(hist.data() + lo * num_classes,
-                  hist.data() + (hi + 1) * num_classes, 0.0);
+                  hist.data() + (hi + 1) * num_classes, int64_t{0});
       }
     };
     const size_t hist_elems = hist_rows * hist_feats;
@@ -589,11 +589,17 @@ int main(int argc, char** argv) {
                                      &tsplit, &best, &bin) +
                      bin;
       };
-      // The gate is TimePaired's median of back-to-back ratios.
+      // The gate is TimePaired's median of back-to-back ratios, over three
+      // times the suite's repetitions (27 ratios in a full run, about 6 s):
+      // the divider-bound search slows on its own when a neighbour shares
+      // the core, and a loaded stretch of a few seconds could hold a
+      // majority of nine ratios.
       for (TailNode& nd : tnodes) nd.buf = build(nd);
+      SuiteOptions tail_opt = opt;
+      tail_opt.repetitions = 3 * opt.repetitions;
       const PairedTiming tail = TimePaired(
           "gbt_tail_hist_build", "gbt_tail_split_search", tail_rows + 64,
-          opt,
+          tail_opt,
           [&] {
             for (const TailNode& nd : tnodes) tpool.Release(build(nd));
           },

@@ -1,9 +1,11 @@
 #include "ml/classifier.h"
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 #include <stdexcept>
 
+#include "ml/feature_table.h"
 #include "util/binary_io.h"
 
 namespace mvg {
@@ -119,9 +121,14 @@ std::vector<size_t> Classifier::PrepareFit(const Matrix& x,
   return encoder_.EncodeAll(y);
 }
 
-std::vector<size_t> Classifier::PrepareFitOnRows(
-    const Matrix& x, const std::vector<int>& y,
-    const std::vector<size_t>& rows) {
+void BinnedClassifier::Fit(const Matrix& x, const std::vector<int>& y) {
+  std::vector<size_t> rows(x.size());
+  std::iota(rows.begin(), rows.end(), size_t{0});
+  FitOnRows(x, y, rows);
+}
+
+void BinnedClassifier::FitOnRows(const Matrix& x, const std::vector<int>& y,
+                                 const std::vector<size_t>& rows) {
   if (rows.empty()) throw std::invalid_argument("FitOnRows: empty row set");
   if (x.size() != y.size()) {
     throw std::invalid_argument("Fit: X and y size mismatch");
@@ -141,8 +148,12 @@ std::vector<size_t> Classifier::PrepareFitOnRows(
     }
     ys.push_back(y[r]);
   }
-  encoder_.Fit(ys);
-  return encoder_.EncodeAll(ys);
+  // Table row i is rows[i], so the labels and rows are compact.
+  FeatureTable ft;
+  ft.Build(x, rows);
+  std::vector<size_t> compact(rows.size());
+  std::iota(compact.begin(), compact.end(), size_t{0});
+  FitBinned(ft, ys, compact);
 }
 
 std::vector<size_t> Classifier::PrepareFitBinned(

@@ -115,13 +115,7 @@ class Classifier {
   /// Validates shapes and fits the encoder; returns encoded labels.
   std::vector<size_t> PrepareFit(const Matrix& x, const std::vector<int>& y);
 
-  /// PrepareFit for a row subset: fits the encoder on y[rows] and returns
-  /// the encoded labels in compact (rows-order) indexing.
-  std::vector<size_t> PrepareFitOnRows(const Matrix& x,
-                                       const std::vector<int>& y,
-                                       const std::vector<size_t>& rows);
-
-  /// PrepareFitOnRows for the binned path: validates `rows` against the
+  /// PrepareFit for the binned path: validates `rows` against the
   /// table's row count, fits the encoder on y[rows] and returns the
   /// encoded labels in compact (rows-order) indexing.
   std::vector<size_t> PrepareFitBinned(size_t num_rows,
@@ -134,6 +128,19 @@ class Classifier {
   void LoadEncoder(BinaryReader* r);
 
   LabelEncoder encoder_;
+};
+
+/// Base of the histogram tree families (decision tree, random forest,
+/// boosting), whose one training engine runs on a pre-binned FeatureTable:
+/// Fit and FitOnRows validate the rows, bin them into a table and train
+/// through the family's FitBinned, so every entry point runs that engine.
+class BinnedClassifier : public Classifier {
+ public:
+  void Fit(const Matrix& x, const std::vector<int>& y) final;
+  void FitOnRows(const Matrix& x, const std::vector<int>& y,
+                 const std::vector<size_t>& rows) final;
+  void FitBinned(const FeatureTable& ft, const std::vector<int>& y,
+                 const std::vector<size_t>& rows) override = 0;
 };
 
 /// A factory producing unfitted classifiers; the unit of model selection.

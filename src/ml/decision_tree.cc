@@ -19,21 +19,23 @@ namespace mvg {
 
 namespace {
 
-/// Gini impurity of a class histogram with `total` samples.
+/// Gini impurity of `k` int64 class counts with `total` samples.
 ///
-/// Runs 4 classes per iteration: p*p is per-element IEEE, and the lanes
-/// are subtracted from `imp` in class order, so bits match the scalar
-/// spelling exactly — an empty class contributes p*p == 0.0 and
-/// x - 0.0 == x.
-double Impurity(const std::vector<double>& hist, double total) {
+/// Runs 4 classes per iteration: each count converts to double exactly,
+/// p*p is per-element IEEE, and the lanes are subtracted from `imp` in
+/// class order, so bits match the scalar spelling exactly — an empty class
+/// contributes p*p == 0.0 and x - 0.0 == x.
+double Impurity(const int64_t* h, size_t k, double total) {
   if (total <= 0.0) return 0.0;
   double imp = 1.0;
-  const size_t k = hist.size();
-  const double* h = hist.data();
   const simd::F64x4 vt = simd::F64x4::Broadcast(total);
   size_t c = 0;
   for (; c + 4 <= k; c += 4) {
-    const simd::F64x4 p = simd::F64x4::Load(h + c) / vt;
+    const simd::F64x4 p =
+        simd::F64x4::Set(
+            static_cast<double>(h[c]), static_cast<double>(h[c + 1]),
+            static_cast<double>(h[c + 2]), static_cast<double>(h[c + 3])) /
+        vt;
     const simd::F64x4 pp = p * p;
     imp -= pp.Lane(0);
     imp -= pp.Lane(1);
@@ -41,7 +43,7 @@ double Impurity(const std::vector<double>& hist, double total) {
     imp -= pp.Lane(3);
   }
   for (; c < k; ++c) {
-    const double p = h[c] / total;
+    const double p = static_cast<double>(h[c]) / total;
     imp -= p * p;
   }
   return imp;
@@ -82,10 +84,11 @@ void ValidateLoadedTree(const DecisionTreeClassifier::Node* nodes,
 // One shared row-index buffer holds every node's rows as a contiguous
 // [begin, end) range and is partitioned in place at each split (stably,
 // through a scratch buffer, so results are order-deterministic). Each node
-// scans its candidate features (all of them, or the per-node sample when
-// max_features < d — the Random Forest setting) straight from its own
-// rows into one small reusable per-feature buffer: sort-free and
-// allocation-free, O(n_node * candidates) per node.
+// stages its rows once, counts its class totals from them, and scans its
+// candidate features (all of them, or the per-node sample when
+// max_features < d — the Random Forest setting) into one int64 slab, one
+// slot per candidate: sort-free and allocation-free, O(n_node *
+// candidates) per node.
 // ---------------------------------------------------------------------------
 
 struct DecisionTreeClassifier::HistBuilder {
@@ -98,44 +101,44 @@ struct DecisionTreeClassifier::HistBuilder {
   Rng* rng;
 
   size_t d = 0;
+  size_t stride = 0;                ///< cells per slab slot (max bins * k).
   std::vector<size_t> rows;         ///< the shared row-index buffer.
   std::vector<size_t> scratch;      ///< stable-partition staging.
-  std::vector<double> fbuf;         ///< single-feature histogram.
-  std::vector<double> totals;       ///< per-node class counts (k).
-  std::vector<double> left, right;  ///< split-sweep scratch (k each).
-  RowStage stage;                   ///< 32-bit staged rows for the scans.
+  /// One node's histograms, slot j for candidate j; all-zero between
+  /// nodes (each sweep re-zeroes its slot's span).
+  std::vector<int64_t> hist;
+  std::vector<uint16_t> lo, hi;     ///< occupied bin span per slot.
+  std::vector<int64_t> totals;      ///< per-node class counts (k).
+  std::vector<int64_t> left, right; ///< split-sweep scratch (k each).
+  RowStage stage;                   ///< the node's staged (owned) rows.
 
-  /// Distributed mode (red != nullptr): this rank accumulates class
-  /// counts only for compact rows in [own_begin, own_end), in exact
-  /// int64, and the group sums them before any split decision. Counts
-  /// are integers, so int64 accumulation is lossless and associative —
-  /// the reduced histogram is bit-identical for any worker count.
+  /// Distributed mode (red != nullptr): this rank counts only the compact
+  /// rows in [own_begin, own_end), and the group sums every histogram and
+  /// node total before a decision reads it. Without a reducer the fit is
+  /// world 1 and owns every row: counts are exact int64 sums, so both are
+  /// the same arithmetic and the tree is bit-identical for any worker
+  /// count.
   HistogramReducer* red = nullptr;
   size_t own_begin = 0, own_end = 0;
-  std::vector<int64_t> ibuf;     ///< int64 histogram staging.
-  std::vector<int64_t> itotals;  ///< int64 per-node class counts (k).
 
   HistBuilder(const FeatureTable& ft_in, const std::vector<size_t>& y_in,
               size_t k_in, const Params& params_in, std::vector<Node>* nodes_in,
               std::vector<double>* leaf_proba_in, Rng* rng_in)
       : ft(ft_in), y(y_in), k(k_in), params(params_in), nodes(nodes_in),
-        leaf_proba(leaf_proba_in), rng(rng_in) {
+        leaf_proba(leaf_proba_in), rng(rng_in), totals(k_in), left(k_in),
+        right(k_in), red(params_in.reducer), own_end(ft_in.num_rows()) {
     d = ft.num_features();
     size_t max_bins = 1;
     for (size_t f = 0; f < d; ++f) max_bins = std::max(max_bins, ft.num_bins(f));
-    fbuf.resize(max_bins * k);
-    totals.resize(k);
-    left.resize(k);
-    right.resize(k);
-    red = params.reducer;
+    stride = max_bins * k;
+    const size_t candidates =
+        params.max_features > 0 ? std::min(params.max_features, d) : d;
+    hist.resize(candidates * stride);
+    lo.resize(candidates);
+    hi.resize(candidates);
     if (red != nullptr) {
       own_begin = OwnedRowsBegin(ft.num_rows(), red->rank(), red->world_size());
       own_end = OwnedRowsEnd(ft.num_rows(), red->rank(), red->world_size());
-      // One int64 histogram per candidate feature of a node.
-      const size_t candidates =
-          params.max_features > 0 ? std::min(params.max_features, d) : d;
-      ibuf.resize(candidates * fbuf.size());
-      itotals.resize(k);
     }
   }
 
@@ -145,50 +148,81 @@ struct DecisionTreeClassifier::HistBuilder {
     Build(0, rows.size(), 0);
   }
 
-  /// Sweeps one feature's per-bin class histogram `fh` (num_bins(f) bins,
-  /// k doubles each) over the occupied range [lo, hi] and updates the best
-  /// split. Bins below lo must be empty (cumulative sums start at zero);
-  /// boundaries at/after hi leave nothing on the right.
-  void SweepFeature(size_t f, const double* fh, size_t n, double parent_imp,
-                    size_t lo, size_t hi, double* best_gain, int* best_feature,
-                    size_t* best_bin, double* best_threshold) {
+  /// Class totals of the staged rows into `totals`. With a reducer the
+  /// totals are a (small) collective too, so stopping rules and leaf
+  /// distributions are global decisions.
+  void ComputeTotals() {
+    std::fill(totals.begin(), totals.end(), int64_t{0});
+    const uint32_t* yp = stage.y32.data();
+    for (size_t i = 0; i < stage.n; ++i) ++totals[yp[i]];
+    if (red != nullptr) red->AllreduceSum(totals.data(), k);
+  }
+
+  /// Class histograms of the staged rows over `features` into the slab
+  /// (all-zero by invariant), recording each slot's occupied span. With a
+  /// reducer the used slab is then summed across ranks (feature sampling
+  /// is seeded identically on every rank, so the slots line up), and any
+  /// bin may hold another rank's rows, so every span widens to its full
+  /// slot. The collective makes Scan order-sensitive: every rank must
+  /// issue the same Scans in the same order, which is why distributed
+  /// forests fit their trees one at a time.
+  void Scan(const std::vector<size_t>& features) {
+    obs::Count(obs::PipelineMetrics::Get().train_hist_node_builds);
+    for (size_t j = 0; j < features.size(); ++j) {
+      if (ft.num_bins(features[j]) < 2) {  // constant: offers no split.
+        lo[j] = 1;
+        hi[j] = 0;
+        continue;
+      }
+      ClassScan(ft.column(features[j]), stage, k, hist.data() + j * stride,
+                &lo[j], &hi[j]);
+    }
+    if (red == nullptr) return;
+    red->AllreduceSum(hist.data(), features.size() * stride);
+    for (size_t j = 0; j < features.size(); ++j) {
+      lo[j] = 0;
+      hi[j] = static_cast<uint16_t>(ft.num_bins(features[j]) - 1);
+    }
+  }
+
+  /// Sweeps one feature's per-bin class counts `fh` (num_bins(f) bins, k
+  /// int64 cells each) over the occupied range [lo, hi] and updates the
+  /// best split. Bins below lo must be empty (cumulative sums start at
+  /// zero); boundaries at/after hi leave nothing on the right. Counts
+  /// convert to double only for the impurity and the side sizes, and each
+  /// conversion is exact.
+  void SweepFeature(size_t f, const int64_t* fh, size_t n, double parent_imp,
+                    size_t lo_bin, size_t hi_bin, double* best_gain,
+                    int* best_feature, size_t* best_bin,
+                    double* best_threshold) {
     const size_t nb = ft.num_bins(f);
     if (nb < 2) return;  // constant feature in this table.
-    std::fill(left.begin(), left.end(), 0.0);
-    double nl = 0.0;
-    double* lp = left.data();
-    double* rp = right.data();
-    const double* tp = totals.data();
-    for (size_t b = lo; b + 1 < nb && b < hi; ++b) {
-      // left/bin_total accumulate integer counts — exact in any order, so
-      // the 4-class-wide body and lane-order bin_total fold are
-      // bit-identical to the scalar class loop.
-      double bin_total = 0.0;
-      size_t c = 0;
-      for (; c + 4 <= k; c += 4) {
-        const simd::F64x4 fv = simd::F64x4::Load(fh + b * k + c);
-        (simd::F64x4::Load(lp + c) + fv).Store(lp + c);
-        bin_total += ReduceAddOrdered(fv);
-      }
-      for (; c < k; ++c) {
-        lp[c] += fh[b * k + c];
-        bin_total += fh[b * k + c];
-      }
+    std::fill(left.begin(), left.end(), int64_t{0});
+    int64_t nl = 0;
+    int64_t* lp = left.data();
+    int64_t* rp = right.data();
+    const int64_t* tp = totals.data();
+    const double dn = static_cast<double>(n);
+    for (size_t b = lo_bin; b + 1 < nb && b < hi_bin; ++b) {
+      // An empty bin moves no row, so it offers no new partition.
+      const int64_t* cell = fh + b * k;
+      int64_t bin_total = 0;
+      for (size_t c = 0; c < k; ++c) bin_total += cell[c];
+      if (bin_total == 0) continue;
       nl += bin_total;
-      const double nr = static_cast<double>(n) - nl;
-      // Counts are integral, so nr == 0 exactly once the node's rows are
-      // exhausted; every later boundary is empty too. A boundary after a
-      // non-empty bin leaves at least one row on each side.
-      if (nr <= 0.0) break;
-      if (bin_total == 0.0) continue;
-      for (c = 0; c + 4 <= k; c += 4) {
-        (simd::F64x4::Load(tp + c) - simd::F64x4::Load(lp + c)).Store(rp + c);
+      const int64_t nr = static_cast<int64_t>(n) - nl;
+      // Once the node's rows are exhausted every later boundary is empty
+      // too. A boundary after a non-empty bin leaves at least one row on
+      // each side.
+      if (nr <= 0) break;
+      for (size_t c = 0; c < k; ++c) {
+        lp[c] += cell[c];
+        rp[c] = tp[c] - lp[c];
       }
-      for (; c < k; ++c) rp[c] = tp[c] - lp[c];
-      const double gain =
-          parent_imp -
-          (nl / static_cast<double>(n)) * Impurity(left, nl) -
-          (nr / static_cast<double>(n)) * Impurity(right, nr);
+      const double dl = static_cast<double>(nl);
+      const double dr = static_cast<double>(nr);
+      const double gain = parent_imp - (dl / dn) * Impurity(lp, k, dl) -
+                          (dr / dn) * Impurity(rp, k, dr);
       if (gain > *best_gain) {
         *best_gain = gain;
         *best_feature = static_cast<int>(f);
@@ -198,32 +232,13 @@ struct DecisionTreeClassifier::HistBuilder {
     }
   }
 
-  /// Class totals of rows[begin, end) into the `totals` scratch. In
-  /// distributed mode the totals are themselves a (small) collective, so
-  /// stopping rules and leaf distributions are global decisions too.
-  void ComputeTotals(size_t begin, size_t end) {
-    if (red != nullptr) {
-      std::fill(itotals.begin(), itotals.end(), int64_t{0});
-      for (size_t i = begin; i < end; ++i) {
-        const size_t r = rows[i];
-        if (r >= own_begin && r < own_end) ++itotals[y[r]];
-      }
-      red->AllreduceSum(itotals.data(), k);
-      for (size_t c = 0; c < k; ++c) {
-        totals[c] = static_cast<double>(itotals[c]);
-      }
-      return;
-    }
-    std::fill(totals.begin(), totals.end(), 0.0);
-    for (size_t i = begin; i < end; ++i) totals[y[rows[i]]] += 1.0;
-  }
-
   /// Appends a leaf carrying the current `totals` distribution.
   int32_t MakeLeaf(size_t n) {
     Node leaf;
     leaf.proba_begin = static_cast<int32_t>(leaf_proba->size());
     for (size_t c = 0; c < k; ++c) {
-      leaf_proba->push_back(totals[c] / static_cast<double>(n));
+      leaf_proba->push_back(static_cast<double>(totals[c]) /
+                            static_cast<double>(n));
     }
     nodes->push_back(leaf);
     return static_cast<int32_t>(nodes->size() - 1);
@@ -232,7 +247,7 @@ struct DecisionTreeClassifier::HistBuilder {
   /// Stopping rule on the current `totals`. A single-row node is pure.
   bool ShouldStop(size_t depth) const {
     const bool pure = std::count_if(totals.begin(), totals.end(),
-                                    [](double c) { return c > 0.0; }) <= 1;
+                                    [](int64_t c) { return c > 0; }) <= 1;
     return depth >= params.max_depth || pure;
   }
 
@@ -240,65 +255,27 @@ struct DecisionTreeClassifier::HistBuilder {
   /// candidate features directly from its rows and sweeps each one.
   int32_t Build(size_t begin, size_t end, size_t depth) {
     const size_t n = end - begin;
-    ComputeTotals(begin, end);
+    stage.Stage(rows, y, begin, end, own_begin, own_end);
+    ComputeTotals();
     if (ShouldStop(depth)) return MakeLeaf(n);
-    const double parent_imp = Impurity(totals, static_cast<double>(n));
+    const double parent_imp =
+        Impurity(totals.data(), k, static_cast<double>(n));
 
     const std::vector<size_t> features =
         SampleFeatures(d, params.max_features, rng);
+    Scan(features);
+    obs::Count(obs::PipelineMetrics::Get().train_split_searches);
 
     double best_gain = 1e-12;
     int best_feature = -1;
     size_t best_bin = 0;
     double best_threshold = 0.0;
-    const obs::PipelineMetrics& pm = obs::PipelineMetrics::Get();
-    obs::Count(pm.train_hist_node_builds);
-    obs::Count(pm.train_split_searches);
-    if (red != nullptr) {
-      // Distributed: batch all of this node's candidate features into one
-      // int64 allreduce (feature sampling is seeded identically on every
-      // rank, so the batch lines up), then sweep the reduced histograms.
-      const size_t stride = fbuf.size();
-      const size_t used = features.size() * stride;
-      std::fill(ibuf.begin(), ibuf.begin() + static_cast<std::ptrdiff_t>(used),
-                int64_t{0});
-      for (size_t j = 0; j < features.size(); ++j) {
-        const uint8_t* col = ft.column(features[j]);
-        int64_t* base = ibuf.data() + j * stride;
-        for (size_t i = begin; i < end; ++i) {
-          const size_t r = rows[i];
-          if (r < own_begin || r >= own_end) continue;
-          base[static_cast<size_t>(col[r]) * k + y[r]] += 1;
-        }
-      }
-      red->AllreduceSum(ibuf.data(), used);
-      for (size_t j = 0; j < features.size(); ++j) {
-        const size_t f = features[j];
-        const size_t nb = ft.num_bins(f);
-        if (nb < 2) continue;
-        const int64_t* src = ibuf.data() + j * stride;
-        for (size_t c = 0; c < nb * k; ++c) {
-          fbuf[c] = static_cast<double>(src[c]);
-        }
-        SweepFeature(f, fbuf.data(), n, parent_imp, 0, nb - 1, &best_gain,
-                     &best_feature, &best_bin, &best_threshold);
-        std::fill(fbuf.begin(),
-                  fbuf.begin() + static_cast<std::ptrdiff_t>(nb * k), 0.0);
-      }
-    } else {
-      // fbuf is kept all-zero between features: accumulate, sweep, then
-      // clear just the dirty span.
-      stage.Stage(rows, y, begin, end);
-      for (size_t f : features) {
-        const size_t nb = ft.num_bins(f);
-        if (nb < 2) continue;
-        uint16_t lo, hi;
-        ClassScan(ft.column(f), stage, k, fbuf.data(), &lo, &hi);
-        SweepFeature(f, fbuf.data(), n, parent_imp, lo, hi, &best_gain,
-                     &best_feature, &best_bin, &best_threshold);
-        std::fill(fbuf.begin() + static_cast<std::ptrdiff_t>(lo * k),
-                  fbuf.begin() + static_cast<std::ptrdiff_t>((hi + 1) * k),
-                  0.0);
+    for (size_t j = 0; j < features.size(); ++j) {
+      int64_t* fh = hist.data() + j * stride;
+      SweepFeature(features[j], fh, n, parent_imp, lo[j], hi[j], &best_gain,
+                   &best_feature, &best_bin, &best_threshold);
+      if (lo[j] <= hi[j]) {
+        std::fill(fh + lo[j] * k, fh + (hi[j] + 1) * k, int64_t{0});
       }
     }
 
@@ -325,21 +302,14 @@ struct DecisionTreeClassifier::HistBuilder {
 // Public fitting entry points.
 // ---------------------------------------------------------------------------
 
-void DecisionTreeClassifier::Fit(const Matrix& x, const std::vector<int>& y) {
-  std::vector<size_t> rows(x.size());
-  std::iota(rows.begin(), rows.end(), size_t{0});
-  FitOnRows(x, y, rows);
-}
-
-void DecisionTreeClassifier::FitOnRows(const Matrix& x,
+void DecisionTreeClassifier::FitBinned(const FeatureTable& ft,
                                        const std::vector<int>& y,
                                        const std::vector<size_t>& rows) {
-  const std::vector<size_t> encoded = PrepareFitOnRows(x, y, rows);
-  FeatureTable ft;
-  ft.Build(x, rows);
-  std::vector<size_t> compact(rows.size());
-  std::iota(compact.begin(), compact.end(), size_t{0});
-  FitBinned(ft, encoded, encoder_.num_classes(), compact);
+  const std::vector<size_t> encoded = PrepareFitBinned(ft.num_rows(), y, rows);
+  // The engine reads labels by table row id.
+  std::vector<size_t> y_table(ft.num_rows(), 0);
+  for (size_t i = 0; i < rows.size(); ++i) y_table[rows[i]] = encoded[i];
+  FitBinned(ft, y_table, encoder_.num_classes(), rows);
 }
 
 void DecisionTreeClassifier::FitBinned(const FeatureTable& ft,

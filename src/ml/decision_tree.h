@@ -26,7 +26,7 @@ class HistogramReducer;
 /// values, and rows are partitioned in place inside one shared index
 /// buffer. Fit/FitOnRows bin the matrix rows and train through FitBinned,
 /// so every entry point runs the same engine.
-class DecisionTreeClassifier : public Classifier {
+class DecisionTreeClassifier : public BinnedClassifier {
  public:
   struct Params {
     size_t max_depth = 16;
@@ -34,9 +34,10 @@ class DecisionTreeClassifier : public Classifier {
     size_t max_features = 0;
     uint64_t seed = 42;  ///< For feature subsampling.
     /// Distributed histogram-merge seam (runtime-only, never serialized).
-    /// When set, this rank scans only its owned slice of the rows and
-    /// node histograms/totals are allreduced in exact int64 arithmetic
-    /// before split finding, so the tree is bit-identical for any worker
+    /// When set, this rank counts only its owned slice of the rows and
+    /// the int64 node histograms and totals are allreduced before split
+    /// finding. Counts are exact, so the reducer adds only those calls:
+    /// the tree is bit-identical to the in-process fit for any worker
     /// count. Not owned.
     HistogramReducer* reducer = nullptr;
   };
@@ -44,8 +45,9 @@ class DecisionTreeClassifier : public Classifier {
   DecisionTreeClassifier() = default;
   explicit DecisionTreeClassifier(Params params) : params_(params) {}
 
-  void Fit(const Matrix& x, const std::vector<int>& y) override;
-  void FitOnRows(const Matrix& x, const std::vector<int>& y,
+  /// Trains on the row subset `rows` of a pre-binned FeatureTable (the
+  /// streaming path, and the body of Fit/FitOnRows).
+  void FitBinned(const FeatureTable& ft, const std::vector<int>& y,
                  const std::vector<size_t>& rows) override;
   std::vector<double> PredictProba(const std::vector<double>& x) const override;
   void PredictProbaInto(const std::vector<double>& x,
@@ -55,14 +57,11 @@ class DecisionTreeClassifier : public Classifier {
   void SaveBinary(BinaryWriter* w) const override;
   void LoadBinary(BinaryReader* r) override;
 
-  /// Training entry point on a prebuilt (shared, read-only) FeatureTable:
-  /// `rows` are compact FeatureTable indices (duplicates allowed —
-  /// bootstrap), `y_compact` is indexed by compact row. This is what
-  /// RandomForest uses so the binning cost is paid once per forest, not
-  /// once per tree. The using-declaration keeps the base-class
-  /// FitBinned(ft, labels, rows) overload visible alongside this
-  /// four-argument form.
-  using Classifier::FitBinned;
+  /// Training entry point on a prebuilt (shared, read-only) FeatureTable
+  /// with encoded labels: `rows` are compact FeatureTable indices
+  /// (duplicates allowed — bootstrap), `y_compact` is indexed by compact
+  /// row. This is what RandomForest uses so the binning cost is paid once
+  /// per forest, not once per tree.
   void FitBinned(const FeatureTable& ft, const std::vector<size_t>& y_compact,
                  size_t num_classes, const std::vector<size_t>& rows);
 

@@ -217,35 +217,11 @@ struct GradientBoostingClassifier::HistBuilder {
 // Fitting.
 // ---------------------------------------------------------------------------
 
-void GradientBoostingClassifier::Fit(const Matrix& x,
-                                     const std::vector<int>& y) {
-  std::vector<size_t> rows(x.size());
-  std::iota(rows.begin(), rows.end(), size_t{0});
-  FitOnRows(x, y, rows);
-}
-
-void GradientBoostingClassifier::FitOnRows(const Matrix& x,
-                                           const std::vector<int>& y,
-                                           const std::vector<size_t>& rows) {
-  const std::vector<size_t> encoded = PrepareFitOnRows(x, y, rows);
-  FeatureTable ft;
-  ft.Build(x, rows);
-  std::vector<size_t> compact(rows.size());
-  std::iota(compact.begin(), compact.end(), size_t{0});
-  FitTable(ft, compact, encoded);
-}
-
-void GradientBoostingClassifier::FitBinned(const FeatureTable& ft,
-                                           const std::vector<int>& y,
-                                           const std::vector<size_t>& rows) {
+void GradientBoostingClassifier::FitBinned(
+    const FeatureTable& ft, const std::vector<int>& y,
+    const std::vector<size_t>& rows_global) {
   const std::vector<size_t> encoded =
-      PrepareFitBinned(ft.num_rows(), y, rows);
-  FitTable(ft, rows, encoded);
-}
-
-void GradientBoostingClassifier::FitTable(
-    const FeatureTable& ft, const std::vector<size_t>& rows_global,
-    const std::vector<size_t>& encoded) {
+      PrepareFitBinned(ft.num_rows(), y, rows_global);
   const size_t n = rows_global.size();
   const size_t d = ft.num_features();
   const size_t k = encoder_.num_classes();

@@ -48,7 +48,7 @@ class HistogramReducer;
 /// identical for every thread count. Prediction and the per-round logit
 /// update walk the trees with WalkTrees (ml/tree_walk.h), a group of
 /// consecutive trees in lockstep, adding leaf weights in tree order.
-class GradientBoostingClassifier : public Classifier {
+class GradientBoostingClassifier : public BinnedClassifier {
  public:
   struct Params {
     double learning_rate = 0.1;
@@ -74,12 +74,12 @@ class GradientBoostingClassifier : public Classifier {
   GradientBoostingClassifier() = default;
   explicit GradientBoostingClassifier(Params params) : params_(params) {}
 
-  void Fit(const Matrix& x, const std::vector<int>& y) override;
-  void FitOnRows(const Matrix& x, const std::vector<int>& y,
-                 const std::vector<size_t>& rows) override;
   /// Trains directly on a pre-binned FeatureTable (row subset `rows`, ids
   /// in table indexing) without ever touching a double feature matrix —
-  /// the streaming-pipeline entry point. The fitted trees store the cut
+  /// the streaming-pipeline entry point, and the body of Fit/FitOnRows.
+  /// Gradient/hessian buffers are table-indexed so the histogram engine
+  /// and the distributed row ownership arithmetic operate on table ids
+  /// unchanged. The fitted trees store the cut
   /// thresholds, so prediction on raw features is unchanged; training-time
   /// logit updates descend on bin ids, which routes rows identically
   /// (bin <= b is exactly value <= threshold(f, b)).
@@ -135,13 +135,6 @@ class GradientBoostingClassifier : public Classifier {
   using Tree = std::vector<TreeNode>;
 
   struct HistBuilder;  // histogram split engine; defined in the .cc.
-
-  /// The boosting loop every entry point runs: `rows_global` are table
-  /// row ids, `encoded` is compact (rows_global-order). Gradient/hessian
-  /// buffers are table-indexed so the histogram engine and the
-  /// distributed row ownership arithmetic operate on table ids unchanged.
-  void FitTable(const FeatureTable& ft, const std::vector<size_t>& rows_global,
-                const std::vector<size_t>& encoded);
 
   /// Appends `tree` to the flat storage and records its offset.
   void AppendTree(const Tree& tree);

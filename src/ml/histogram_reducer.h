@@ -8,10 +8,11 @@
 //
 // The contract is integer: histogram cells are exact int64 sums, so the
 // global sums do not depend on the worker count or the reduction order.
-// The decision tree counts rows per class. Boosting adds the fixed-point
-// gradients and hessians of ml/hist_kernels.h, the same arithmetic an
-// in-process fit uses, so a fit with no reducer is world 1: the model
-// bytes are the same for in-RAM, paged and any number of workers (the
+// The decision tree counts rows per class; boosting adds the fixed-point
+// gradients and hessians of ml/hist_kernels.h. Both are the arithmetic an
+// in-process fit uses, and a reducer adds only the AllreduceSum calls, so
+// a fit with no reducer is world 1: the model bytes are the same for
+// in-RAM, paged and any number of workers (the
 // contract pinned in docs/ARCHITECTURE.md and verified by
 // tests/dist_test.cc, tests/train_identity_test.cc and the CI
 // cross-process smoke).

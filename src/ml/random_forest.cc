@@ -1,7 +1,6 @@
 #include "ml/random_forest.h"
 
 #include <cmath>
-#include <numeric>
 
 #include "ml/histogram_reducer.h"
 #include "ml/tree_walk.h"
@@ -11,32 +10,10 @@
 
 namespace mvg {
 
-void RandomForestClassifier::Fit(const Matrix& x, const std::vector<int>& y) {
-  std::vector<size_t> rows(x.size());
-  std::iota(rows.begin(), rows.end(), size_t{0});
-  FitOnRows(x, y, rows);
-}
-
-void RandomForestClassifier::FitOnRows(const Matrix& x,
-                                       const std::vector<int>& y,
-                                       const std::vector<size_t>& rows) {
-  const std::vector<size_t> encoded = PrepareFitOnRows(x, y, rows);
-  FeatureTable ft;
-  ft.Build(x, rows);
-  std::vector<size_t> compact(rows.size());
-  std::iota(compact.begin(), compact.end(), size_t{0});
-  FitTable(ft, compact, encoded);
-}
-
 void RandomForestClassifier::FitBinned(const FeatureTable& ft,
                                        const std::vector<int>& y,
                                        const std::vector<size_t>& rows) {
-  FitTable(ft, rows, PrepareFitBinned(ft.num_rows(), y, rows));
-}
-
-void RandomForestClassifier::FitTable(const FeatureTable& ft,
-                                      const std::vector<size_t>& rows,
-                                      const std::vector<size_t>& encoded) {
+  const std::vector<size_t> encoded = PrepareFitBinned(ft.num_rows(), y, rows);
   const size_t n = rows.size();
   const size_t d = ft.num_features();
   const size_t mtry = std::max<size_t>(

@@ -22,7 +22,7 @@ namespace mvg {
 /// fitted in parallel across `num_threads` workers. Per-tree seeds and
 /// bootstrap draws are pre-assigned from the master RNG before any worker
 /// starts, so the fitted forest is bit-identical for every thread count.
-class RandomForestClassifier : public Classifier {
+class RandomForestClassifier : public BinnedClassifier {
  public:
   struct Params {
     size_t num_trees = 100;
@@ -41,11 +41,9 @@ class RandomForestClassifier : public Classifier {
   RandomForestClassifier() = default;
   explicit RandomForestClassifier(Params params) : params_(params) {}
 
-  void Fit(const Matrix& x, const std::vector<int>& y) override;
-  void FitOnRows(const Matrix& x, const std::vector<int>& y,
-                 const std::vector<size_t>& rows) override;
   /// Trains on the row subset `rows` of a pre-binned FeatureTable (the
-  /// streaming path; no double feature matrix). Bootstrap draws are made
+  /// streaming path, and the body of Fit/FitOnRows; no double feature
+  /// matrix). Bootstrap draws are made
   /// in compact indexing and mapped to table ids, so the draw sequence —
   /// and the fitted forest — matches for any caller that presents the
   /// same subset.
@@ -63,11 +61,6 @@ class RandomForestClassifier : public Classifier {
   size_t num_trees_fitted() const { return trees_.size(); }
 
  private:
-  /// The forest body every entry point runs: `rows` are table row ids,
-  /// `encoded` their labels in compact (rows-order) indexing.
-  void FitTable(const FeatureTable& ft, const std::vector<size_t>& rows,
-                const std::vector<size_t>& encoded);
-
   Params params_;
   std::vector<DecisionTreeClassifier> trees_;
 };

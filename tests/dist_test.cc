@@ -290,29 +290,54 @@ TEST(DistTraining, GbtBitIdenticalForAnyWorkerCount) {
   }
 }
 
-TEST(DistTraining, InRamEqualsEveryWorldSize) {
-  // A fit with no reducer is world 1: the same fixed-point histograms,
-  // node totals and split search, so its bytes equal every rank's at
-  // every world size, row subsampling included.
-  Matrix x;
-  std::vector<int> y;
-  MakeBlobs(30, 3, 17, &x, &y);
-  GradientBoostingClassifier::Params params;
-  params.num_rounds = 12;
-  params.max_depth = 3;
-  params.subsample = 0.8;
-  params.colsample = 0.7;
-
-  GradientBoostingClassifier in_ram(params);
+/// A fit with no reducer is world 1: its bytes must equal every rank's
+/// at worlds 1, 2 and 3.
+template <typename ClassifierT, typename ParamsT>
+void ExpectInRamEqualsEveryWorldSize(const ParamsT& params, const Matrix& x,
+                                     const std::vector<int>& y,
+                                     const std::string& label) {
+  ClassifierT in_ram(params);
   in_ram.Fit(x, y);
   BinaryWriter w;
   in_ram.SaveBinary(&w);
   for (size_t world : {1u, 2u, 3u}) {
     const std::vector<std::string> wn =
-        FitDistributed<GradientBoostingClassifier>(params, world, x, y);
+        FitDistributed<ClassifierT>(params, world, x, y);
     for (size_t r = 0; r < world; ++r) {
-      EXPECT_TRUE(wn[r] == w.data()) << "world " << world << " rank " << r;
+      EXPECT_TRUE(wn[r] == w.data())
+          << label << " world " << world << " rank " << r;
     }
+  }
+}
+
+TEST(DistTraining, InRamEqualsEveryWorldSize) {
+  // The in-process and distributed fits share one arithmetic: exact int64
+  // histograms and node totals, with the allreduce the only difference.
+  // Boosting covers row and column subsampling; the forest's bootstrap
+  // rows include duplicates; the single trees search every feature or a
+  // per-node sample.
+  Matrix x;
+  std::vector<int> y;
+  MakeBlobs(30, 3, 17, &x, &y);
+  GradientBoostingClassifier::Params gbt;
+  gbt.num_rounds = 12;
+  gbt.max_depth = 3;
+  gbt.subsample = 0.8;
+  gbt.colsample = 0.7;
+  ExpectInRamEqualsEveryWorldSize<GradientBoostingClassifier>(gbt, x, y,
+                                                              "gbt");
+
+  // Overlapping classes grow deeper trees.
+  for (auto& row : x) row[0] *= 0.3;
+  RandomForestClassifier::Params rf;
+  rf.num_trees = 8;
+  rf.max_depth = 8;
+  ExpectInRamEqualsEveryWorldSize<RandomForestClassifier>(rf, x, y, "rf");
+  for (size_t max_features : {size_t{0}, size_t{2}}) {
+    DecisionTreeClassifier::Params dt;
+    dt.max_features = max_features;
+    ExpectInRamEqualsEveryWorldSize<DecisionTreeClassifier>(
+        dt, x, y, "dt max_features " + std::to_string(max_features));
   }
 }
 

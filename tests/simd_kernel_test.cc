@@ -281,22 +281,20 @@ TEST_F(HistKernelTest, ClassScanBitIdenticalToLegacyOnBothPaths) {
       // the fixed-seed shuffle is not, so both kernel paths execute.
       EXPECT_EQ(order == &rows_, st.contiguous);
       for (size_t f = 0; f < kFeats; ++f) {
-        std::vector<double> got(FeatureTable::kMaxBins * kClasses, 0.0);
-        std::vector<double> want(FeatureTable::kMaxBins * kClasses, 0.0);
+        std::vector<int64_t> got(FeatureTable::kMaxBins * kClasses, 0);
+        std::vector<int64_t> want(FeatureTable::kMaxBins * kClasses, 0);
         uint16_t glo, ghi, wlo, whi;
         ClassScan(ft_.column(f), st, kClasses, got.data(), &glo, &ghi);
         bench::LegacyClassScan(ft_.column(f), *order, y_, begin, end,
                                kClasses, want.data(), &wlo, &whi);
         EXPECT_EQ(wlo, glo);
         EXPECT_EQ(whi, ghi);
-        for (size_t i = 0; i < got.size(); ++i) {
-          ASSERT_TRUE(SameBits(want[i], got[i])) << "f=" << f << " i=" << i;
-        }
+        ASSERT_EQ(want, got) << "f=" << f;
         // Span audit: zeroing exactly [lo, hi] must clear every touched
         // bin — a span one bin short leaks counts into the next scan.
         std::fill(got.data() + glo * kClasses,
-                  got.data() + (ghi + 1) * kClasses, 0.0);
-        for (double v : got) ASSERT_EQ(0.0, v);
+                  got.data() + (ghi + 1) * kClasses, int64_t{0});
+        for (int64_t v : got) ASSERT_EQ(0, v);
       }
     }
   }
@@ -305,13 +303,13 @@ TEST_F(HistKernelTest, ClassScanBitIdenticalToLegacyOnBothPaths) {
 TEST_F(HistKernelTest, ClassScanConstantColumnOccupiesExactlyOneBin) {
   RowStage st;
   st.Stage(rows_, y_, 0, kRows);
-  std::vector<double> hist(FeatureTable::kMaxBins * kClasses, 0.0);
+  std::vector<int64_t> hist(FeatureTable::kMaxBins * kClasses, 0);
   uint16_t lo, hi;
   ClassScan(ft_.column(kFeats - 1), st, kClasses, hist.data(), &lo, &hi);
   EXPECT_EQ(lo, hi);
-  double total = 0.0;
+  int64_t total = 0;
   for (size_t c = 0; c < kClasses; ++c) total += hist[lo * kClasses + c];
-  EXPECT_EQ(static_cast<double>(kRows), total);
+  EXPECT_EQ(static_cast<int64_t>(kRows), total);
 }
 
 TEST_F(HistKernelTest, PairScanBitIdenticalToLegacyOnBothPaths) {
